@@ -8,8 +8,7 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -42,27 +41,6 @@ DEFAULT_BOX = (384, 384, 384)
 RESAMPLE_SPACING_MM = (3.0, 1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by the command implementations."""
-
-    threshold_hu: float = DEFAULT_THRESHOLD_HU
-    box: tuple[int, int, int] = DEFAULT_BOX
-    jitter_pct: float = 0.2
-    seed: int = 0
-    workers: int = 1
-
-    def __post_init__(self):
-        if not np.isfinite(self.threshold_hu):
-            raise InputError(f"threshold must be finite, got {self.threshold_hu}")
-        if len(self.box) != 3 or any(int(b) <= 0 for b in self.box):
-            raise InputError(f"box must be three positive integers, got {self.box}")
-        if not np.isfinite(self.jitter_pct) or self.jitter_pct < 0:
-            raise InputError(f"jitter percentage must be nonnegative, got {self.jitter_pct}")
-        if self.workers < 1:
-            raise InputError(f"workers must be at least 1, got {self.workers}")
-
-
 def _box_arg(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -76,13 +54,21 @@ def _box_arg(text: str) -> tuple[int, int, int]:
     return box
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    updates = {}
-    for field in ("threshold_hu", "box", "jitter_pct", "seed", "workers"):
-        if hasattr(args, field) and getattr(args, field) is not None:
-            updates[field] = getattr(args, field)
-    return replace(cfg, **updates)
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +76,11 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_quantify(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
     t0 = time.perf_counter()
     volume = read_volume(args.volume)
     lobes = read_mask(args.lobes)
     abnorm = read_mask(args.abnorm, allowed_labels=(1,))
-    report = compute_report(volume, lobes, abnorm, threshold=cfg.threshold_hu)
+    report = compute_report(volume, lobes, abnorm, threshold=args.threshold_hu)
     elapsed = time.perf_counter() - t0
 
     payload = report.to_json_dict()
@@ -122,19 +107,14 @@ def _load_report(path: Path) -> tuple[str, SeverityReport]:
     return path.stem, SeverityReport.from_json_dict(payload)
 
 
-def _read_report_dir(directory: str, workers: int) -> dict[str, SeverityReport]:
+def _read_report_dir(directory: str) -> dict[str, SeverityReport]:
     root = Path(directory)
     if not root.is_dir():
         raise InputError(f"report directory not found: {directory}")
     paths = sorted(root.glob("*.json"))
     if not paths:
         raise InputError(f"no report JSON files in {directory}")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(_load_report, paths))
-    else:
-        pairs = [_load_report(p) for p in paths]
-    return dict(sorted(pairs))
+    return dict(sorted(_load_report(p) for p in paths))
 
 
 def _read_id_list(path: str) -> list[str]:
@@ -149,9 +129,8 @@ def _read_id_list(path: str) -> list[str]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    gt = _read_report_dir(args.gt, cfg.workers)
-    pred = _read_report_dir(args.pred, cfg.workers)
+    gt = _read_report_dir(args.gt)
+    pred = _read_report_dir(args.pred)
     positives = _read_id_list(args.positive_list) if args.positive_list else None
     summary = evaluate_reports(gt, pred, positives)
 
@@ -159,7 +138,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(summary.to_json_dict(), indent=2) + "\n")
     if args.scatter:
-        rows = scatter_rows(summary, jitter_pct=cfg.jitter_pct, seed=cfg.seed)
+        rows = scatter_rows(summary, jitter_pct=args.jitter_pct, seed=args.seed)
         write_scatter_csv(rows, args.scatter)
     print(f"evaluated {summary.n_cases} cases ({summary.n_positive} positive) -> {out}")
     return 0
@@ -170,7 +149,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_phantom(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
     if args.count < 1:
         raise InputError(f"count must be positive, got {args.count}")
     out_root = Path(args.out)
@@ -185,7 +163,7 @@ def cmd_phantom(args: argparse.Namespace) -> int:
         base_spec = phantom_mod.PhantomSpec.from_json_dict(payload)
 
     for index in range(args.count):
-        case_seed = cfg.seed + index
+        case_seed = args.seed + index
         if base_spec is not None:
             spec = replace(base_spec, seed=case_seed)
         else:
@@ -205,13 +183,12 @@ def cmd_phantom(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
     volume = read_volume(args.volume)
     lobes = read_mask(args.lobes)
     v_res = resample(volume, RESAMPLE_SPACING_MM, mode="trilinear")
     m_res = resample_mask(lobes, RESAMPLE_SPACING_MM)
     center = lung_center(m_res)
-    cropped = crop_box(v_res, center, cfg.box, pad_value=AIR_HU)
+    cropped = crop_box(v_res, center, args.box, pad_value=AIR_HU)
     normed = clip_normalize(cropped)
     out_volume = Volume(normed.data.astype(np.float32), normed.spacing_mm)
     write_volume(out_volume, args.out)
@@ -304,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_quant.add_argument("--volume", required=True, help="HU volume file base path")
     p_quant.add_argument("--lobes", required=True, help="lobe label mask file base path")
     p_quant.add_argument("--abnorm", required=True, help="binary abnormality mask file base path")
-    p_quant.add_argument("--threshold-hu", type=float, default=None, dest="threshold_hu")
+    p_quant.add_argument("--threshold-hu", type=_finite_float, default=DEFAULT_THRESHOLD_HU)
     p_quant.add_argument("--out", default="report.json")
     p_quant.set_defaults(func=cmd_quantify)
 
@@ -313,9 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--pred", required=True, help="directory of predicted report JSON files")
     p_eval.add_argument("--out", default="summary.json")
     p_eval.add_argument("--scatter", default=None, help="optional scatter CSV output path")
-    p_eval.add_argument("--jitter-pct", type=float, default=None, dest="jitter_pct")
-    p_eval.add_argument("--seed", type=int, default=None)
-    p_eval.add_argument("--workers", type=int, default=None)
+    p_eval.add_argument("--jitter-pct", type=_nonnegative_float, default=0.2)
+    p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument(
         "--positive-list",
         default=None,
@@ -327,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_phantom = sub.add_parser("phantom", help="generate synthetic cases with known reports")
     p_phantom.add_argument("--out", required=True)
     p_phantom.add_argument("--count", type=int, required=True)
-    p_phantom.add_argument("--seed", type=int, default=None)
+    p_phantom.add_argument("--seed", type=int, default=0)
     p_phantom.add_argument("--dims", type=_box_arg, default=(16, 28, 28))
     p_phantom.add_argument("--noise-sigma", type=float, default=0.0, dest="noise_sigma")
     p_phantom.add_argument("--spec", default=None, help="spec JSON to reuse for every case")
@@ -337,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--volume", required=True)
     p_pre.add_argument("--lobes", required=True)
     p_pre.add_argument("--out", required=True)
-    p_pre.add_argument("--box", type=_box_arg, default=None)
+    p_pre.add_argument("--box", type=_box_arg, default=DEFAULT_BOX)
     p_pre.set_defaults(func=cmd_preprocess)
 
     p_train = sub.add_parser("train-toy", help="train the small segmentation network")

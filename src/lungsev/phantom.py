@@ -187,7 +187,7 @@ class PhantomSpec:
                 noise_sigma_hu=d.get("noise_sigma_hu", 0.0),
                 seed=d.get("seed", 0),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed phantom spec: {exc}") from exc
 
 

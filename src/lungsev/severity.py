@@ -119,16 +119,6 @@ def lobe_score(fraction: float) -> int:
     return 4
 
 
-def _lung_and_abnormal(lobes: LabelMask, abnorm: LabelMask):
-    check_same_geometry(lobes, abnorm)
-    lung = lobes.data > 0
-    lung_count = int(lung.sum())
-    if lung_count == 0:
-        raise EmptyMaskError("lung mask is empty")
-    abn_in_lung = (abnorm.data > 0) & lung
-    return lung, lung_count, abn_in_lung
-
-
 def _check_raw_hu(v: Volume) -> None:
     # A volume whose every value sits in [0,1] is almost certainly the
     # normalized training tensor, on which an HU threshold is meaningless.
@@ -140,26 +130,6 @@ def _check_raw_hu(v: Volume) -> None:
         )
 
 
-def compute_po(lobes: LabelMask, abnorm: LabelMask) -> float:
-    """Percentage of lung volume covered by the abnormality mask."""
-    _, lung_count, abn_in_lung = _lung_and_abnormal(lobes, abnorm)
-    return 100.0 * int(abn_in_lung.sum()) / lung_count
-
-
-def compute_pho(
-    v: Volume,
-    lobes: LabelMask,
-    abnorm: LabelMask,
-    threshold: float = DEFAULT_THRESHOLD_HU,
-) -> float:
-    """Percentage of lung volume that is abnormal and >= threshold HU."""
-    check_same_geometry(v, lobes)
-    _check_raw_hu(v)
-    _, lung_count, abn_in_lung = _lung_and_abnormal(lobes, abnorm)
-    high = abn_in_lung & (v.data >= threshold)
-    return 100.0 * int(high.sum()) / lung_count
-
-
 def compute_report(
     v: Volume,
     lobes: LabelMask,
@@ -169,7 +139,12 @@ def compute_report(
     """Full severity breakdown: global PO/PHO plus per-lobe scores and sums."""
     check_same_geometry(v, lobes)
     _check_raw_hu(v)
-    _, lung_count, abn_in_lung = _lung_and_abnormal(lobes, abnorm)
+    check_same_geometry(lobes, abnorm)
+    lung = lobes.data > 0
+    lung_count = int(lung.sum())
+    if lung_count == 0:
+        raise EmptyMaskError("lung mask is empty")
+    abn_in_lung = (abnorm.data > 0) & lung
     high_in_lung = abn_in_lung & (v.data >= threshold)
     voxel_mm3 = lobes.voxel_volume_mm3
 

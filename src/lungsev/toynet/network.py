@@ -24,14 +24,15 @@ from .tensor import Tensor, concat, leaky_relu, softmax_channels
 
 ANISO_STRIDE = (1, 2, 2)
 ISO_STRIDE = (2, 2, 2)
+IN_CHANNELS = 1
+OUT_CHANNELS = 2
+STEM_KERNEL = (1, 3, 3)
+LEAKY_SLOPE = 0.01
 
 
 @dataclass(frozen=True)
 class NetConfig:
-    in_channels: int = 1
-    out_channels: int = 2
     stem_channels: int = 8
-    stem_kernel: tuple[int, int, int] = (1, 3, 3)
     num_dense_blocks: int = 5
     layers_per_block: int = 2
     growth_rate: int = 4
@@ -42,17 +43,12 @@ class NetConfig:
         ISO_STRIDE,
         ISO_STRIDE,
     )
-    leaky_slope: float = 0.01
     norm_enabled: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        if self.in_channels < 1 or self.out_channels < 2:
-            raise InputError("need >= 1 input channel and >= 2 output channels")
         if self.stem_channels < 1 or self.layers_per_block < 1 or self.growth_rate < 1:
             raise InputError("stem/layers/growth must be >= 1")
-        if any(k < 1 or k % 2 == 0 for k in self.stem_kernel):
-            raise InputError(f"stem kernel entries must be odd, got {self.stem_kernel}")
         strides = tuple(tuple(int(v) for v in s) for s in self.downsample_strides)
         if len(strides) != self.num_dense_blocks or not strides:
             raise InputError("need one downsample stride per dense block")
@@ -66,10 +62,7 @@ class NetConfig:
                 seen_iso = True
             elif seen_iso:
                 raise InputError("anisotropic strides must precede isotropic ones")
-        if not (0.0 < self.leaky_slope < 1.0):
-            raise InputError(f"leaky slope must be in (0,1), got {self.leaky_slope}")
         object.__setattr__(self, "downsample_strides", strides)
-        object.__setattr__(self, "stem_kernel", tuple(int(k) for k in self.stem_kernel))
 
     @property
     def cumulative_stride(self) -> tuple[int, int, int]:
@@ -117,7 +110,7 @@ def init_params(config: NetConfig) -> dict[str, Tensor]:
         params[f"{name}.beta"] = Tensor(np.zeros(c), requires_grad=True, name=f"{name}.beta")
 
     ch = config.encoder_channels()
-    conv_p("stem", ch[0], config.in_channels, config.stem_kernel)
+    conv_p("stem", ch[0], IN_CHANNELS, STEM_KERNEL)
     norm_p("stem.norm", ch[0])
 
     for k in range(1, config.num_dense_blocks + 1):
@@ -136,7 +129,7 @@ def init_params(config: NetConfig) -> dict[str, Tensor]:
         norm_p(f"dec{k}.norm", 2 * ch[k - 1])
         conv_p(f"dec{k}", ch[k - 1], 2 * ch[k - 1], kernel)
 
-    conv_p("head", config.out_channels, ch[0], (1, 1, 1))
+    conv_p("head", OUT_CHANNELS, ch[0], (1, 1, 1))
     return params
 
 
@@ -151,7 +144,7 @@ def dense_block(x: Tensor, params: dict, config: NetConfig, index: int) -> Tenso
     for j in range(1, config.layers_per_block + 1):
         h = feats[0] if len(feats) == 1 else concat(feats, axis=1)
         h = _maybe_norm(h, params, f"enc{index}.layer{j}.norm", config)
-        h = leaky_relu(h, config.leaky_slope)
+        h = leaky_relu(h, LEAKY_SLOPE)
         h = conv3d(h, params[f"enc{index}.layer{j}.w"], params[f"enc{index}.layer{j}.b"],
                    stride=(1, 1, 1), padding="same")
         feats.append(h)
@@ -159,11 +152,11 @@ def dense_block(x: Tensor, params: dict, config: NetConfig, index: int) -> Tenso
 
 
 def net_forward(x: Tensor, params: dict, config: NetConfig) -> Tensor:
-    """Per-voxel class probabilities, shape (B, out_channels, Z, Y, X)."""
+    """Per-voxel class probabilities, shape (B, OUT_CHANNELS, Z, Y, X)."""
     if x.data.ndim != 5:
         raise InputError(f"expected (B,C,Z,Y,X) input, got shape {x.data.shape}")
-    if x.data.shape[1] != config.in_channels:
-        raise InputError(f"expected {config.in_channels} input channels, got {x.data.shape[1]}")
+    if x.data.shape[1] != IN_CHANNELS:
+        raise InputError(f"expected {IN_CHANNELS} input channels, got {x.data.shape[1]}")
     cum = config.cumulative_stride
     spatial = x.data.shape[2:]
     if any(d % c != 0 or d < c for d, c in zip(spatial, cum)):
@@ -174,7 +167,7 @@ def net_forward(x: Tensor, params: dict, config: NetConfig) -> Tensor:
 
     h = conv3d(x, params["stem.w"], params["stem.b"], stride=(1, 1, 1), padding="same")
     h = _maybe_norm(h, params, "stem.norm", config)
-    h = leaky_relu(h, config.leaky_slope)
+    h = leaky_relu(h, LEAKY_SLOPE)
 
     skips = []
     for k in range(1, config.num_dense_blocks + 1):
@@ -189,7 +182,7 @@ def net_forward(x: Tensor, params: dict, config: NetConfig) -> Tensor:
         h = transpose_conv3d(h, params[f"dec{k}.up.w"], params[f"dec{k}.up.b"], stride=stride)
         h = concat([h, skips[k - 1]], axis=1)
         h = _maybe_norm(h, params, f"dec{k}.norm", config)
-        h = leaky_relu(h, config.leaky_slope)
+        h = leaky_relu(h, LEAKY_SLOPE)
         h = conv3d(h, params[f"dec{k}.w"], params[f"dec{k}.b"], stride=(1, 1, 1), padding="same")
 
     logits = conv3d(h, params["head.w"], params["head.b"], stride=(1, 1, 1), padding=(0, 0, 0))

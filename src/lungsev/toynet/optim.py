@@ -2,7 +2,7 @@
 
 Standard first/second moment accumulation with bias correction, where the
 per-parameter step size is clamped into a schedule that starts wide and
-tightens toward final_lr, so the behavior anneals from adaptive to SGD-like.
+tightens toward FINAL_LR, so the behavior anneals from adaptive to SGD-like.
 """
 
 import logging
@@ -15,24 +15,25 @@ from .tensor import Tensor
 
 log = logging.getLogger("lungsev.toynet")
 
+FINAL_LR = 0.1
+GAMMA = 1e-3  # how fast the clamp interval closes around FINAL_LR
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
-def bound_schedule(t: int, final_lr: float = 0.1, gamma: float = 1e-3) -> tuple[float, float]:
-    """Step-size clamp interval at step t >= 1; converges to final_lr."""
+
+def bound_schedule(t: int) -> tuple[float, float]:
+    """Step-size clamp interval at step t >= 1; converges to FINAL_LR."""
     if t < 1:
         raise InputError(f"bound schedule needs t >= 1, got {t}")
-    lower = final_lr * (1.0 - 1.0 / (gamma * t + 1.0))
-    upper = final_lr * (1.0 + 1.0 / (gamma * t))
+    lower = FINAL_LR * (1.0 - 1.0 / (GAMMA * t + 1.0))
+    upper = FINAL_LR * (1.0 + 1.0 / (GAMMA * t))
     return lower, upper
 
 
 @dataclass
 class OptimizerState:
     lr: float = 0.001
-    final_lr: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    gamma: float = 1e-3
     step_count: int = 0
     skipped_steps: int = 0
     m: dict = field(default_factory=dict)
@@ -54,8 +55,8 @@ def optimizer_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
 
     state.step_count += 1
     t = state.step_count
-    lower, upper = bound_schedule(t, state.final_lr, state.gamma)
-    step_size = state.lr * np.sqrt(1.0 - state.beta2**t) / (1.0 - state.beta1**t)
+    lower, upper = bound_schedule(t)
+    step_size = state.lr * np.sqrt(1.0 - BETA2**t) / (1.0 - BETA1**t)
     for name in names:
         p = params[name]
         g = grads.get(name)
@@ -69,10 +70,10 @@ def optimizer_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         if m is None:
             m = np.zeros_like(p.data)
             v = np.zeros_like(p.data)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * g * g
         state.m[name] = m
         state.v[name] = v
-        eff = np.clip(step_size / (np.sqrt(v) + state.eps), lower, upper)
+        eff = np.clip(step_size / (np.sqrt(v) + EPS), lower, upper)
         p.data = p.data - eff * m
     return True

@@ -73,15 +73,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
 
 def _result(data, parents, backward_fn, name="") -> Tensor:
     out = Tensor(data, name=name)

@@ -10,12 +10,11 @@ import csv
 import json
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from ..errors import HeaderError, InputError
-from ..volume import Volume, apply_augment, clip_normalize, sample_augment
+from ..volume import Volume, _paths_for, apply_augment, clip_normalize, sample_augment
 from .loss import jaccard_loss
 from .network import NetConfig, init_params, net_forward
 from .optim import OptimizerState, optimizer_step
@@ -150,15 +149,8 @@ def train(
 # Checkpoints: JSON manifest + raw little-endian float64 payload
 # ---------------------------------------------------------------------------
 
-def _checkpoint_paths(path) -> tuple[Path, Path]:
-    base = Path(path)
-    if base.suffix in (".json", ".raw"):
-        base = base.with_suffix("")
-    return base.with_suffix(".json"), base.with_suffix(".raw")
-
-
 def save_checkpoint(params: dict[str, Tensor], path) -> None:
-    manifest_path, payload_path = _checkpoint_paths(path)
+    manifest_path, payload_path = _paths_for(path)
     names = sorted(params)
     manifest = {
         "format": "net-checkpoint",
@@ -172,27 +164,30 @@ def save_checkpoint(params: dict[str, Tensor], path) -> None:
 
 
 def load_checkpoint(path) -> dict[str, Tensor]:
-    manifest_path, payload_path = _checkpoint_paths(path)
+    manifest_path, payload_path = _paths_for(path)
     if not manifest_path.exists() or not payload_path.exists():
         raise HeaderError(f"checkpoint files missing at {manifest_path} / {payload_path}")
     try:
         manifest = json.loads(manifest_path.read_text())
-        tensors = manifest["tensors"]
-        if manifest["dtype"] != "float64" or manifest["byte_order"] != "little":
-            raise HeaderError(f"unsupported checkpoint encoding in {manifest_path}")
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        encoding = (manifest["dtype"], manifest["byte_order"])
+        entries = [(e["name"], tuple(e["shape"])) for e in manifest["tensors"]]
+        for name, shape in entries:
+            if not isinstance(name, str) or not all(isinstance(s, int) and s >= 0 for s in shape):
+                raise ValueError(f"tensor {name!r} has bad shape {list(shape)!r}")
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSONDecodeError
         raise HeaderError(f"malformed checkpoint manifest {manifest_path}: {exc}") from exc
+    if encoding != ("float64", "little"):
+        raise HeaderError(f"unsupported checkpoint encoding in {manifest_path}")
     blob = payload_path.read_bytes()
     params: dict[str, Tensor] = {}
     offset = 0
-    for entry in tensors:
-        shape = tuple(int(s) for s in entry["shape"])
+    for name, shape in entries:
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * struct.calcsize("<d")
         if offset + nbytes > len(blob):
-            raise HeaderError(f"checkpoint payload too short for tensor {entry['name']}")
+            raise HeaderError(f"checkpoint payload too short for tensor {name}")
         arr = np.frombuffer(blob[offset : offset + nbytes], dtype="<f8").reshape(shape)
-        params[entry["name"]] = Tensor(arr.copy(), requires_grad=True, name=entry["name"])
+        params[name] = Tensor(arr.copy(), requires_grad=True, name=name)
         offset += nbytes
     if offset != len(blob):
         raise HeaderError("checkpoint payload has trailing bytes")

@@ -188,6 +188,8 @@ def _read_grid(path: str | Path) -> tuple[np.ndarray, tuple[float, float, float]
         header = json.loads(header_path.read_text())
     except json.JSONDecodeError as e:
         raise HeaderError(f"ill-formed header {header_path}: {e}") from e
+    if not isinstance(header, dict):
+        raise HeaderError(f"header {header_path} is not a JSON object")
     for key in ("dims", "spacing_mm", "dtype", "byte_order"):
         if key not in header:
             raise HeaderError(f"header {header_path} missing field {key!r}")
@@ -196,8 +198,13 @@ def _read_grid(path: str | Path) -> tuple[np.ndarray, tuple[float, float, float]
     if header["dtype"] not in _HEADER_DTYPES:
         raise HeaderError(f"unsupported dtype {header['dtype']!r}")
     dims = header["dims"]
-    if len(dims) != 3 or any(not isinstance(d, int) or d < 1 for d in dims):
+    if not isinstance(dims, list) or len(dims) != 3 or any(
+        not isinstance(d, int) or d < 1 for d in dims
+    ):
         raise HeaderError(f"bad dims {dims!r} in {header_path}")
+    spacing = header["spacing_mm"]
+    if not isinstance(spacing, list) or not all(isinstance(s, (int, float)) for s in spacing):
+        raise HeaderError(f"bad spacing_mm {spacing!r} in {header_path}")
     dtype = _HEADER_DTYPES[header["dtype"]]
     if not raw_path.exists():
         raise HeaderError(f"missing raw payload {raw_path}")
@@ -208,7 +215,7 @@ def _read_grid(path: str | Path) -> tuple[np.ndarray, tuple[float, float, float]
             f"payload length mismatch for {raw_path}: header implies {expected} bytes, found {len(raw)}"
         )
     data = np.frombuffer(raw, dtype=dtype).reshape(dims)
-    return data, tuple(float(s) for s in header["spacing_mm"])
+    return data, tuple(float(s) for s in spacing)
 
 
 def read_volume(path: str | Path) -> Volume:
@@ -318,26 +325,6 @@ def lung_center(lobes: LabelMask) -> tuple[int, int, int]:
     return tuple(_round_half_away(float(np.mean(axis_idx))) for axis_idx in nz)
 
 
-def _crop_array(data: np.ndarray, center, box, pad_value) -> np.ndarray:
-    if any(b < 1 for b in box):
-        raise InputError(f"crop box dims must be >= 1, got {box}")
-    if np.issubdtype(data.dtype, np.integer) and float(pad_value) == int(pad_value):
-        out = np.full(box, int(pad_value), dtype=data.dtype)
-    else:
-        out = np.full(box, float(pad_value), dtype=np.float64)
-        data = data.astype(np.float64, copy=False)
-    src_slices, dst_slices = [], []
-    for c, b, d in zip(center, box, data.shape):
-        start = int(c) - b // 2  # center voxel of source lands at index b//2
-        src_lo, src_hi = max(start, 0), min(start + b, d)
-        if src_lo >= src_hi:
-            return out  # box entirely outside the source
-        src_slices.append(slice(src_lo, src_hi))
-        dst_slices.append(slice(src_lo - start, src_hi - start))
-    out[tuple(dst_slices)] = data[tuple(src_slices)]
-    return out
-
-
 def crop_box(
     v: Volume,
     center: tuple[int, int, int],
@@ -350,11 +337,25 @@ def crop_box(
     at the center is preserved whenever the center lies inside the source.
     Padding happens in HU (default air, -1024) before any normalization.
     """
-    return Volume(_crop_array(v.data, center, box, pad_value), v.spacing_mm)
-
-
-def crop_mask(m: LabelMask, center: tuple[int, int, int], box: tuple[int, int, int]) -> LabelMask:
-    return LabelMask(_crop_array(m.data, center, box, 0), m.spacing_mm, m.allowed_labels)
+    if any(b < 1 for b in box):
+        raise InputError(f"crop box dims must be >= 1, got {box}")
+    data = v.data
+    if np.issubdtype(data.dtype, np.integer) and float(pad_value) == int(pad_value):
+        out = np.full(box, int(pad_value), dtype=data.dtype)
+    else:
+        out = np.full(box, float(pad_value), dtype=np.float64)
+        data = data.astype(np.float64, copy=False)
+    src_slices, dst_slices = [], []
+    for c, b, d in zip(center, box, data.shape):
+        start = int(c) - b // 2  # center voxel of source lands at index b//2
+        src_lo, src_hi = max(start, 0), min(start + b, d)
+        if src_lo >= src_hi:
+            break  # box entirely outside the source
+        src_slices.append(slice(src_lo, src_hi))
+        dst_slices.append(slice(src_lo - start, src_hi - start))
+    else:
+        out[tuple(dst_slices)] = data[tuple(src_slices)]
+    return Volume(out, v.spacing_mm)
 
 
 # ---------------------------------------------------------------------------
@@ -387,23 +388,8 @@ def flip(v: Volume, axis: int) -> Volume:
     return Volume(np.flip(v.data, axis=axis).copy(), v.spacing_mm)
 
 
-def flip_mask(m: LabelMask, axis: int) -> LabelMask:
-    if axis not in (0, 1, 2):
-        raise InputError(f"flip axis must be 0, 1 or 2, got {axis}")
-    return LabelMask(np.flip(m.data, axis=axis).copy(), m.spacing_mm, m.allowed_labels)
-
-
 def apply_augment(v: Volume, plan: AugmentPlan) -> Volume:
+    """Shift every voxel by the plan's HU offset, then flip along its axis, if any."""
     shifted = Volume(v.data.astype(np.float64, copy=False) + plan.intensity_shift_hu, v.spacing_mm)
     return shifted if plan.flip_axis is None else flip(shifted, plan.flip_axis)
 
-
-def augment(v: Volume, seed: int) -> Volume:
-    """Deterministic training-time perturbation of an HU volume.
-
-    Adds one uniform offset in [-20, 20] HU to every voxel, then with
-    probability 1/2 flips along a uniformly chosen axis. Applied before
-    windowing/normalization; masks must be flipped with the same plan
-    (see sample_augment/apply_augment/flip_mask).
-    """
-    return apply_augment(v, sample_augment(seed))

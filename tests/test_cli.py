@@ -102,6 +102,20 @@ def test_quantify_missing_input_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_quantify_malformed_header_exits_2(tmp_path, capsys):
+    case_dir, _ = write_phantom_case(tmp_path, "c0", seed=3)
+    header_path = case_dir / "volume.json"
+    header = json.loads(header_path.read_text())
+    header["spacing_mm"][2] = "1.0mm"
+    header_path.write_text(json.dumps(header))
+    out = tmp_path / "r.json"
+    assert run_quantify(case_dir, out) == 2
+    err = capsys.readouterr().err
+    assert "spacing_mm" in err and str(header_path) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -143,16 +157,6 @@ def test_evaluate_identity_reaches_fixed_point(tmp_path, capsys):
     assert rows[0] == ["case_id", "metric", "gt", "pred", "gt_jittered", "pred_jittered"]
     assert len(rows) == 1 + 5 * 4
     assert "evaluated 5 cases" in capsys.readouterr().out
-
-
-def test_evaluate_worker_count_does_not_change_output(tmp_path):
-    gt_dir, pred_dir = build_report_dirs(tmp_path)
-    out1 = tmp_path / "s1.json"
-    out4 = tmp_path / "s4.json"
-    base = ["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir)]
-    assert main(base + ["--out", str(out1), "--workers", "1"]) == 0
-    assert main(base + ["--out", str(out4), "--workers", "4"]) == 0
-    assert out1.read_bytes() == out4.read_bytes()
 
 
 def test_evaluate_positive_list(tmp_path):
@@ -234,6 +238,19 @@ def test_phantom_spec_template_bumps_seed(tmp_path):
     assert s0["seed"] == 5
     assert s1["seed"] == 6
     assert s0["lungs"] == s1["lungs"]
+
+
+def test_phantom_spec_with_non_numeric_radius_exits_2(tmp_path, capsys):
+    payload = phantom.random_spec(3, dims=(10, 16, 16), n_lesions=1).to_json_dict()
+    payload["lungs"][0]["radii_mm"] = ["big", 1, 1]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(payload))
+    code = main(["phantom", "--count", "1", "--spec", str(spec_path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "malformed phantom spec" in err
+    assert "Traceback" not in err
 
 
 def test_phantom_rejects_bad_count(tmp_path, capsys):
@@ -371,12 +388,30 @@ def test_train_toy_unreadable_config_exits_2(tmp_path):
 # dispatch and plumbing
 # ---------------------------------------------------------------------------
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["not-a-command"]) == 2
     assert main(["quantify"]) == 2
     assert main(["preprocess", "--volume", "v", "--lobes", "l", "--out", "o",
                  "--box", "bad"]) == 2
+    capsys.readouterr()
+    assert main(["evaluate", "--gt", "g", "--pred", "p", "--workers", "1"]) == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["quantify", "--volume", "v", "--lobes", "l", "--abnorm", "a",
+          "--threshold-hu", "nan"], "threshold"),
+        (["evaluate", "--gt", "g", "--pred", "p", "--jitter-pct", "-1"], "jitter"),
+    ],
+)
+def test_out_of_range_numeric_flags_exit_2(argv, flag, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_help_exits_0(capsys):

@@ -16,7 +16,7 @@ from lungsev.phantom import (
     random_spec,
     write_case,
 )
-from lungsev.severity import compute_po, compute_report
+from lungsev.severity import compute_report
 from lungsev.volume import read_mask, read_volume
 
 
@@ -258,7 +258,7 @@ def test_erode_only_is_subset_and_lowers_po():
         gt = np.asarray(case.abnorm_gt.data) > 0
         pr = np.asarray(pred.data) > 0
         assert np.all(gt[pr])  # prediction subset of truth
-        assert compute_po(case.lobes, pred) <= case.oracle.po
+        assert compute_report(case.volume, case.lobes, pred).po <= case.oracle.po
 
 
 def test_dilate_only_is_superset():
@@ -282,7 +282,7 @@ def test_dilated_po_matches_independent_recount():
     for seed in range(5):
         case = generate(random_spec(seed + 70, n_lesions=3))
         pred = make_noisy_prediction(case, dilate_vox=1, erode_vox=0, seed=seed)
-        po_module = compute_po(case.lobes, pred)
+        po_module = compute_report(case.volume, case.lobes, pred).po
         po_oracle = oracle_report(case.volume, case.lobes, pred).po
         assert po_module == po_oracle
 

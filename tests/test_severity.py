@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from lungsev.errors import EmptyMaskError, GeometryError, InputError
 from lungsev.severity import (
     SeverityReport,
-    compute_pho,
-    compute_po,
     compute_report,
     lobe_score,
 )
@@ -26,6 +24,12 @@ def lobes_mask(arr, spacing=SPACING):
 
 def abn_mask(arr, spacing=SPACING):
     return LabelMask(np.asarray(arr, dtype=np.uint8), spacing, allowed_labels=(1,))
+
+
+def po_of(lobes, abn):
+    """PO from compute_report, on a uniform raw-HU volume of the lobes' grid."""
+    hu = Volume(np.full(lobes.dims, -800.0, dtype=np.float32), lobes.spacing_mm)
+    return compute_report(hu, lobes, abn).po
 
 
 def random_case(seed, dims=(12, 14, 10), spacing=SPACING):
@@ -98,31 +102,31 @@ def report_oracle(v, lobes, abn, threshold=-200.0):
 def test_po_empty_abnormality_is_zero():
     lobes = lobes_mask(np.ones((4, 4, 4)))
     abn = abn_mask(np.zeros((4, 4, 4)))
-    assert compute_po(lobes, abn) == 0.0
+    assert po_of(lobes, abn) == 0.0
 
 
 def test_po_simple_ratio():
     lobes = lobes_mask(np.ones((10, 10, 10)))
     abn = np.zeros((10, 10, 10))
     abn[:, :5, :5] = 1  # 250 voxels
-    assert compute_po(lobes, abn_mask(abn)) == 25.0
+    assert po_of(lobes, abn_mask(abn)) == 25.0
 
 
 def test_po_ignores_abnormality_outside_lung():
     lobes = np.zeros((4, 4, 4))
     lobes[0] = 1
     abn = np.ones((4, 4, 4))  # covers lung and background alike
-    assert compute_po(lobes_mask(lobes), abn_mask(abn)) == 100.0
+    assert po_of(lobes_mask(lobes), abn_mask(abn)) == 100.0
 
 
 def test_po_empty_lung_raises():
     with pytest.raises(EmptyMaskError):
-        compute_po(lobes_mask(np.zeros((3, 3, 3))), abn_mask(np.zeros((3, 3, 3))))
+        po_of(lobes_mask(np.zeros((3, 3, 3))), abn_mask(np.zeros((3, 3, 3))))
 
 
 def test_po_geometry_mismatch_raises():
     with pytest.raises(GeometryError):
-        compute_po(lobes_mask(np.ones((3, 3, 3))), abn_mask(np.zeros((3, 3, 4))))
+        po_of(lobes_mask(np.ones((3, 3, 3))), abn_mask(np.zeros((3, 3, 4))))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +142,7 @@ def test_pho_threshold_example():
     hu[0, 0, 1] = -300.0
     hu[0, 1, 0] = -100.0
     hu[0, 1, 1] = 0.0
-    pho = compute_pho(Volume(hu, SPACING), lobes, abn_mask(abn))
+    pho = compute_report(Volume(hu, SPACING), lobes, abn_mask(abn)).pho
     assert pho == 25.0  # two of eight lung voxels at or above -200
 
 
@@ -146,20 +150,21 @@ def test_pho_all_below_threshold_is_zero():
     lobes = lobes_mask(np.ones((3, 3, 3)))
     abn = abn_mask(np.ones((3, 3, 3)))
     hu = Volume(np.full((3, 3, 3), -700.0, dtype=np.float32), SPACING)
-    assert compute_pho(hu, lobes, abn) == 0.0
+    assert compute_report(hu, lobes, abn).pho == 0.0
 
 
 def test_pho_threshold_boundary_inclusive():
     lobes = lobes_mask(np.ones((1, 1, 2)))
     abn = abn_mask(np.ones((1, 1, 2)))
     hu = Volume(np.array([[[-200.0, -200.0000001]]]), SPACING)
-    assert compute_pho(hu, lobes, abn) == 50.0
+    assert compute_report(hu, lobes, abn).pho == 50.0
 
 
 def test_pho_never_exceeds_po():
     for seed in range(10):
         v, lobes, abn = random_case(seed)
-        assert compute_pho(v, lobes, abn) <= compute_po(lobes, abn)
+        report = compute_report(v, lobes, abn)
+        assert report.pho <= report.po
 
 
 def test_pho_rejects_normalized_volume():
@@ -167,7 +172,7 @@ def test_pho_rejects_normalized_volume():
     abn = abn_mask(np.ones((3, 3, 3)))
     normalized = Volume(np.random.default_rng(0).random((3, 3, 3)), SPACING)
     with pytest.raises(InputError):
-        compute_pho(normalized, lobes, abn)
+        compute_report(normalized, lobes, abn)
 
 
 # ---------------------------------------------------------------------------

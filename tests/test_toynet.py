@@ -1,6 +1,7 @@
 """Tensor engine and network tests: finite differences, adjoints, training."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from lungsev.toynet import (
     tsum,
     write_loss_csv,
 )
+from lungsev.toynet.optim import FINAL_LR
 
 
 def proj_loss(out: Tensor, proj: np.ndarray) -> Tensor:
@@ -432,18 +434,17 @@ def test_optimizer_descends_quadratic():
 
 
 def test_bound_schedule_tightens_to_final_lr():
-    final_lr = 0.1
     prev_width = None
     for t in (1, 10, 100, 10_000):
-        lower, upper = bound_schedule(t, final_lr=final_lr)
-        assert 0.0 <= lower < final_lr < upper
+        lower, upper = bound_schedule(t)
+        assert 0.0 <= lower < FINAL_LR < upper
         width = upper - lower
         if prev_width is not None:
             assert width < prev_width
         prev_width = width
-    lower, upper = bound_schedule(10**9, final_lr=final_lr)
-    assert abs(lower - final_lr) < 1e-6
-    assert abs(upper - final_lr) < 1e-6
+    lower, upper = bound_schedule(10**9)
+    assert abs(lower - FINAL_LR) < 1e-6
+    assert abs(upper - FINAL_LR) < 1e-6
     with pytest.raises(InputError):
         bound_schedule(0)
 
@@ -555,6 +556,19 @@ def test_checkpoint_error_paths(tmp_path):
     (tmp_path / "ckpt2.raw").write_bytes(raw + b"\x00" * 8)
     with pytest.raises(HeaderError):
         load_checkpoint(tmp_path / "ckpt2")
+    manifest = json.loads((tmp_path / "ckpt2.json").read_text())
+    first = manifest["tensors"][0]
+    for bad_entry in (
+        {"shape": first["shape"]},
+        {"name": first["name"]},
+        {"name": first["name"], "shape": ["four"]},
+        {"name": first["name"], "shape": [2.5]},
+        {"name": first["name"], "shape": 4},
+    ):
+        manifest["tensors"][0] = bad_entry
+        (tmp_path / "ckpt2.json").write_text(json.dumps(manifest))
+        with pytest.raises(HeaderError, match="malformed checkpoint manifest"):
+            load_checkpoint(tmp_path / "ckpt2")
 
 
 def test_sample_validation():

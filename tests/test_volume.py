@@ -12,11 +12,9 @@ from lungsev.volume import (
     Volume,
     WindowSpec,
     apply_augment,
-    augment,
     check_same_geometry,
     clip_normalize,
     crop_box,
-    crop_mask,
     flip,
     lung_center,
     read_mask,
@@ -137,6 +135,19 @@ def test_read_rejects_missing_or_malformed_header(tmp_path):
     (tmp_path / "nf.json").write_text(json.dumps(header))
     with pytest.raises(HeaderError, match="missing field"):
         read_volume(tmp_path / "nf")
+    (tmp_path / "list.json").write_text("[1, 2, 3]")
+    with pytest.raises(HeaderError, match="list.json is not a JSON object"):
+        read_volume(tmp_path / "list")
+    good = {"dims": [1, 1, 1], "spacing_mm": [1.0, 1.0, 1.0], "dtype": "int16", "byte_order": "little"}
+    for name, field, value in [
+        ("unit", "spacing_mm", [1.0, 1.0, "1.0mm"]),
+        ("scalar_spacing", "spacing_mm", 1.0),
+        ("scalar_dims", "dims", 1),
+    ]:
+        (tmp_path / f"{name}.json").write_text(json.dumps({**good, field: value}))
+        (tmp_path / f"{name}.raw").write_bytes(b"\x00" * 2)
+        with pytest.raises(HeaderError, match=rf"bad {field} .* in .*{name}\.json"):
+            read_volume(tmp_path / name)
 
 
 def test_write_rejects_unsupported_dtype(tmp_path):
@@ -294,9 +305,10 @@ def test_crop_box_preserves_center_value():
 def test_crop_counts_match_bruteforce_bounds_check():
     rng = np.random.default_rng(8)
     mask = (rng.random((10, 11, 12)) < 0.3).astype(np.uint8)
-    m = LabelMask(mask, (1, 1, 1), allowed_labels=(1,))
+    m = Volume(mask, (1, 1, 1))
     center, box = (5, 5, 5), (6, 7, 4)
-    out = crop_mask(m, center, box)
+    out = crop_box(m, center, box, pad_value=0)
+    assert out.data.dtype == np.uint8  # integer data with an integral pad keeps its dtype
     # brute-force: count mask voxels whose index falls inside the box bounds
     expected = 0
     starts = [c - b // 2 for c, b in zip(center, box)]
@@ -323,8 +335,8 @@ def test_crop_box_rejects_empty_box():
 def test_augment_deterministic():
     rng = np.random.default_rng(0)
     v = make_volume(rng.integers(-1000, 100, size=(4, 4, 4)).astype(np.int16))
-    a = augment(v, seed=123)
-    b = augment(v, seed=123)
+    a = apply_augment(v, sample_augment(123))
+    b = apply_augment(v, sample_augment(123))
     np.testing.assert_array_equal(a.data, b.data)
     assert sample_augment(99) == sample_augment(99)
 
@@ -362,5 +374,5 @@ def test_augment_does_not_mutate_input():
     data = np.zeros((2, 2, 2), dtype=np.float64)
     v = Volume(data, (1, 1, 1))
     before = v.data.copy()
-    augment(v, seed=1)
+    apply_augment(v, sample_augment(1))
     np.testing.assert_array_equal(v.data, before)
