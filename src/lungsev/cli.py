@@ -101,10 +101,9 @@ def cmd_quantify(args: argparse.Namespace) -> int:
 
 def _load_report(path: Path) -> tuple[str, SeverityReport]:
     try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from exc
-    return path.stem, SeverityReport.from_json_dict(payload)
+        return path.stem, SeverityReport.from_json_dict(json.loads(path.read_text()))
+    except ValueError as exc:  # invalid JSON or text, or a malformed report
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _read_report_dir(directory: str) -> dict[str, SeverityReport]:
@@ -201,13 +200,29 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 REQUIRED_TRAIN_FIELDS = ("data_dir", "epochs", "out_checkpoint", "out_loss_csv", "seed")
-OPTIONAL_NET_FIELDS = (
-    "stem_channels",
-    "growth_rate",
-    "layers_per_block",
-    "num_dense_blocks",
-    "norm_enabled",
-)
+
+
+def _exactly(kind):
+    """A check that passes only values of type `kind` itself (true is not an int)."""
+    def check(value):
+        if type(value) is not kind:
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+        return value
+    return check
+
+
+_integer = _exactly(int)
+
+# NetConfig fields a config may set, each with the function that checks its value.
+NET_FIELDS = {
+    "seed": _integer,
+    "stem_channels": _integer,
+    "growth_rate": _integer,
+    "layers_per_block": _integer,
+    "num_dense_blocks": _integer,
+    "norm_enabled": _exactly(bool),
+    "downsample_strides": lambda value: tuple(tuple(map(_integer, s)) for s in value),
+}
 
 
 def _load_samples(data_dir: str) -> list[Sample]:
@@ -243,20 +258,16 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
     if missing:
         raise InputError("missing config field(s): " + ", ".join(missing))
 
-    net_kwargs = {k: payload[k] for k in OPTIONAL_NET_FIELDS if k in payload}
-    if "downsample_strides" in payload:
-        net_kwargs["downsample_strides"] = tuple(
-            tuple(int(v) for v in stride) for stride in payload["downsample_strides"]
-        )
-    config = NetConfig(seed=int(payload["seed"]), **net_kwargs)
+    def read(field, convert):
+        try:
+            return convert(payload[field])
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{args.config}: {field}: {exc}") from exc
 
-    samples = _load_samples(payload["data_dir"])
-    result = train(
-        config,
-        samples,
-        epochs=int(payload["epochs"]),
-        initial_lr=float(payload.get("initial_lr", 0.001)),
-    )
+    config = NetConfig(**{f: read(f, c) for f, c in NET_FIELDS.items() if f in payload})
+    epochs = read("epochs", _integer)
+    initial_lr = read("initial_lr", float) if "initial_lr" in payload else 0.001
+    result = train(config, _load_samples(payload["data_dir"]), epochs, initial_lr)
     save_checkpoint(result.params, payload["out_checkpoint"])
     write_loss_csv(result.history, payload["out_loss_csv"])
     print(

@@ -27,7 +27,6 @@ ISO_STRIDE = (2, 2, 2)
 IN_CHANNELS = 1
 OUT_CHANNELS = 2
 STEM_KERNEL = (1, 3, 3)
-LEAKY_SLOPE = 0.01
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,7 @@ def dense_block(x: Tensor, params: dict, config: NetConfig, index: int) -> Tenso
     for j in range(1, config.layers_per_block + 1):
         h = feats[0] if len(feats) == 1 else concat(feats, axis=1)
         h = _maybe_norm(h, params, f"enc{index}.layer{j}.norm", config)
-        h = leaky_relu(h, LEAKY_SLOPE)
+        h = leaky_relu(h)
         h = conv3d(h, params[f"enc{index}.layer{j}.w"], params[f"enc{index}.layer{j}.b"],
                    stride=(1, 1, 1), padding="same")
         feats.append(h)
@@ -167,7 +166,7 @@ def net_forward(x: Tensor, params: dict, config: NetConfig) -> Tensor:
 
     h = conv3d(x, params["stem.w"], params["stem.b"], stride=(1, 1, 1), padding="same")
     h = _maybe_norm(h, params, "stem.norm", config)
-    h = leaky_relu(h, LEAKY_SLOPE)
+    h = leaky_relu(h)
 
     skips = []
     for k in range(1, config.num_dense_blocks + 1):
@@ -182,7 +181,7 @@ def net_forward(x: Tensor, params: dict, config: NetConfig) -> Tensor:
         h = transpose_conv3d(h, params[f"dec{k}.up.w"], params[f"dec{k}.up.b"], stride=stride)
         h = concat([h, skips[k - 1]], axis=1)
         h = _maybe_norm(h, params, f"dec{k}.norm", config)
-        h = leaky_relu(h, LEAKY_SLOPE)
+        h = leaky_relu(h)
         h = conv3d(h, params[f"dec{k}.w"], params[f"dec{k}.b"], stride=(1, 1, 1), padding="same")
 
     logits = conv3d(h, params["head.w"], params["head.b"], stride=(1, 1, 1), padding=(0, 0, 0))

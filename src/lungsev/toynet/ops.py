@@ -108,11 +108,7 @@ def conv3d(x: Tensor, w: Tensor, bias: Tensor, stride=(1, 1, 1), padding="same")
     if bias is not None:
         out = out + bias.data.reshape(1, co, 1, 1, 1)
 
-    parents = (x, w, bias) if bias is not None else (x, w)
-    res = _result(out, parents, None)
-
-    def back():
-        g = res.grad
+    def back(g):
         gn = g.transpose(0, 2, 3, 4, 1).reshape(b, -1, co)
         if w.requires_grad:
             _accum(w, np.einsum("bnc,bnk->ck", gn, cols).reshape(w.data.shape))
@@ -123,8 +119,7 @@ def conv3d(x: Tensor, w: Tensor, bias: Tensor, stride=(1, 1, 1), padding="same")
             dxp = _scatter_windows(dcols, xp_shape, out_dims, kernel, stride)
             _accum(x, _unpad(dxp, pad, x.data.shape[2:]))
 
-    res._backward = back if res.requires_grad else None
-    return res
+    return _result(out, (x, w, bias) if bias is not None else (x, w), back)
 
 
 def transpose_conv3d(x: Tensor, w: Tensor, bias: Tensor, stride) -> Tensor:
@@ -152,11 +147,7 @@ def transpose_conv3d(x: Tensor, w: Tensor, bias: Tensor, stride) -> Tensor:
     if bias is not None:
         out = out + bias.data.reshape(1, co, 1, 1, 1)
 
-    parents = (x, w, bias) if bias is not None else (x, w)
-    res = _result(out, parents, None)
-
-    def back():
-        g = res.grad
+    def back(g):
         gwin = sliding_window_view(g, kernel, axis=(2, 3, 4))[
             :, :, :: stride[0], :: stride[1], :: stride[2]
         ]
@@ -171,8 +162,7 @@ def transpose_conv3d(x: Tensor, w: Tensor, bias: Tensor, stride) -> Tensor:
                 (gcols @ w.data.reshape(cx, -1).T).transpose(0, 2, 1).reshape(x.data.shape),
             )
 
-    res._backward = back if res.requires_grad else None
-    return res
+    return _result(out, (x, w, bias) if bias is not None else (x, w), back)
 
 
 def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = NORM_EPS) -> Tensor:
@@ -191,10 +181,7 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = NORM_EPS) 
     gview = gamma.data.reshape(1, c, 1, 1, 1)
     out = gview * xhat + beta.data.reshape(1, c, 1, 1, 1)
 
-    res = _result(out, (x, gamma, beta), None)
-
-    def back():
-        g = res.grad
+    def back(g):
         if gamma.requires_grad:
             _accum(gamma, (g * xhat).sum(axis=axes))
         if beta.requires_grad:
@@ -205,5 +192,4 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = NORM_EPS) 
             term2 = (dxhat * xhat).sum(axis=axes, keepdims=True)
             _accum(x, (inv / n) * (n * dxhat - term1 - xhat * term2))
 
-    res._backward = back if res.requires_grad else None
-    return res
+    return _result(out, (x, gamma, beta), back)

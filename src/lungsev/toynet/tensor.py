@@ -2,7 +2,10 @@
 
 Tensors form a tape: each op records its parents and a closure that routes
 the output gradient back to them. Calling backward() on a scalar root walks
-the tape in reverse topological order. Tensor shapes follow
+the tape in reverse topological order and hands each closure its output's
+gradient. A closure holds its inputs but never its own output, so the tape
+has no reference cycles and is freed as soon as its root is dropped.
+Tensor shapes follow
 
     (batch, channels, Z, Y, X)
 
@@ -14,6 +17,8 @@ import numpy as np
 from ..errors import InputError, InternalError
 
 _DEBUG_FINITE = False
+
+LEAKY_SLOPE = 0.01
 
 
 def set_debug_finite(enabled: bool) -> None:
@@ -68,14 +73,14 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node.grad)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
 
 
-def _result(data, parents, backward_fn, name="") -> Tensor:
-    out = Tensor(data, name=name)
+def _result(data, parents, backward_fn) -> Tensor:
+    out = Tensor(data)
     out.requires_grad = any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = tuple(parents)
@@ -103,23 +108,19 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 def add(a, b) -> Tensor:
     if isinstance(b, (int, float)):
         a = as_tensor(a)
-        out = _result(a.data + float(b), (a,), None)
 
-        def back():
-            _accum(a, out.grad)
+        def back(g):
+            _accum(a, g)
 
-        out._backward = back if out.requires_grad else None
-        return out
+        return _result(a.data + float(b), (a,), back)
     a, b = as_tensor(a), as_tensor(b)
     _check_same_shape(a, b, "add")
-    out = _result(a.data + b.data, (a, b), None)
 
-    def back():
-        _accum(a, out.grad)
-        _accum(b, out.grad)
+    def back(g):
+        _accum(a, g)
+        _accum(b, g)
 
-    out._backward = back if out.requires_grad else None
-    return out
+    return _result(a.data + b.data, (a, b), back)
 
 
 def sub(a, b) -> Tensor:
@@ -130,91 +131,77 @@ def sub(a, b) -> Tensor:
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    out = _result(-a.data, (a,), None)
 
-    def back():
-        _accum(a, -out.grad)
+    def back(g):
+        _accum(a, -g)
 
-    out._backward = back if out.requires_grad else None
-    return out
+    return _result(-a.data, (a,), back)
 
 
 def mul(a, b) -> Tensor:
     if isinstance(b, (int, float)):
         a = as_tensor(a)
         s = float(b)
-        out = _result(a.data * s, (a,), None)
 
-        def back():
-            _accum(a, out.grad * s)
+        def back(g):
+            _accum(a, g * s)
 
-        out._backward = back if out.requires_grad else None
-        return out
+        return _result(a.data * s, (a,), back)
     a, b = as_tensor(a), as_tensor(b)
     _check_same_shape(a, b, "mul")
-    out = _result(a.data * b.data, (a, b), None)
 
-    def back():
-        _accum(a, out.grad * b.data)
-        _accum(b, out.grad * a.data)
+    def back(g):
+        _accum(a, g * b.data)
+        _accum(b, g * a.data)
 
-    out._backward = back if out.requires_grad else None
-    return out
+    return _result(a.data * b.data, (a, b), back)
 
 
 def div0(a: Tensor, b: Tensor) -> Tensor:
     """Division of two scalar (0-d or size-1) tensors."""
     if a.data.size != 1 or b.data.size != 1:
         raise InputError("div0 operates on scalar tensors")
-    out = _result(a.data / b.data, (a, b), None)
 
-    def back():
-        _accum(a, out.grad / b.data)
-        _accum(b, -out.grad * a.data / (b.data * b.data))
+    def back(g):
+        _accum(a, g / b.data)
+        _accum(b, -g * a.data / (b.data * b.data))
 
-    out._backward = back if out.requires_grad else None
-    return out
+    return _result(a.data / b.data, (a, b), back)
 
 
 def tsum(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    out = _result(np.asarray(a.data.sum()), (a,), None)
 
-    def back():
-        _accum(a, np.full_like(a.data, float(out.grad)))
+    def back(g):
+        _accum(a, np.full_like(a.data, float(g)))
 
-    out._backward = back if out.requires_grad else None
-    return out
+    return _result(np.asarray(a.data.sum()), (a,), back)
 
 
-def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
+def leaky_relu(a: Tensor) -> Tensor:
     a = as_tensor(a)
     pos = a.data > 0
-    out = _result(np.where(pos, a.data, slope * a.data), (a,), None)
 
-    def back():
-        _accum(a, out.grad * np.where(pos, 1.0, slope))
+    def back(g):
+        _accum(a, g * np.where(pos, 1.0, LEAKY_SLOPE))
 
-    out._backward = back if out.requires_grad else None
-    return out
+    return _result(np.where(pos, a.data, LEAKY_SLOPE * a.data), (a,), back)
 
 
 def concat(tensors, axis: int = 1) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     if not tensors:
         raise InputError("concat needs at least one tensor")
-    out = _result(np.concatenate([t.data for t in tensors], axis=axis), tensors, None)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def back():
+    def back(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * out.grad.ndim
+            sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
-            _accum(t, out.grad[tuple(sl)])
+            _accum(t, g[tuple(sl)])
 
-    out._backward = back if out.requires_grad else None
-    return out
+    return _result(np.concatenate([t.data for t in tensors], axis=axis), tensors, back)
 
 
 def take_channel(a: Tensor, channel: int) -> Tensor:
@@ -225,15 +212,13 @@ def take_channel(a: Tensor, channel: int) -> Tensor:
     c = int(channel)
     if not 0 <= c < a.data.shape[1]:
         raise InputError(f"channel {c} out of range for {a.data.shape[1]} channels")
-    out = _result(a.data[:, c : c + 1].copy(), (a,), None)
 
-    def back():
-        g = np.zeros_like(a.data)
-        g[:, c : c + 1] = out.grad
-        _accum(a, g)
+    def back(g):
+        full = np.zeros_like(a.data)
+        full[:, c : c + 1] = g
+        _accum(a, full)
 
-    out._backward = back if out.requires_grad else None
-    return out
+    return _result(a.data[:, c : c + 1].copy(), (a,), back)
 
 
 def softmax_channels(a: Tensor) -> Tensor:
@@ -242,12 +227,9 @@ def softmax_channels(a: Tensor) -> Tensor:
     z = a.data - a.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     s = e / e.sum(axis=1, keepdims=True)
-    out = _result(s, (a,), None)
 
-    def back():
-        g = out.grad
+    def back(g):
         dot = (g * s).sum(axis=1, keepdims=True)
         _accum(a, s * (g - dot))
 
-    out._backward = back if out.requires_grad else None
-    return out
+    return _result(s, (a,), back)

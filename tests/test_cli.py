@@ -191,6 +191,17 @@ def test_evaluate_too_few_cases_exits_2(tmp_path, capsys):
     assert "at least 3" in capsys.readouterr().err
 
 
+def test_evaluate_malformed_report_names_the_file(tmp_path, capsys):
+    gt_dir, pred_dir = build_report_dirs(tmp_path, n_cases=3)
+    (pred_dir / "case_001.json").write_text(json.dumps({"po": 1}))
+    code = main(["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir),
+                 "--out", str(tmp_path / "s.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "case_001.json" in err
+    assert "per_lobe" in err
+
+
 def test_evaluate_empty_dir_exits_2(tmp_path):
     gt_dir = tmp_path / "gt"
     gt_dir.mkdir()
@@ -378,6 +389,22 @@ def test_train_toy_missing_field_names_it(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "epochs" in err
     assert "out_checkpoint" in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("epochs", "two"), ("stem_channels", "4"), ("downsample_strides", 5),
+     ("norm_enabled", "false")],
+)
+def test_train_toy_wrongly_typed_field_names_it(field, value, tmp_path, capsys):
+    config = make_train_config(tmp_path, tmp_path)
+    config[field] = value
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["train-toy", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{config_path}: {field}:" in err
+    assert "Traceback" not in err
 
 
 def test_train_toy_unreadable_config_exits_2(tmp_path):

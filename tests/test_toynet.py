@@ -1,6 +1,7 @@
 """Tensor engine and network tests: finite differences, adjoints, training."""
 
 import csv
+import gc
 import json
 
 import numpy as np
@@ -339,6 +340,24 @@ def test_end_to_end_loss_gradients():
         )
     ]
     fd_check(build, check, tol=1e-4, samples=3)
+
+
+def test_tape_is_freed_without_cyclic_gc():
+    config = toy_config(norm_enabled=True, seed=5)
+    params = init_params(config)
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.uniform(0.0, 1.0, (1, 1, 4, 8, 8)), requires_grad=True)
+    lung = np.ones((1, 1, 4, 8, 8))
+    target = (rng.random((1, 1, 4, 8, 8)) < 0.3).astype(float)
+    gc.collect()
+    gc.disable()
+    try:
+        loss = jaccard_loss(take_channel(net_forward(x, params, config), 1), target, lung)
+        loss.backward()
+        del loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
