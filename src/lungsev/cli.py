@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -281,7 +282,9 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
 # parser / dispatch
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The lungsev argument parser, built once per process and shared by every main() call."""
     parser = argparse.ArgumentParser(
         prog="lungsev",
         description="Volumetric severity quantification for lung CT grids.",

@@ -140,21 +140,28 @@ def compute_report(
     check_same_geometry(v, lobes)
     _check_raw_hu(v)
     check_same_geometry(lobes, abnorm)
-    lung = lobes.data > 0
-    lung_count = int(lung.sum())
+    lung_count = int(np.count_nonzero(lobes.data > 0))
     if lung_count == 0:
         raise EmptyMaskError("lung mask is empty")
-    abn_in_lung = (abnorm.data > 0) & lung
-    high_in_lung = abn_in_lung & (v.data >= threshold)
+    # Abnormal voxels are a small share of the grid: gather labels and HU
+    # there only, and keep those inside the lung (label > 0).
+    abn_idx = np.flatnonzero(abnorm.data > 0)
+    abn_labels = np.take(lobes.data, abn_idx)
+    in_lung = abn_labels > 0
+    abn_labels = abn_labels[in_lung]
+    high = np.take(v.data, abn_idx[in_lung]) >= threshold
+    n_abn_total = int(abn_labels.size)
+    n_high_total = int(np.count_nonzero(high))
+    abn_counts = np.bincount(abn_labels, minlength=max(LOBE_LABELS) + 1)
+    high_counts = np.bincount(abn_labels[high], minlength=max(LOBE_LABELS) + 1)
     voxel_mm3 = lobes.voxel_volume_mm3
 
     records = []
     lss = lhos = 0
     for label in LOBE_LABELS:
-        in_lobe = lobes.data == label
-        n_lobe = int(in_lobe.sum())
-        n_abn = int((abn_in_lung & in_lobe).sum())
-        n_high = int((high_in_lung & in_lobe).sum())
+        n_lobe = int(np.count_nonzero(lobes.data == label))
+        n_abn = int(abn_counts[label])
+        n_high = int(high_counts[label])
         affected = n_abn / n_lobe if n_lobe else 0.0
         high_frac = n_high / n_lobe if n_lobe else 0.0
         score = lobe_score(affected)
@@ -172,8 +179,6 @@ def compute_report(
             )
         )
 
-    n_abn_total = int(abn_in_lung.sum())
-    n_high_total = int(high_in_lung.sum())
     return SeverityReport(
         po=100.0 * n_abn_total / lung_count,
         pho=100.0 * n_high_total / lung_count,

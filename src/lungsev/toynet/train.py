@@ -126,6 +126,7 @@ def train(
             optimizer_step(params, grads, state)
             iteration += 1
             history.append(HistoryRow(iteration, loss.item(), None))
+            del loss  # free this step's tape before the next forward pass builds one
 
         val_losses = [_loss_for(samples[vi], params, config).item() for vi in val_idx]
         val_loss = float(np.mean(val_losses))

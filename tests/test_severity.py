@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from lungsev.errors import EmptyMaskError, GeometryError, InputError
 from lungsev.severity import (
+    LobeRecord,
     SeverityReport,
     compute_report,
     lobe_score,
 )
-from lungsev.volume import LabelMask, Volume
+from lungsev.volume import LOBE_LABELS, LabelMask, Volume
 
 SPACING = (1.0, 1.0, 1.0)
 
@@ -364,3 +365,76 @@ def test_custom_threshold_changes_pho_only():
     assert strict.po == loose.po
     assert strict.pho <= loose.pho
     assert strict.threshold_hu == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Counting against full-volume boolean masks
+# ---------------------------------------------------------------------------
+
+def boolean_mask_report(v, lobes, abn, threshold):
+    """Reference: count with one full-volume boolean mask per lobe and measure."""
+    lung = lobes.data > 0
+    lung_count = int(lung.sum())
+    abn_in_lung = (abn.data > 0) & lung
+    high_in_lung = abn_in_lung & (v.data >= threshold)
+    voxel_mm3 = lobes.voxel_volume_mm3
+    records = []
+    for label in LOBE_LABELS:
+        in_lobe = lobes.data == label
+        n_lobe = int(in_lobe.sum())
+        affected = int((abn_in_lung & in_lobe).sum()) / n_lobe if n_lobe else 0.0
+        high_frac = int((high_in_lung & in_lobe).sum()) / n_lobe if n_lobe else 0.0
+        records.append(
+            LobeRecord(
+                label, n_lobe * voxel_mm3, affected, high_frac, lobe_score(affected), lobe_score(high_frac)
+            )
+        )
+    n_abn, n_high = int(abn_in_lung.sum()), int(high_in_lung.sum())
+    return SeverityReport(
+        po=100.0 * n_abn / lung_count,
+        pho=100.0 * n_high / lung_count,
+        lss=sum(r.lobe_score for r in records),
+        lhos=sum(r.lobe_ho_score for r in records),
+        per_lobe=tuple(records),
+        lung_volume_mm3=lung_count * voxel_mm3,
+        abnormal_volume_mm3=n_abn * voxel_mm3,
+        high_opacity_volume_mm3=n_high * voxel_mm3,
+        threshold_hu=float(threshold),
+    )
+
+
+_dim = st.integers(min_value=1, max_value=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    dims=st.tuples(_dim, _dim, _dim),
+    lobe_dtype=st.sampled_from([np.uint8, np.int16]),
+    max_label=st.integers(min_value=5, max_value=8),
+    present=st.sets(st.integers(min_value=1, max_value=8), min_size=1),
+    abn_rate=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    hu_dtype=st.sampled_from([np.int16, np.float32, np.float64]),
+    threshold=st.sampled_from([-200.0, -200.5, 0.0, -1000.0]),
+    spacing=st.sampled_from([(1.0, 1.0, 1.0), (2.5, 0.7, 0.7)]),
+)
+def test_report_counts_equal_boolean_mask_reference(
+    seed, dims, lobe_dtype, max_label, present, abn_rate, hu_dtype, threshold, spacing
+):
+    # Lobe masks may allow labels above 5 (lung, but no lobe), leave lobes
+    # empty, and abnormal voxels fall outside the lung as often as inside.
+    rng = np.random.default_rng(seed)
+    labels = sorted(label for label in present if label <= max_label) or [1]
+    lobe_data = rng.choice(np.array([0, *labels]), size=dims).astype(lobe_dtype)
+    lobe_data.flat[0] = labels[0]
+    abn_data = (rng.random(dims) < abn_rate).astype(np.uint8)
+    # HU at the threshold, one step either side of it, and far from it.
+    t = np.asarray(threshold, dtype=np.float64)
+    choices = np.array([-1024.0, t - 1, t, t + 1, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), 60.0])
+    hu_data = rng.choice(choices.astype(hu_dtype), size=dims)
+    hu_data.flat[-1] = -1024
+    v = Volume(hu_data, spacing)
+    lobes = LabelMask(lobe_data, spacing, allowed_labels=tuple(range(1, max_label + 1)))
+    abn = LabelMask(abn_data, spacing, allowed_labels=(1,))
+    got = compute_report(v, lobes, abn, threshold)
+    assert got == boolean_mask_report(v, lobes, abn, threshold)

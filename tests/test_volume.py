@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lungsev.errors import EmptyMaskError, GeometryError, HeaderError, InputError
 from lungsev.volume import (
@@ -57,6 +59,39 @@ def test_mask_rejects_labels_outside_declared_set():
     with pytest.raises(InputError):
         LabelMask(np.full((2, 2, 2), 2, dtype=np.uint8), (1, 1, 1), allowed_labels=(1,))
     LabelMask(np.full((2, 2, 2), 5, dtype=np.uint8), (1, 1, 1))  # ok
+
+
+@pytest.mark.parametrize(
+    "labels, dtype, allowed, message",
+    [
+        ([0, -1, 3], np.int16, (1, 2, 3, 4, 5), "[-1] outside allowed set (0, 1, 2, 3, 4, 5)"),
+        ([-3, 7, 5], np.int16, (1, 2, 3, 4, 5), "[-3, 7] outside allowed set (0, 1, 2, 3, 4, 5)"),
+        ([0, 6, 1], np.uint8, (1, 2, 3, 4, 5), "[6] outside allowed set (0, 1, 2, 3, 4, 5)"),
+        ([0, 2, 1], np.uint8, (1,), "[2] outside allowed set (0, 1)"),
+        ([0, 2, 3], np.int16, (1, 3), "[2] outside allowed set (0, 1, 3)"),
+        ([1, 3, 0], np.uint8, (2, 3), "[1] outside allowed set (0, 2, 3)"),
+    ],
+)
+def test_mask_rejection_names_labels_and_allowed_set(labels, dtype, allowed, message):
+    data = np.array(labels, dtype=dtype).reshape(1, 1, 3)
+    with pytest.raises(InputError) as exc:
+        LabelMask(data, (1, 1, 1), allowed)
+    assert str(exc.value) == f"mask contains labels {message}"
+
+
+@pytest.mark.parametrize(
+    "labels, dtype, allowed",
+    [
+        ([0, 0, 0], np.int16, (1, 2, 3, 4, 5)),
+        ([0, 0, 0], np.uint8, (1,)),
+        ([0, 0, 0], np.uint8, (1, 3)),
+        ([0, 1, 3], np.int16, (1, 3)),
+        ([5, 0, 1], np.int16, (1, 2, 3, 4, 5)),
+    ],
+)
+def test_mask_accepts_labels_in_allowed_set(labels, dtype, allowed):
+    data = np.array(labels, dtype=dtype).reshape(1, 1, 3)
+    assert LabelMask(data, (1, 1, 1), allowed).data.tolist() == [[labels]]
 
 
 def test_mask_rejects_float_dtype():
@@ -210,6 +245,85 @@ def test_resample_mask_preserves_labels():
     out = resample_mask(m, (1.0, 1.0, 1.0))
     assert set(np.unique(out.data)) <= set(np.unique(m.data))
     assert out.dims == (12, 6, 6)
+
+
+def eight_corner_trilinear(data, spacing, target):
+    """Reference: interpolate the eight corners of each cell, x first, on a float64 copy.
+
+    Returns the output grid and a mask of the output voxels whose eight
+    corners hold one value.
+    """
+    dims = tuple(
+        max(1, int(np.floor(d * si / so + 0.5))) for d, si, so in zip(data.shape, spacing, target)
+    )
+    coords = [
+        np.clip(np.arange(od, dtype=np.float64) * (so / si), 0.0, d - 1)
+        for od, d, si, so in zip(dims, data.shape, spacing, target)
+    ]
+    data = data.astype(np.float64)
+    lo = [np.minimum(np.floor(c).astype(np.intp), d - 1) for c, d in zip(coords, data.shape)]
+    hi = [np.minimum(l + 1, d - 1) for l, d in zip(lo, data.shape)]
+    fz, fy, fx = (c - l for c, l in zip(coords, lo))
+    fz, fy, fx = fz[:, None, None], fy[None, :, None], fx[None, None, :]
+
+    def lerp(a, b, f):
+        return a + f * (b - a)
+
+    corners = {
+        (iz, iy, ix): data[np.ix_(pz, py, px)]
+        for iz, pz in enumerate((lo[0], hi[0]))
+        for iy, py in enumerate((lo[1], hi[1]))
+        for ix, px in enumerate((lo[2], hi[2]))
+    }
+    c00 = lerp(corners[0, 0, 0], corners[0, 0, 1], fx)
+    c01 = lerp(corners[0, 1, 0], corners[0, 1, 1], fx)
+    c10 = lerp(corners[1, 0, 0], corners[1, 0, 1], fx)
+    c11 = lerp(corners[1, 1, 0], corners[1, 1, 1], fx)
+    out = lerp(lerp(c00, c01, fy), lerp(c10, c11, fy), fz)
+    flat = corners[0, 0, 0]
+    constant = np.logical_and.reduce([c == flat for c in corners.values()])
+    return out, constant
+
+
+_axis_dims = st.integers(min_value=1, max_value=9)
+_spacings = st.sampled_from([0.3, 0.7, 1.0, 1.5, 3.0, 5.0])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    dims=st.tuples(_axis_dims, _axis_dims, _axis_dims),
+    spacing=st.tuples(_spacings, _spacings, _spacings),
+    target=st.tuples(_spacings, _spacings, _spacings),
+    dtype=st.sampled_from(["int16", "float64"]),
+)
+def test_resample_trilinear_matches_eight_corner_reference(seed, dims, spacing, target, dtype):
+    # Covers downsampling, upsampling and size-1 axes (input or output).
+    rng = np.random.default_rng(seed)
+    if dtype == "int16":
+        data = rng.integers(-32768, 32768, size=dims).astype(np.int16)
+    else:
+        data = rng.uniform(-3000.0, 3000.0, size=dims)
+    out = resample(Volume(data, spacing), target, mode="trilinear")
+    want, _ = eight_corner_trilinear(data, spacing, target)
+    assert out.data.dtype == np.float64
+    assert out.dims == want.shape
+    assert np.max(np.abs(out.data - want)) <= 1e-9
+
+
+@pytest.mark.parametrize("target", [(3.0, 1.0, 1.0), (0.5, 0.35, 0.35), (7.0, 0.3, 9.0)])
+def test_resample_trilinear_keeps_constant_regions_exact(target):
+    # Piecewise-constant HU blocks: wherever all eight corners of a cell hold
+    # one value, the output is that value bit for bit.
+    rng = np.random.default_rng(11)
+    blocks = rng.integers(-1024, 400, size=(3, 4, 4)).astype(np.int16)
+    data = np.repeat(np.repeat(np.repeat(blocks, 6, axis=0), 9, axis=1), 9, axis=2)
+    spacing = (1.0, 0.7, 0.7)
+    out = resample(Volume(data, spacing), target, mode="trilinear")
+    want, constant = eight_corner_trilinear(data, spacing, target)
+    assert constant.any() and not constant.all()
+    np.testing.assert_array_equal(out.data[constant], want[constant])
+    assert np.max(np.abs(out.data - want)) <= 1e-9
 
 
 def test_resample_rejects_bad_spacing():
