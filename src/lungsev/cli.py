@@ -17,6 +17,7 @@ import numpy as np
 
 from . import phantom as phantom_mod
 from .errors import InputError, LungSevError
+from .errors import at_least, entries, exactly, finite, read_field, read_json
 from .evaluate import evaluate_reports, scatter_rows, write_scatter_csv
 from .severity import DEFAULT_THRESHOLD_HU, SeverityReport, compute_report
 from .toynet import NetConfig, save_checkpoint, train, write_loss_csv
@@ -100,31 +101,18 @@ def cmd_quantify(args: argparse.Namespace) -> int:
 # evaluate
 # ---------------------------------------------------------------------------
 
-def _load_report(path: Path) -> tuple[str, SeverityReport]:
-    try:
-        return path.stem, SeverityReport.from_json_dict(json.loads(path.read_text()))
-    except ValueError as exc:  # invalid JSON or text, or a malformed report
-        raise InputError(f"{path}: {exc}") from exc
-
-
 def _read_report_dir(directory: str) -> dict[str, SeverityReport]:
-    root = Path(directory)
-    if not root.is_dir():
-        raise InputError(f"report directory not found: {directory}")
-    paths = sorted(root.glob("*.json"))
+    paths = sorted(Path(directory).glob("*.json"))
     if not paths:
-        raise InputError(f"no report JSON files in {directory}")
-    return dict(sorted(_load_report(p) for p in paths))
+        raise InputError(f"{directory}: no report JSON files")
+    return {p.stem: read_json(p, SeverityReport.from_json_dict) for p in paths}
 
 
 def _read_id_list(path: str) -> list[str]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read positive list {path}: {exc}") from exc
+    text = Path(path).read_text(errors="backslashreplace")  # undecodable bytes name no case
     ids = [line.strip() for line in text.splitlines() if line.strip()]
     if not ids:
-        raise InputError(f"positive list {path} is empty")
+        raise InputError(f"{path}: the positive list is empty")
     return ids
 
 
@@ -151,25 +139,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_phantom(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise InputError(f"count must be positive, got {args.count}")
+    base_spec = read_json(args.spec, phantom_mod.PhantomSpec.from_json_dict) if args.spec else None
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
-
-    base_spec = None
-    if args.spec:
-        try:
-            payload = json.loads(Path(args.spec).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read spec {args.spec}: {exc}") from exc
-        base_spec = phantom_mod.PhantomSpec.from_json_dict(payload)
-
     for index in range(args.count):
         case_seed = args.seed + index
         if base_spec is not None:
             spec = replace(base_spec, seed=case_seed)
         else:
-            spec = phantom_mod.random_spec(
-                case_seed, dims=args.dims, noise_sigma_hu=args.noise_sigma
-            )
+            spec = phantom_mod.random_spec(case_seed, dims=args.dims, noise_sigma_hu=args.noise_sigma)
         case = phantom_mod.generate(spec)
         case_dir = out_root / f"case_{index:03d}"
         phantom_mod.write_case(case, case_dir)
@@ -202,35 +180,22 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 REQUIRED_TRAIN_FIELDS = ("data_dir", "epochs", "out_checkpoint", "out_loss_csv", "seed")
 
-
-def _exactly(kind):
-    """A check that passes only values of type `kind` itself (true is not an int)."""
-    def check(value):
-        if type(value) is not kind:
-            raise TypeError(f"expected {kind.__name__}, got {value!r}")
-        return value
-    return check
-
-
-_integer = _exactly(int)
+_positive = at_least(1)
 
 # NetConfig fields a config may set, each with the function that checks its value.
 NET_FIELDS = {
-    "seed": _integer,
-    "stem_channels": _integer,
-    "growth_rate": _integer,
-    "layers_per_block": _integer,
-    "num_dense_blocks": _integer,
-    "norm_enabled": _exactly(bool),
-    "downsample_strides": lambda value: tuple(tuple(map(_integer, s)) for s in value),
+    "seed": at_least(0),
+    "stem_channels": _positive,
+    "growth_rate": _positive,
+    "layers_per_block": _positive,
+    "num_dense_blocks": _positive,
+    "norm_enabled": exactly(bool),
+    "downsample_strides": entries(entries(_positive, 3)),
 }
 
 
 def _load_samples(data_dir: str) -> list[Sample]:
-    root = Path(data_dir)
-    if not root.is_dir():
-        raise InputError(f"data directory not found: {data_dir}")
-    case_dirs = sorted(p for p in root.iterdir() if p.is_dir())
+    case_dirs = sorted(p for p in Path(data_dir).iterdir() if p.is_dir())
     if not case_dirs:
         raise InputError(f"no case directories in {data_dir}")
     samples = []
@@ -238,39 +203,29 @@ def _load_samples(data_dir: str) -> list[Sample]:
         volume = read_volume(case_dir / "volume")
         lobes = read_mask(case_dir / "lobes")
         abnorm = read_mask(case_dir / "abnorm", allowed_labels=(1,))
-        samples.append(
-            Sample(
-                image=volume.data.astype(np.float64),
-                target=(abnorm.data > 0),
-                lung=(lobes.data > 0),
-            )
-        )
+        samples.append(Sample(volume.data.astype(np.float64), abnorm.data > 0, lobes.data > 0))
     return samples
 
 
-def cmd_train_toy(args: argparse.Namespace) -> int:
-    try:
-        payload = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read config {args.config}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise InputError("config must be a JSON object")
-    missing = [field for field in REQUIRED_TRAIN_FIELDS if field not in payload]
+def _train_run(doc: dict) -> dict:
+    """The checked train-toy config: a NetConfig plus the run's other settings."""
+    missing = [field for field in REQUIRED_TRAIN_FIELDS if field not in doc]
     if missing:
-        raise InputError("missing config field(s): " + ", ".join(missing))
+        raise InputError("missing field(s): " + ", ".join(missing))
+    return {
+        "config": NetConfig(**{f: read_field(doc, f, c) for f, c in NET_FIELDS.items() if f in doc}),
+        "epochs": read_field(doc, "epochs", _positive),
+        "initial_lr": read_field(doc, "initial_lr", finite) if "initial_lr" in doc else 0.001,
+        **{f: read_field(doc, f, exactly(str)) for f in ("data_dir", "out_checkpoint", "out_loss_csv")},
+    }
 
-    def read(field, convert):
-        try:
-            return convert(payload[field])
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{args.config}: {field}: {exc}") from exc
 
-    config = NetConfig(**{f: read(f, c) for f, c in NET_FIELDS.items() if f in payload})
-    epochs = read("epochs", _integer)
-    initial_lr = read("initial_lr", float) if "initial_lr" in payload else 0.001
-    result = train(config, _load_samples(payload["data_dir"]), epochs, initial_lr)
-    save_checkpoint(result.params, payload["out_checkpoint"])
-    write_loss_csv(result.history, payload["out_loss_csv"])
+def cmd_train_toy(args: argparse.Namespace) -> int:
+    run = read_json(args.config, _train_run)
+    samples = _load_samples(run["data_dir"])
+    result = train(run["config"], samples, run["epochs"], run["initial_lr"])
+    save_checkpoint(result.params, run["out_checkpoint"])
+    write_loss_csv(result.history, run["out_loss_csv"])
     print(
         f"trained {len(result.history)} iterations; best validation loss "
         f"{result.best_val_loss:.6f} at iteration {result.best_iteration}"
@@ -358,7 +313,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:  # a bad input file or an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LungSevError as exc:

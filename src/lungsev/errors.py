@@ -1,9 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one place where a bad
+input file becomes one: every JSON document is read by read_json and each of
+its fields by read_field, so the message reads "<file>: <field>: <problem>".
 
 The CLI maps these onto exit codes: anything derived from InputError is a
-usage or data problem (exit 2), InternalError signals a broken invariant
-(exit 3).
+usage or data problem (exit 2), as is an OSError from reading or writing a
+file; InternalError signals a broken invariant (exit 3).
 """
+
+import json
+import math
 
 
 class LungSevError(Exception):
@@ -15,7 +20,7 @@ class InputError(LungSevError, ValueError):
 
 
 class HeaderError(InputError):
-    """Volume header sidecar is missing, ill-formed, or inconsistent."""
+    """A grid or checkpoint file pair is missing, ill-formed, or inconsistent."""
 
 
 class GeometryError(InputError):
@@ -41,3 +46,92 @@ class ConvergenceError(LungSevError):
 
 class InternalError(LungSevError):
     """An internal invariant was violated; indicates a bug, not bad input."""
+
+
+# What a check raises; OverflowError is an int too large for a float.
+_REJECTED = (TypeError, ValueError, OverflowError)
+
+
+def _named(exc: Exception, name, error: type) -> InputError:
+    """`exc` as `error` with "name: " in front; InputError subclasses keep their class."""
+    if isinstance(exc, InputError) and type(exc) is not InputError:
+        error = type(exc)
+    if isinstance(exc, json.JSONDecodeError):
+        return error(f"{name}: ill-formed JSON: {exc}")
+    return error(f"{name}: {exc}")
+
+
+def read_json(path, build, error: type = InputError):
+    """build(document) for the JSON object at `path`; a failure to read,
+    decode or build raises `error` with a message that starts with the path."""
+    try:
+        with open(path) as file:
+            document = json.load(file)
+        if not isinstance(document, dict):
+            raise TypeError(f"expected a JSON object, got {type(document).__name__}")
+        return build(document)
+    except (OSError, KeyError, *_REJECTED) as exc:
+        raise _named(exc, path, error) from exc
+
+
+def read_field(doc, key: str, check):
+    """check(doc[key]), where a missing key or a value that check rejects
+    raises InputError naming the key."""
+    try:
+        return check(doc[key])
+    except KeyError:
+        raise InputError(f"missing field {key!r}") from None
+    except _REJECTED as exc:
+        raise _named(exc, key, InputError) from exc
+
+
+# Checks for read_field: each returns the value it passes, converted where
+# stated, and raises TypeError or ValueError for any other.
+
+def exactly(kind):
+    """A check that passes only values of type `kind` itself (true is not an int)."""
+    def check(value):
+        if type(value) is not kind:
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+        return value
+    return check
+
+
+integer = exactly(int)
+
+
+def at_least(low: int):
+    """A check that passes an int no smaller than `low`."""
+    def check(value):
+        if integer(value) < low:
+            raise ValueError(f"expected an integer >= {low}, got {value}")
+        return value
+    return check
+
+
+def finite(value) -> float:
+    """Pass a finite JSON number (not a bool or a string), as a float."""
+    if (type(value) is float or type(value) is int) and math.isfinite(value):
+        return float(value)
+    raise ValueError(f"expected a finite number, got {value!r}")
+
+
+def one_of(*options: str):
+    """A check that passes only the given strings."""
+    def check(value):
+        if value not in options:
+            raise ValueError(f"unsupported value {value!r}, expected one of {options}")
+        return value
+    return check
+
+
+def entries(check, length: int | None = None):
+    """A check that passes a list (or tuple) of `length` entries (any number
+    if None) that each pass `check`, as a tuple of what check returns."""
+    def check_list(value):
+        if type(value) not in (list, tuple):
+            raise TypeError(f"expected a list, got {value!r}")
+        if length is not None and len(value) != length:
+            raise ValueError(f"expected {length} entries, got {len(value)}")
+        return tuple(map(check, value))
+    return check_list

@@ -54,15 +54,8 @@ class MetricStats:
     fit_undefined: str | None = None
 
     def to_json_dict(self) -> dict:
-        out: dict = {
-            "pearson_r": self.pearson_r,
-            "pearson_p": self.pearson_p,
-            "kendall_tau": self.kendall_tau,
-            "kendall_p": self.kendall_p,
-            "chi2": self.chi2,
-            "chi2_dof": self.chi2_dof,
-            "chi2_p": self.chi2_p,
-        }
+        names = ("pearson_r", "pearson_p", "kendall_tau", "kendall_p", "chi2", "chi2_dof", "chi2_p")
+        out: dict = {name: getattr(self, name) for name in names}
         for key in ("pearson", "kendall", "chi2"):
             reason = getattr(self, key + "_undefined")
             if reason is not None:
@@ -114,15 +107,6 @@ class EvaluationSummary:
         }
 
 
-def _metric_value(report: SeverityReport, metric: str) -> float:
-    value = getattr(report, metric)
-    return float(value)
-
-
-def _edges_for(metric: str) -> Sequence[float]:
-    return PERCENT_BIN_EDGES if metric in FIT_METRICS else SCORE_BIN_EDGES
-
-
 def _metric_stats(
     metric: str,
     rows: Sequence[CaseRow],
@@ -151,7 +135,7 @@ def _metric_stats(
     except DegenerateDataError as exc:
         fields["kendall_undefined"] = str(exc)
 
-    edges = _edges_for(metric)
+    edges = PERCENT_BIN_EDGES if metric in FIT_METRICS else SCORE_BIN_EDGES
     try:
         result = chi2_contingency(bin_counts(gt_all, edges), bin_counts(pred_all, edges))
         fields["chi2"] = result.chi2
@@ -211,8 +195,8 @@ def evaluate_reports(
         CaseRow(
             case_id=cid,
             positive=cid in positive,
-            gt={m: _metric_value(gt_reports[cid], m) for m in METRICS},
-            pred={m: _metric_value(pred_reports[cid], m) for m in METRICS},
+            gt={m: float(getattr(gt_reports[cid], m)) for m in METRICS},
+            pred={m: float(getattr(pred_reports[cid], m)) for m in METRICS},
         )
         for cid in case_ids
     )

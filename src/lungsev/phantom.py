@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, entries, exactly, finite, integer, read_field
 from .severity import LobeRecord, SeverityReport
 from .volume import LabelMask, Volume, write_volume
 
@@ -103,6 +103,8 @@ class PhantomSpec:
         lungs = tuple(self.lungs)
         if len(lungs) != 2 or not all(isinstance(e, Ellipsoid) for e in lungs):
             raise InputError("lungs must be exactly two ellipsoids (right, left)")
+        if not any(_inside(e, *_centres(dims, spacing)).any() for e in lungs):
+            raise InputError(f"lungs: no voxel centre of the {dims} grid at {spacing} mm lies in a lung")
         f1, f2 = (float(f) for f in self.right_cut_fractions)
         if not (0.0 < f1 < f2 < 1.0):
             raise InputError(f"right cut fractions must satisfy 0 < f1 < f2 < 1, got {(f1, f2)}")
@@ -137,58 +139,47 @@ class PhantomSpec:
         object.__setattr__(self, "seed", int(self.seed))
 
     def to_json_dict(self) -> dict:
+        """Every field in declaration order; a lesion is its ellipsoid's fields plus HU and type."""
         return {
-            "dims": list(self.dims),
-            "spacing_mm": list(self.spacing_mm),
-            "lungs": [
-                {"center_mm": list(e.center_mm), "radii_mm": list(e.radii_mm)}
-                for e in self.lungs
-            ],
-            "right_cut_fractions": list(self.right_cut_fractions),
-            "left_cut_fraction": self.left_cut_fraction,
+            **vars(self),
+            "lungs": [dict(vars(e)) for e in self.lungs],
             "lesions": [
-                {
-                    "center_mm": list(l.shape.center_mm),
-                    "radii_mm": list(l.shape.radii_mm),
-                    "intensity_hu": l.intensity_hu,
-                    "type": l.kind,
-                }
-                for l in self.lesions
+                {**vars(l.shape), "intensity_hu": l.intensity_hu, "type": l.kind} for l in self.lesions
             ],
-            "background_hu": self.background_hu,
-            "lung_parenchyma_hu": self.lung_parenchyma_hu,
-            "noise_sigma_hu": self.noise_sigma_hu,
-            "seed": self.seed,
         }
 
     @staticmethod
     def from_json_dict(d: dict) -> "PhantomSpec":
-        try:
-            lungs = tuple(
-                Ellipsoid(tuple(e["center_mm"]), tuple(e["radii_mm"])) for e in d["lungs"]
-            )
-            lesions = tuple(
-                Lesion(
-                    Ellipsoid(tuple(l["center_mm"]), tuple(l["radii_mm"])),
-                    l["intensity_hu"],
-                    l["type"],
-                )
-                for l in d.get("lesions", ())
-            )
-            return PhantomSpec(
-                dims=tuple(d["dims"]),
-                spacing_mm=tuple(d["spacing_mm"]),
-                lungs=lungs,
-                right_cut_fractions=tuple(d.get("right_cut_fractions", (0.33, 0.66))),
-                left_cut_fraction=d.get("left_cut_fraction", 0.5),
-                lesions=lesions,
-                background_hu=d.get("background_hu", -1024.0),
-                lung_parenchyma_hu=d.get("lung_parenchyma_hu", -850.0),
-                noise_sigma_hu=d.get("noise_sigma_hu", 0.0),
-                seed=d.get("seed", 0),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed phantom spec: {exc}") from exc
+        """The spec that to_json_dict wrote; fields after `lungs` are optional."""
+        optional = {f: read_field(d, f, check) for f, check in _OPTIONAL_FIELDS.items() if f in d}
+        return PhantomSpec(
+            dims=read_field(d, "dims", entries(integer, 3)),
+            spacing_mm=read_field(d, "spacing_mm", _point),
+            lungs=read_field(d, "lungs", entries(_ellipsoid)),
+            **optional,
+        )
+
+
+_point = entries(finite, 3)
+
+
+def _ellipsoid(d: dict) -> Ellipsoid:
+    return Ellipsoid(read_field(d, "center_mm", _point), read_field(d, "radii_mm", _point))
+
+
+def _lesion(d: dict) -> Lesion:
+    return Lesion(_ellipsoid(d), read_field(d, "intensity_hu", finite), read_field(d, "type", exactly(str)))
+
+
+_OPTIONAL_FIELDS = {
+    "right_cut_fractions": entries(finite, 2),
+    "left_cut_fraction": finite,
+    "lesions": entries(_lesion),
+    "background_hu": finite,
+    "lung_parenchyma_hu": finite,
+    "noise_sigma_hu": finite,
+    "seed": integer,
+}
 
 
 @dataclass(frozen=True)
@@ -197,6 +188,11 @@ class PhantomCase:
     lobes: LabelMask
     abnorm_gt: LabelMask
     oracle: SeverityReport
+
+
+def _centres(dims, spacing_mm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Voxel-centre positions in mm along z, y and x, shaped to broadcast over the grid."""
+    return np.ix_(*(np.arange(d) * s for d, s in zip(dims, spacing_mm)))
 
 
 def _inside(e: Ellipsoid, pz, py, px) -> np.ndarray:
@@ -289,32 +285,26 @@ def oracle_report(
 def generate(spec: PhantomSpec) -> PhantomCase:
     """Build a phantom case. Voxel membership is decided analytically at the
     voxel centers (index * spacing); later lesions overwrite earlier ones."""
-    zdim, ydim, xdim = spec.dims
-    sz, sy, sx = spec.spacing_mm
-    zpos = (np.arange(zdim) * sz)[:, None, None]
-    ypos = (np.arange(ydim) * sy)[None, :, None]
-    xpos = (np.arange(xdim) * sx)[None, None, :]
-
+    zpos, ypos, xpos = _centres(spec.dims, spec.spacing_mm)
     right = _inside(spec.lungs[0], zpos, ypos, xpos)
     left = _inside(spec.lungs[1], zpos, ypos, xpos) & ~right
     lung = right | left
 
     lobes = np.zeros(spec.dims, dtype=np.uint8)
-    zline = np.arange(zdim) * sz
 
     cz, rz = spec.lungs[0].center_mm[0], spec.lungs[0].radii_mm[0]
     f1, f2 = spec.right_cut_fractions
     z1 = (cz - rz) + f1 * (2 * rz)
     z2 = (cz - rz) + f2 * (2 * rz)
-    below1 = (zline < z1)[:, None, None]
-    below2 = (zline < z2)[:, None, None]
+    below1 = zpos < z1
+    below2 = zpos < z2
     lobes[right & below1] = 3
     lobes[right & ~below1 & below2] = 2
     lobes[right & ~below2] = 1
 
     cz, rz = spec.lungs[1].center_mm[0], spec.lungs[1].radii_mm[0]
     zl = (cz - rz) + spec.left_cut_fraction * (2 * rz)
-    belowl = (zline < zl)[:, None, None]
+    belowl = zpos < zl
     lobes[left & belowl] = 5
     lobes[left & ~belowl] = 4
 

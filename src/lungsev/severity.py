@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMaskError, InputError
+from .errors import EmptyMaskError, InputError, entries, finite, integer, read_field
 from .volume import LOBE_LABELS, LabelMask, Volume, check_same_geometry
 
 DEFAULT_THRESHOLD_HU = -200.0
@@ -48,55 +48,54 @@ class SeverityReport:
     threshold_hu: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "po": self.po,
-            "pho": self.pho,
-            "lss": self.lss,
-            "lhos": self.lhos,
-            "per_lobe": [
-                {
-                    "lobe_label": rec.lobe_label,
-                    "lobe_volume_mm3": rec.lobe_volume_mm3,
-                    "affected_fraction": rec.affected_fraction,
-                    "high_opacity_fraction": rec.high_opacity_fraction,
-                    "lobe_score": rec.lobe_score,
-                    "lobe_ho_score": rec.lobe_ho_score,
-                }
-                for rec in self.per_lobe
-            ],
-            "lung_volume_mm3": self.lung_volume_mm3,
-            "abnormal_volume_mm3": self.abnormal_volume_mm3,
-            "high_opacity_volume_mm3": self.high_opacity_volume_mm3,
-            "threshold_hu": self.threshold_hu,
-        }
+        """Every field in declaration order, each lobe record as a dict of its fields."""
+        return {**vars(self), "per_lobe": [dict(vars(rec)) for rec in self.per_lobe]}
 
     @staticmethod
     def from_json_dict(d: dict) -> "SeverityReport":
-        try:
-            per_lobe = tuple(
-                LobeRecord(
-                    lobe_label=int(rec["lobe_label"]),
-                    lobe_volume_mm3=float(rec["lobe_volume_mm3"]),
-                    affected_fraction=float(rec["affected_fraction"]),
-                    high_opacity_fraction=float(rec["high_opacity_fraction"]),
-                    lobe_score=int(rec["lobe_score"]),
-                    lobe_ho_score=int(rec["lobe_ho_score"]),
-                )
-                for rec in d["per_lobe"]
-            )
-            return SeverityReport(
-                po=float(d["po"]),
-                pho=float(d["pho"]),
-                lss=int(d["lss"]),
-                lhos=int(d["lhos"]),
-                per_lobe=per_lobe,
-                lung_volume_mm3=float(d["lung_volume_mm3"]),
-                abnormal_volume_mm3=float(d["abnormal_volume_mm3"]),
-                high_opacity_volume_mm3=float(d["high_opacity_volume_mm3"]),
-                threshold_hu=float(d["threshold_hu"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed severity report: {exc}") from exc
+        """The report that to_json_dict wrote, checked: exact ints, finite
+        floats, one record per lobe, sums that match, 0 <= pho <= po <= 100."""
+        report = SeverityReport(
+            per_lobe=read_field(d, "per_lobe", _lobe_records),
+            po=read_field(d, "po", finite),
+            pho=read_field(d, "pho", finite),
+            lss=read_field(d, "lss", integer),
+            lhos=read_field(d, "lhos", integer),
+            lung_volume_mm3=read_field(d, "lung_volume_mm3", finite),
+            abnormal_volume_mm3=read_field(d, "abnormal_volume_mm3", finite),
+            high_opacity_volume_mm3=read_field(d, "high_opacity_volume_mm3", finite),
+            threshold_hu=read_field(d, "threshold_hu", finite),
+        )
+        labels = [rec.lobe_label for rec in report.per_lobe]
+        if sorted(labels) != list(LOBE_LABELS):
+            raise InputError(f"per_lobe: expected one record per lobe label {LOBE_LABELS}, got labels {labels}")
+        if report.lss != sum(rec.lobe_score for rec in report.per_lobe):
+            raise InputError(f"lss: {report.lss} is not the sum of the lobe scores")
+        if report.lhos != sum(rec.lobe_ho_score for rec in report.per_lobe):
+            raise InputError(f"lhos: {report.lhos} is not the sum of the lobe high-opacity scores")
+        if not 0.0 <= report.pho <= report.po <= 100.0:
+            raise InputError(f"po, pho: need 0 <= pho <= po <= 100, got po={report.po}, pho={report.pho}")
+        return report
+
+
+def _score(value) -> int:
+    if type(value) is not int or not 0 <= value <= 4:
+        raise ValueError(f"expected an integer score from 0 to 4, got {value!r}")
+    return value
+
+
+def _lobe_record(rec: dict) -> LobeRecord:
+    return LobeRecord(  # positional, in field order: thousands of records are read per evaluate
+        read_field(rec, "lobe_label", integer),
+        read_field(rec, "lobe_volume_mm3", finite),
+        read_field(rec, "affected_fraction", finite),
+        read_field(rec, "high_opacity_fraction", finite),
+        read_field(rec, "lobe_score", _score),
+        read_field(rec, "lobe_ho_score", _score),
+    )
+
+
+_lobe_records = entries(_lobe_record)
 
 
 def lobe_score(fraction: float) -> int:

@@ -8,12 +8,13 @@ fixed config seed.
 
 import csv
 import json
-import struct
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import HeaderError, InputError
+from ..errors import at_least, entries, exactly, one_of, read_field, read_json
 from ..volume import Volume, _paths_for, apply_augment, clip_normalize, sample_augment
 from .loss import jaccard_loss
 from .network import NetConfig, init_params, net_forward
@@ -164,35 +165,33 @@ def save_checkpoint(params: dict[str, Tensor], path) -> None:
     payload_path.write_bytes(payload)
 
 
+def _tensor_entry(d: dict) -> tuple[str, tuple[int, ...]]:
+    return read_field(d, "name", exactly(str)), read_field(d, "shape", entries(at_least(0)))
+
+
 def load_checkpoint(path) -> dict[str, Tensor]:
     manifest_path, payload_path = _paths_for(path)
-    if not manifest_path.exists() or not payload_path.exists():
-        raise HeaderError(f"checkpoint files missing at {manifest_path} / {payload_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-        encoding = (manifest["dtype"], manifest["byte_order"])
-        entries = [(e["name"], tuple(e["shape"])) for e in manifest["tensors"]]
-        for name, shape in entries:
-            if not isinstance(name, str) or not all(isinstance(s, int) and s >= 0 for s in shape):
-                raise ValueError(f"tensor {name!r} has bad shape {list(shape)!r}")
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSONDecodeError
-        raise HeaderError(f"malformed checkpoint manifest {manifest_path}: {exc}") from exc
-    if encoding != ("float64", "little"):
-        raise HeaderError(f"unsupported checkpoint encoding in {manifest_path}")
-    blob = payload_path.read_bytes()
-    params: dict[str, Tensor] = {}
-    offset = 0
-    for name, shape in entries:
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * struct.calcsize("<d")
-        if offset + nbytes > len(blob):
-            raise HeaderError(f"checkpoint payload too short for tensor {name}")
-        arr = np.frombuffer(blob[offset : offset + nbytes], dtype="<f8").reshape(shape)
-        params[name] = Tensor(arr.copy(), requires_grad=True, name=name)
-        offset += nbytes
-    if offset != len(blob):
-        raise HeaderError("checkpoint payload has trailing bytes")
-    return params
+
+    def build(manifest):
+        read_field(manifest, "format", one_of("net-checkpoint"))
+        read_field(manifest, "dtype", one_of("float64"))
+        read_field(manifest, "byte_order", one_of("little"))
+        tensors = read_field(manifest, "tensors", entries(_tensor_entry))
+        blob = payload_path.read_bytes()
+        params: dict[str, Tensor] = {}
+        offset = 0
+        for name, shape in tensors:
+            nbytes = math.prod(shape) * 8
+            if offset + nbytes > len(blob):
+                raise HeaderError(f"payload {payload_path} too short for tensor {name}")
+            arr = np.frombuffer(blob[offset : offset + nbytes], dtype="<f8").reshape(shape)
+            params[name] = Tensor(arr.copy(), requires_grad=True, name=name)
+            offset += nbytes
+        if offset != len(blob):
+            raise HeaderError(f"payload {payload_path} has trailing bytes")
+        return params
+
+    return read_json(manifest_path, build, HeaderError)
 
 
 def write_loss_csv(history, path) -> None:

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyMaskError, GeometryError, HeaderError, InputError
+from .errors import at_least, entries, finite, one_of, read_field, read_json
 
 # Raw-file dtypes; the sidecar header names them by these strings.
 _HEADER_DTYPES = {
@@ -48,7 +49,7 @@ def _validate_grid(data: np.ndarray, spacing_mm: tuple[float, float, float]) -> 
         raise InputError(f"spacing_mm must have 3 components, got {spacing_mm}")
     for s in spacing_mm:
         if not (math.isfinite(s) and s > 0):
-            raise InputError(f"spacing components must be positive and finite, got {spacing_mm}")
+            raise InputError(f"spacing_mm components must be positive and finite, got {spacing_mm}")
 
 
 @dataclass(frozen=True)
@@ -74,11 +75,6 @@ class Volume:
     def dims(self) -> tuple[int, int, int]:
         """(Z, Y, X) voxel counts."""
         return self.data.shape
-
-    @property
-    def voxel_volume_mm3(self) -> float:
-        sz, sy, sx = self.spacing_mm
-        return sz * sy * sx
 
 
 @dataclass(frozen=True)
@@ -160,10 +156,12 @@ def check_same_geometry(a: Volume | LabelMask, b: Volume | LabelMask) -> None:
 # ---------------------------------------------------------------------------
 
 def _paths_for(path: str | Path) -> tuple[Path, Path]:
+    """The (.json, .raw) pair for a base path; a trailing .json or .raw is
+    dropped, and any other suffix stays part of the name."""
     p = Path(path)
     if p.suffix in (".json", ".raw"):
         p = p.with_suffix("")
-    return p.with_suffix(".json"), p.with_suffix(".raw")
+    return p.with_name(p.name + ".json"), p.with_name(p.name + ".raw")
 
 
 def write_volume(v: Volume | LabelMask, path: str | Path) -> None:
@@ -186,55 +184,34 @@ def write_volume(v: Volume | LabelMask, path: str | Path) -> None:
     raw_path.write_bytes(np.ascontiguousarray(v.data, dtype=_HEADER_DTYPES[name]).tobytes())
 
 
-def _read_grid(path: str | Path) -> tuple[np.ndarray, tuple[float, float, float]]:
+def _read_grid(path: str | Path, make):
+    """make(data, spacing_mm) for the grid file pair at `path`; any fault in
+    either file is a HeaderError that names the header file."""
     header_path, raw_path = _paths_for(path)
     if not header_path.exists():
-        raise HeaderError(f"missing header sidecar {header_path}")
-    try:
-        header = json.loads(header_path.read_text())
-    except json.JSONDecodeError as e:
-        raise HeaderError(f"ill-formed header {header_path}: {e}") from e
-    if not isinstance(header, dict):
-        raise HeaderError(f"header {header_path} is not a JSON object")
-    for key in ("dims", "spacing_mm", "dtype", "byte_order"):
-        if key not in header:
-            raise HeaderError(f"header {header_path} missing field {key!r}")
-    if header["byte_order"] != "little":
-        raise HeaderError(f"unsupported byte_order {header['byte_order']!r}")
-    if header["dtype"] not in _HEADER_DTYPES:
-        raise HeaderError(f"unsupported dtype {header['dtype']!r}")
-    dims = header["dims"]
-    if not isinstance(dims, list) or len(dims) != 3 or any(
-        not isinstance(d, int) or d < 1 for d in dims
-    ):
-        raise HeaderError(f"bad dims {dims!r} in {header_path}")
-    spacing = header["spacing_mm"]
-    if not isinstance(spacing, list) or not all(isinstance(s, (int, float)) for s in spacing):
-        raise HeaderError(f"bad spacing_mm {spacing!r} in {header_path}")
-    dtype = _HEADER_DTYPES[header["dtype"]]
-    if not raw_path.exists():
-        raise HeaderError(f"missing raw payload {raw_path}")
-    raw = raw_path.read_bytes()
-    expected = dims[0] * dims[1] * dims[2] * dtype.itemsize
-    if len(raw) != expected:
-        raise HeaderError(
-            f"payload length mismatch for {raw_path}: header implies {expected} bytes, found {len(raw)}"
-        )
-    data = np.frombuffer(raw, dtype=dtype).reshape(dims)
-    return data, tuple(float(s) for s in spacing)
+        raise HeaderError(f"{header_path}: missing header sidecar")
+
+    def build(header):
+        read_field(header, "byte_order", one_of("little"))
+        dtype = _HEADER_DTYPES[read_field(header, "dtype", one_of(*_HEADER_DTYPES))]
+        dims = read_field(header, "dims", entries(at_least(1), 3))
+        spacing = read_field(header, "spacing_mm", entries(finite))
+        raw = raw_path.read_bytes()
+        expected = math.prod(dims) * dtype.itemsize
+        if len(raw) != expected:
+            raise HeaderError(f"payload length mismatch for {raw_path}: {len(raw)} bytes, header implies {expected}")
+        return make(np.frombuffer(raw, dtype=dtype).reshape(dims), spacing)
+
+    return read_json(header_path, build, HeaderError)
 
 
 def read_volume(path: str | Path) -> Volume:
     """Read a grid written by write_volume. Round-trips are bit-identical."""
-    data, spacing = _read_grid(path)
-    return Volume(data, spacing)
+    return _read_grid(path, Volume)
 
 
 def read_mask(path: str | Path, allowed_labels: tuple[int, ...] = LOBE_LABELS) -> LabelMask:
-    data, spacing = _read_grid(path)
-    if not np.issubdtype(data.dtype, np.integer):
-        raise HeaderError(f"mask file {path} has non-integer dtype {data.dtype}")
-    return LabelMask(data, spacing, allowed_labels)
+    return _read_grid(path, lambda data, spacing: LabelMask(data, spacing, allowed_labels))
 
 
 # ---------------------------------------------------------------------------

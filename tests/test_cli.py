@@ -102,17 +102,40 @@ def test_quantify_missing_input_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_quantify_malformed_header_exits_2(tmp_path, capsys):
+def _set_header_field(field, value):
+    def mutate(case_dir, grid):
+        header_path = case_dir / f"{grid}.json"
+        header = json.loads(header_path.read_text())
+        header[field] = value
+        header_path.write_text(json.dumps(header))
+    return mutate
+
+
+def _put_label_7(case_dir, grid):
+    raw_path = case_dir / f"{grid}.raw"
+    data = np.frombuffer(raw_path.read_bytes(), dtype=np.uint8).copy()
+    data[0] = 7
+    raw_path.write_bytes(data.tobytes())
+
+
+@pytest.mark.parametrize(
+    "grid, mutate, expected",
+    [
+        ("volume", _set_header_field("spacing_mm", [1.5, 1.0, "1.0mm"]), "spacing_mm"),
+        ("volume", _set_header_field("spacing_mm", [1.5, 1.0]), "spacing_mm"),
+        ("lobes", _put_label_7, "labels [7]"),
+    ],
+    ids=["non_numeric_spacing", "two_entry_spacing", "lobe_label_7"],
+)
+def test_quantify_malformed_header_exits_2(grid, mutate, expected, tmp_path, capsys):
     case_dir, _ = write_phantom_case(tmp_path, "c0", seed=3)
-    header_path = case_dir / "volume.json"
-    header = json.loads(header_path.read_text())
-    header["spacing_mm"][2] = "1.0mm"
-    header_path.write_text(json.dumps(header))
+    mutate(case_dir, grid)
     out = tmp_path / "r.json"
     assert run_quantify(case_dir, out) == 2
     err = capsys.readouterr().err
-    assert "spacing_mm" in err and str(header_path) in err
+    assert f"{case_dir / grid}.json: " in err and expected in err
     assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
     assert not out.exists()
 
 
@@ -202,6 +225,43 @@ def test_evaluate_malformed_report_names_the_file(tmp_path, capsys):
     assert "per_lobe" in err
 
 
+@pytest.mark.parametrize(
+    "field, mutate",
+    [
+        ("per_lobe", lambda report: report.update(per_lobe=report["per_lobe"][:2])),
+        ("lss", lambda report: report.update(lss=99)),
+        ("po", lambda report: report.update(po=float("nan"))),
+        ("per_lobe: lobe_score", lambda report: report["per_lobe"][0].update(lobe_score=1.0)),
+        ("po, pho", lambda report: report.update(pho=report["po"] + 1.0)),
+    ],
+    ids=["two_lobe_records", "lss_not_the_sum", "nan_po", "float_lobe_score", "pho_above_po"],
+)
+def test_evaluate_rejects_report_breaking_an_invariant(field, mutate, tmp_path, capsys):
+    gt_dir, pred_dir = build_report_dirs(tmp_path, n_cases=3)
+    bad = pred_dir / "case_001.json"
+    report = json.loads(bad.read_text())
+    mutate(report)
+    bad.write_text(json.dumps(report))
+    code = main(["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir),
+                 "--out", str(tmp_path / "s.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: {field}: " in err
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_evaluate_positive_list_that_is_not_text_exits_2(tmp_path, capsys):
+    gt_dir, pred_dir = build_report_dirs(tmp_path, n_cases=3)
+    listing = tmp_path / "positives.bin"
+    listing.write_bytes(b"case_000\n\xff\xfe\n")
+    code = main(["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir),
+                 "--out", str(tmp_path / "s.json"), "--positive-list", str(listing)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "positive list names unknown cases: \\xff\\xfe" in err
+    assert "Traceback" not in err
+
+
 def test_evaluate_empty_dir_exits_2(tmp_path):
     gt_dir = tmp_path / "gt"
     gt_dir.mkdir()
@@ -260,8 +320,20 @@ def test_phantom_spec_with_non_numeric_radius_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
-    assert "malformed phantom spec" in err
+    assert f"{spec_path}: lungs: radii_mm: " in err
     assert "Traceback" not in err
+
+
+def test_phantom_spec_whose_lungs_miss_every_voxel_exits_2(tmp_path, capsys):
+    payload = json.loads(json.dumps(phantom.random_spec(3, dims=(10, 16, 16), n_lesions=1).to_json_dict()))
+    payload["spacing_mm"][2] = 7.0  # voxel centres step over both lungs along x
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(payload))
+    code = main(["phantom", "--count", "1", "--spec", str(spec_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{spec_path}: lungs: no voxel centre" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_phantom_rejects_bad_count(tmp_path, capsys):
@@ -320,6 +392,20 @@ def test_preprocess_constant_window_center_maps_to_half(tmp_path):
     got = read_volume(out_base)
     assert got.dims == (4, 8, 8)
     assert np.all(got.data == np.float32(0.5))
+
+
+def test_preprocess_keeps_an_output_suffix_other_than_json_or_raw(tmp_path):
+    case_dir, _ = write_phantom_case(tmp_path, "c0", seed=8, n_lesions=1)
+    out_dir = tmp_path / "o"
+    out_dir.mkdir()
+    (out_dir / "case.json").write_text("a report that must survive\n")
+    code = main(["preprocess", "--volume", str(case_dir / "volume"), "--lobes",
+                 str(case_dir / "lobes"), "--out", str(out_dir / "case.pre"), "--box", "4,8,8"])
+    assert code == 0
+    assert (out_dir / "case.json").read_text() == "a report that must survive\n"
+    assert not (out_dir / "case.raw").exists()
+    assert read_volume(out_dir / "case.pre").dims == (4, 8, 8)
+    assert {p.name for p in out_dir.iterdir()} == {"case.json", "case.pre.json", "case.pre.raw"}
 
 
 def test_preprocess_empty_lung_exits_2(tmp_path, capsys):
@@ -439,6 +525,29 @@ def test_out_of_range_numeric_flags_exit_2(argv, flag, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 2
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["quantify_out", "evaluate_out", "evaluate_scatter", "phantom_out"])
+def test_unwritable_output_path_exits_2(command, tmp_path, capsys):
+    gt_dir, pred_dir = build_report_dirs(tmp_path, n_cases=3)
+    target = tmp_path / "taken"
+    case_dir = tmp_path / "case_0"
+    evaluate = ["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir)]
+    if command == "phantom_out":
+        target.write_text("an existing file\n")
+        code = main(["phantom", "--count", "1", "--dims", "8,12,12", "--out", str(target)])
+    else:
+        target.mkdir()
+        if command == "quantify_out":
+            code = run_quantify(case_dir, target)
+        elif command == "evaluate_out":
+            code = main(evaluate + ["--out", str(target)])
+        else:
+            code = main(evaluate + ["--out", str(tmp_path / "s.json"), "--scatter", str(target)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(target) in err
+    assert "Traceback" not in err
 
 
 def test_help_exits_0(capsys):

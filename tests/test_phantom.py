@@ -110,6 +110,7 @@ def test_spec_json_round_trip():
     spec = random_spec(3, noise_sigma_hu=6.0)
     d = json.loads(json.dumps(spec.to_json_dict()))
     assert PhantomSpec.from_json_dict(d) == spec
+    assert PhantomSpec.from_json_dict(spec.to_json_dict()) == spec
     with pytest.raises(InputError):
         PhantomSpec.from_json_dict({"dims": [8, 8, 8]})
 

@@ -338,6 +338,7 @@ def test_report_json_round_trip():
     rep = compute_report(v, lobes, abn)
     d = json.loads(json.dumps(rep.to_json_dict()))
     assert SeverityReport.from_json_dict(d) == rep
+    assert SeverityReport.from_json_dict(rep.to_json_dict()) == rep
     assert set(d) == {
         "po",
         "pho",
@@ -356,6 +357,31 @@ def test_report_json_round_trip():
 def test_report_malformed_json_raises():
     with pytest.raises(InputError):
         SeverityReport.from_json_dict({"po": 1.0})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True, "1.0", None])
+def test_report_from_json_rejects_a_float_field_that_is_not_a_finite_number(value):
+    v, lobes, abn = random_case(42)
+    d = json.loads(json.dumps(compute_report(v, lobes, abn).to_json_dict()))
+    for field in ("lung_volume_mm3", "abnormal_volume_mm3", "high_opacity_volume_mm3", "threshold_hu"):
+        with pytest.raises(InputError, match=f"^{field}: expected a finite number"):
+            SeverityReport.from_json_dict({**d, field: value})
+    records = [dict(rec) for rec in d["per_lobe"]]
+    records[2]["lobe_volume_mm3"] = value
+    with pytest.raises(InputError, match="^per_lobe: lobe_volume_mm3: expected a finite number"):
+        SeverityReport.from_json_dict({**d, "per_lobe": records})
+
+
+@pytest.mark.parametrize("value", [1.0, True, "1"])
+def test_report_from_json_rejects_an_integer_field_that_is_not_an_exact_int(value):
+    v, lobes, abn = random_case(42)
+    d = json.loads(json.dumps(compute_report(v, lobes, abn).to_json_dict()))
+    records = [dict(rec) for rec in d["per_lobe"]]
+    records[0]["lobe_label"] = value
+    with pytest.raises(InputError, match="^per_lobe: lobe_label: expected int"):
+        SeverityReport.from_json_dict({**d, "per_lobe": records})
+    with pytest.raises(InputError, match="^lhos: expected int"):
+        SeverityReport.from_json_dict({**d, "lhos": value})
 
 
 def test_custom_threshold_changes_pho_only():

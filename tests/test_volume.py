@@ -164,14 +164,14 @@ def test_read_rejects_missing_or_malformed_header(tmp_path):
     header = {"dims": [1, 1, 1], "spacing_mm": [1, 1, 1], "dtype": "float64", "byte_order": "little"}
     (tmp_path / "dt.json").write_text(json.dumps(header))
     (tmp_path / "dt.raw").write_bytes(b"\x00" * 8)
-    with pytest.raises(HeaderError, match="unsupported dtype"):
+    with pytest.raises(HeaderError, match=r"dt\.json: dtype: unsupported value 'float64'"):
         read_volume(tmp_path / "dt")
     header = {"spacing_mm": [1, 1, 1], "dtype": "int16", "byte_order": "little"}
     (tmp_path / "nf.json").write_text(json.dumps(header))
     with pytest.raises(HeaderError, match="missing field"):
         read_volume(tmp_path / "nf")
     (tmp_path / "list.json").write_text("[1, 2, 3]")
-    with pytest.raises(HeaderError, match="list.json is not a JSON object"):
+    with pytest.raises(HeaderError, match=r"list\.json: expected a JSON object, got list"):
         read_volume(tmp_path / "list")
     good = {"dims": [1, 1, 1], "spacing_mm": [1.0, 1.0, 1.0], "dtype": "int16", "byte_order": "little"}
     for name, field, value in [
@@ -181,7 +181,7 @@ def test_read_rejects_missing_or_malformed_header(tmp_path):
     ]:
         (tmp_path / f"{name}.json").write_text(json.dumps({**good, field: value}))
         (tmp_path / f"{name}.raw").write_bytes(b"\x00" * 2)
-        with pytest.raises(HeaderError, match=rf"bad {field} .* in .*{name}\.json"):
+        with pytest.raises(HeaderError, match=rf"{name}\.json: {field}: "):
             read_volume(tmp_path / name)
 
 
