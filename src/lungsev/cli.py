@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import phantom as phantom_mod
-from .errors import InputError, LungSevError
+from .errors import GeometryError, InputError, LungSevError
 from .errors import at_least, entries, exactly, finite, read_field, read_json
 from .evaluate import evaluate_reports, scatter_rows, write_scatter_csv
 from .severity import DEFAULT_THRESHOLD_HU, SeverityReport, compute_report
@@ -73,6 +73,28 @@ def _nonnegative_float(text: str) -> float:
     return value
 
 
+def _seed_arg(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return seed
+
+
+def _check_aligned(first, *others) -> None:
+    """Raise GeometryError, naming both files, unless every (path, grid) pair
+    in `others` has the dims and spacing of the `first` pair."""
+    first_path, a = first
+    for path, b in others:
+        if a.dims != b.dims or a.spacing_mm != b.spacing_mm:
+            raise GeometryError(
+                f"geometry mismatch: {first_path}: dims {a.dims} spacing {a.spacing_mm} "
+                f"vs {path}: dims {b.dims} spacing {b.spacing_mm}"
+            )
+
+
 # ---------------------------------------------------------------------------
 # quantify
 # ---------------------------------------------------------------------------
@@ -82,6 +104,7 @@ def cmd_quantify(args: argparse.Namespace) -> int:
     volume = read_volume(args.volume)
     lobes = read_mask(args.lobes)
     abnorm = read_mask(args.abnorm, allowed_labels=(1,))
+    _check_aligned((args.volume, volume), (args.lobes, lobes), (args.abnorm, abnorm))
     report = compute_report(volume, lobes, abnorm, threshold=args.threshold_hu)
     elapsed = time.perf_counter() - t0
 
@@ -163,7 +186,8 @@ def cmd_phantom(args: argparse.Namespace) -> int:
 def cmd_preprocess(args: argparse.Namespace) -> int:
     volume = read_volume(args.volume)
     lobes = read_mask(args.lobes)
-    v_res = resample(volume, RESAMPLE_SPACING_MM, mode="trilinear")
+    _check_aligned((args.volume, volume), (args.lobes, lobes))
+    v_res = resample(volume, RESAMPLE_SPACING_MM)
     m_res = resample_mask(lobes, RESAMPLE_SPACING_MM)
     center = lung_center(m_res)
     cropped = crop_box(v_res, center, args.box, pad_value=AIR_HU)
@@ -260,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", default="summary.json")
     p_eval.add_argument("--scatter", default=None, help="optional scatter CSV output path")
     p_eval.add_argument("--jitter-pct", type=_nonnegative_float, default=0.2)
-    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval.add_argument("--seed", type=_seed_arg, default=0)
     p_eval.add_argument(
         "--positive-list",
         default=None,
@@ -272,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_phantom = sub.add_parser("phantom", help="generate synthetic cases with known reports")
     p_phantom.add_argument("--out", required=True)
     p_phantom.add_argument("--count", type=int, required=True)
-    p_phantom.add_argument("--seed", type=int, default=0)
+    p_phantom.add_argument("--seed", type=_seed_arg, default=0)
     p_phantom.add_argument("--dims", type=_box_arg, default=(16, 28, 28))
     p_phantom.add_argument("--noise-sigma", type=float, default=0.0, dest="noise_sigma")
     p_phantom.add_argument("--spec", default=None, help="spec JSON to reuse for every case")

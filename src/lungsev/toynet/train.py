@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import HeaderError, InputError
 from ..errors import at_least, entries, exactly, one_of, read_field, read_json
-from ..volume import Volume, _paths_for, apply_augment, clip_normalize, sample_augment
+from ..volume import Volume, _paths_for, clip_normalize
 from .loss import jaccard_loss
 from .network import NetConfig, init_params, net_forward
 from .optim import OptimizerState, optimizer_step
@@ -64,21 +64,31 @@ class TrainResult:
     val_indices: tuple[int, ...]
 
 
-def _prepare(sample: Sample, plan=None):
-    vol = Volume(sample.image, (1.0, 1.0, 1.0))
-    tgt = sample.target
-    lng = sample.lung
-    if plan is not None:
-        vol = apply_augment(vol, plan)
-        if plan.flip_axis is not None:
-            tgt = np.flip(tgt, axis=plan.flip_axis)
-            lng = np.flip(lng, axis=plan.flip_axis)
-    x = np.asarray(clip_normalize(vol).data)
-    return x[None, None], tgt[None, None], lng[None, None]
+def sample_augment(seed: int) -> tuple[float, int | None]:
+    """One augmentation draw: an HU shift in [-20, 20), and a flip axis that
+    is None (probability 1/2) or 0/1/2 for z/y/x, chosen uniformly."""
+    rng = np.random.default_rng(seed)
+    shift = float(rng.uniform(-20.0, 20.0))
+    axis = int(rng.integers(0, 3)) if rng.random() < 0.5 else None
+    return shift, axis
 
 
-def _loss_for(sample: Sample, params, config, plan=None) -> Tensor:
-    x, y, m = _prepare(sample, plan)
+def _prepare(sample: Sample, augment=None):
+    """Network input, target and lung arrays for one sample: with an
+    augment (shift, axis), the image is shifted, then image and masks are
+    flipped together; the image is windowed last."""
+    image, target, lung = sample.image, sample.target, sample.lung
+    if augment is not None:
+        shift, axis = augment
+        image = image + shift
+        if axis is not None:
+            image, target, lung = (np.flip(a, axis) for a in (image, target, lung))
+    x = clip_normalize(Volume(image, (1.0, 1.0, 1.0))).data
+    return x[None, None], target[None, None], lung[None, None]
+
+
+def _loss_for(sample: Sample, params, config, augment=None) -> Tensor:
+    x, y, m = _prepare(sample, augment)
     probs = net_forward(Tensor(x), params, config)
     return jaccard_loss(take_channel(probs, 1), y, m)
 
@@ -118,8 +128,8 @@ def train(
     for _ in range(epochs):
         epoch_order = [train_idx[int(i)] for i in rng.permutation(len(train_idx))]
         for si in epoch_order:
-            plan = sample_augment(int(rng.integers(0, 2**31)))
-            loss = _loss_for(samples[si], params, config, plan)
+            augment = sample_augment(int(rng.integers(0, 2**31)))
+            loss = _loss_for(samples[si], params, config, augment)
             for t in params.values():
                 t.zero_grad()
             loss.backward()

@@ -34,6 +34,10 @@ _HEADER_DTYPES = {
 LOBE_LABELS = (1, 2, 3, 4, 5)  # 1=RU, 2=RM, 3=RL, 4=LU, 5=LL
 AIR_HU = -1024.0
 
+# The lung window clip_normalize maps onto [0, 1]: [-1350, 150] HU.
+WINDOW_LEVEL_HU = -600.0
+WINDOW_WIDTH_HU = 1500.0
+
 
 def _round_half_away(x: float) -> int:
     """Round to nearest integer, ties away from zero (deterministic)."""
@@ -122,26 +126,6 @@ class LabelMask:
         return sz * sy * sx
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    """HU clip window. Clip range is [level - width/2, level + width/2]."""
-
-    level: float = -600.0
-    width: float = 1500.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.width) and self.width > 0):
-            raise InputError(f"window width must be > 0, got {self.width}")
-
-    @property
-    def lo(self) -> float:
-        return self.level - self.width / 2.0
-
-    @property
-    def hi(self) -> float:
-        return self.level + self.width / 2.0
-
-
 def check_same_geometry(a: Volume | LabelMask, b: Volume | LabelMask) -> None:
     """Raise GeometryError unless dims and spacing match exactly."""
     if a.dims != b.dims or a.spacing_mm != b.spacing_mm:
@@ -159,6 +143,8 @@ def _paths_for(path: str | Path) -> tuple[Path, Path]:
     """The (.json, .raw) pair for a base path; a trailing .json or .raw is
     dropped, and any other suffix stays part of the name."""
     p = Path(path)
+    if not p.name:
+        raise InputError(f"file path {str(path)!r} has no file name")
     if p.suffix in (".json", ".raw"):
         p = p.with_suffix("")
     return p.with_name(p.name + ".json"), p.with_name(p.name + ".raw")
@@ -218,18 +204,21 @@ def read_mask(path: str | Path, allowed_labels: tuple[int, ...] = LOBE_LABELS) -
 # Resampling
 # ---------------------------------------------------------------------------
 
-def _resample_dims(dims, spacing_in, spacing_out) -> tuple[int, ...]:
-    return tuple(
-        max(1, _round_half_away(d * si / so))
-        for d, si, so in zip(dims, spacing_in, spacing_out)
-    )
+def _source_coords(grid: Volume | LabelMask, target_spacing) -> tuple[tuple, list[np.ndarray]]:
+    """The checked target spacing, and per axis the source index of each
+    output voxel center, clamped to the source domain (clamp-to-edge).
 
-
-def _source_coords(out_dim: int, in_dim: int, s_in: float, s_out: float) -> np.ndarray:
-    # Physical position of each output voxel center mapped back into source
-    # index space, clamped to the source domain (clamp-to-edge).
-    coords = np.arange(out_dim, dtype=np.float64) * (s_out / s_in)
-    return np.clip(coords, 0.0, in_dim - 1)
+    Output dims are round(dim_in * spacing_in / spacing_out), at least 1 per axis.
+    """
+    target = tuple(float(s) for s in target_spacing)
+    for s in target:
+        if not (math.isfinite(s) and s > 0):
+            raise InputError(f"target spacing must be positive, got {target}")
+    coords = []
+    for d, s_in, s_out in zip(grid.dims, grid.spacing_mm, target):
+        out_dim = max(1, _round_half_away(d * s_in / s_out))
+        coords.append(np.clip(np.arange(out_dim, dtype=np.float64) * (s_out / s_in), 0.0, d - 1))
+    return target, coords
 
 
 def _lerp_axis(a: np.ndarray, coords: np.ndarray, axis: int) -> np.ndarray:
@@ -251,35 +240,17 @@ def _lerp_axis(a: np.ndarray, coords: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def resample(v: Volume, target_spacing: tuple[float, float, float], mode: str = "trilinear") -> Volume:
-    """Resample a volume onto a grid with the given spacing.
+def resample(v: Volume, target_spacing: tuple[float, float, float]) -> Volume:
+    """Trilinear resampling of a volume onto a grid with the given spacing;
+    the output is float64.
 
-    Output dims are round(dim_in * spacing_in / spacing_out), at least 1 per
-    axis. Trilinear output is float64; nearest preserves the input dtype and
-    its values are a subset of the input values.
-
-    Trilinear interpolation runs as three 1-D linear passes, z first, then y,
-    then x; each pass reads the previous one's output, and the first reads
-    the input dtype directly. This differs from interpolating the eight
-    corners of each cell only in float64 rounding (pinned at 1e-9 HU by the
-    tests), and constant regions stay bit-exact.
+    Interpolation runs as three 1-D linear passes, z first, then y, then x;
+    each pass reads the previous one's output, and the first reads the input
+    dtype directly. This differs from interpolating the eight corners of each
+    cell only in float64 rounding (pinned at 1e-9 HU by the tests), and
+    constant regions stay bit-exact.
     """
-    if mode not in ("nearest", "trilinear"):
-        raise InputError(f"unknown resample mode {mode!r}")
-    target = tuple(float(s) for s in target_spacing)
-    for s in target:
-        if not (math.isfinite(s) and s > 0):
-            raise InputError(f"target spacing must be positive, got {target}")
-    out_dims = _resample_dims(v.dims, v.spacing_mm, target)
-    coords = [
-        _source_coords(od, idim, s_in, s_out)
-        for od, idim, s_in, s_out in zip(out_dims, v.dims, v.spacing_mm, target)
-    ]
-    if mode == "nearest":
-        idx = [np.clip(np.floor(c + 0.5).astype(np.intp), 0, d - 1) for c, d in zip(coords, v.dims)]
-        out = v.data[np.ix_(*idx)]
-        return Volume(out.copy(), target)
-
+    target, coords = _source_coords(v, target_spacing)
     out = v.data
     for axis, c in enumerate(coords):
         out = _lerp_axis(out, c, axis)
@@ -287,24 +258,27 @@ def resample(v: Volume, target_spacing: tuple[float, float, float], mode: str = 
 
 
 def resample_mask(m: LabelMask, target_spacing: tuple[float, float, float]) -> LabelMask:
-    """Nearest-neighbor resampling for label masks (labels must not blend)."""
-    as_volume = Volume(m.data, m.spacing_mm)
-    res = resample(as_volume, target_spacing, mode="nearest")
-    return LabelMask(res.data, res.spacing_mm, m.allowed_labels)
+    """Nearest-neighbor resampling for label masks: labels never blend, and
+    the output keeps the mask's dtype and allowed labels."""
+    target, coords = _source_coords(m, target_spacing)
+    # coords lie in [0, dim - 1], so rounding them stays in range.
+    idx = [np.floor(c + 0.5).astype(np.intp) for c in coords]
+    return LabelMask(m.data[np.ix_(*idx)], target, m.allowed_labels)
 
 
 # ---------------------------------------------------------------------------
 # Intensity and geometry ops
 # ---------------------------------------------------------------------------
 
-def clip_normalize(v: Volume, window: WindowSpec = WindowSpec()) -> Volume:
-    """Clip to the HU window and rescale to [0, 1].
+def clip_normalize(v: Volume) -> Volume:
+    """Clip to the lung window and rescale to [0, 1].
 
-    out = (clamp(v, lo, hi) - lo) / width. Monotone and bounded; the window
-    midpoint maps to 0.5.
+    out = (clamp(v, lo, hi) - lo) / width with lo, hi = -1350, 150 HU.
+    Monotone and bounded; the window level, -600 HU, maps to 0.5.
     """
-    clipped = np.clip(v.data.astype(np.float64, copy=False), window.lo, window.hi)
-    return Volume((clipped - window.lo) / window.width, v.spacing_mm)
+    lo = WINDOW_LEVEL_HU - WINDOW_WIDTH_HU / 2.0
+    clipped = np.clip(v.data.astype(np.float64, copy=False), lo, lo + WINDOW_WIDTH_HU)
+    return Volume((clipped - lo) / WINDOW_WIDTH_HU, v.spacing_mm)
 
 
 def lung_center(lobes: LabelMask) -> tuple[int, int, int]:
@@ -329,15 +303,18 @@ def crop_box(
     The source center voxel maps to index box//2 of the output, so the value
     at the center is preserved whenever the center lies inside the source.
     Padding happens in HU (default air, -1024) before any normalization.
+    The output keeps the input dtype, which must hold pad_value exactly.
     """
     if any(b < 1 for b in box):
         raise InputError(f"crop box dims must be >= 1, got {box}")
     data = v.data
-    if np.issubdtype(data.dtype, np.integer) and float(pad_value) == int(pad_value):
-        out = np.full(box, int(pad_value), dtype=data.dtype)
-    else:
-        out = np.full(box, float(pad_value), dtype=np.float64)
-        data = data.astype(np.float64, copy=False)
+    try:
+        exact = data.dtype.type(pad_value) == pad_value
+    except (OverflowError, ValueError):
+        exact = False
+    if not exact:
+        raise InputError(f"pad value {pad_value} does not fit the crop's dtype {data.dtype}")
+    out = np.full(box, pad_value, dtype=data.dtype)
     src_slices, dst_slices = [], []
     for c, b, d in zip(center, box, data.shape):
         start = int(c) - b // 2  # center voxel of source lands at index b//2
@@ -349,40 +326,3 @@ def crop_box(
     else:
         out[tuple(dst_slices)] = data[tuple(src_slices)]
     return Volume(out, v.spacing_mm)
-
-
-# ---------------------------------------------------------------------------
-# Augmentation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AugmentPlan:
-    """One sampled augmentation: a global HU offset plus an optional flip.
-
-    flip_axis is None (probability 1/2) or one of 0/1/2 for z/y/x, chosen
-    uniformly when a flip happens.
-    """
-
-    intensity_shift_hu: float
-    flip_axis: int | None
-
-
-def sample_augment(seed: int) -> AugmentPlan:
-    rng = np.random.default_rng(seed)
-    shift = float(rng.uniform(-20.0, 20.0))
-    axis = int(rng.integers(0, 3)) if rng.random() < 0.5 else None
-    return AugmentPlan(shift, axis)
-
-
-def flip(v: Volume, axis: int) -> Volume:
-    """Mirror along one axis (0=z, 1=y, 2=x). Applying twice is the identity."""
-    if axis not in (0, 1, 2):
-        raise InputError(f"flip axis must be 0, 1 or 2, got {axis}")
-    return Volume(np.flip(v.data, axis=axis).copy(), v.spacing_mm)
-
-
-def apply_augment(v: Volume, plan: AugmentPlan) -> Volume:
-    """Shift every voxel by the plan's HU offset, then flip along its axis, if any."""
-    shifted = Volume(v.data.astype(np.float64, copy=False) + plan.intensity_shift_hu, v.spacing_mm)
-    return shifted if plan.flip_axis is None else flip(shifted, plan.flip_axis)
-

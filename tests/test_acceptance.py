@@ -549,7 +549,7 @@ def test_criterion_09_preprocess_composition(tmp_path):
 
     v = read_volume(tmp_path / "case" / "volume")
     m = read_mask(tmp_path / "case" / "lobes")
-    v_res = resample(v, RESAMPLE_SPACING_MM, mode="trilinear")
+    v_res = resample(v, RESAMPLE_SPACING_MM)
     m_res = resample_mask(m, RESAMPLE_SPACING_MM)
     center = lung_center(m_res)
     cropped = crop_box(v_res, center, (8, 16, 16), pad_value=AIR_HU)

@@ -139,6 +139,43 @@ def test_quantify_malformed_header_exits_2(grid, mutate, expected, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["quantify", "preprocess"])
+@pytest.mark.parametrize("mismatch", ["dims", "spacing"])
+def test_geometry_mismatch_names_both_files(command, mismatch, tmp_path, capsys):
+    case_dir, _ = write_phantom_case(tmp_path, "c0", seed=1, dims=(20, 40, 40))
+    volume, lobes = case_dir / "volume", case_dir / "lobes"
+    if mismatch == "dims":
+        other_dir, _ = write_phantom_case(tmp_path, "c1", seed=2, dims=(16, 28, 28))
+        lobes = other_dir / "lobes"
+    else:
+        _set_header_field("spacing_mm", [1.5, 1.0, 7.0])(case_dir, "volume")
+    out = tmp_path / "out"
+    argv = [command, "--volume", str(volume), "--lobes", str(lobes), "--out", str(out)]
+    if command == "quantify":
+        argv += ["--abnorm", str(case_dir / "abnorm")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{volume}: dims " in err and f"{lobes}: dims " in err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("command", ["quantify_volume", "preprocess_out"])
+def test_empty_grid_path_exits_2(command, tmp_path, capsys):
+    case_dir, _ = write_phantom_case(tmp_path, "c0", seed=3)
+    if command == "quantify_volume":
+        argv = ["quantify", "--volume", "", "--lobes", str(case_dir / "lobes"),
+                "--abnorm", str(case_dir / "abnorm"), "--out", str(tmp_path / "r.json")]
+    else:
+        argv = ["preprocess", "--volume", str(case_dir / "volume"),
+                "--lobes", str(case_dir / "lobes"), "--out", "", "--box", "4,8,8"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "has no file name" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -360,7 +397,7 @@ def test_preprocess_equals_manual_composition(tmp_path):
 
     v = read_volume(case_dir / "volume")
     m = read_mask(case_dir / "lobes")
-    v_res = resample(v, RESAMPLE_SPACING_MM, mode="trilinear")
+    v_res = resample(v, RESAMPLE_SPACING_MM)
     m_res = resample_mask(m, RESAMPLE_SPACING_MM)
     center = lung_center(m_res)
     cropped = crop_box(v_res, center, (8, 16, 16), pad_value=AIR_HU)
@@ -524,6 +561,23 @@ def test_out_of_range_numeric_flags_exit_2(argv, flag, tmp_path, capsys):
     out = tmp_path / "out.json"
     assert main(argv + ["--out", str(out)]) == 2
     assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "phantom"])
+def test_negative_seed_exits_2(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    if command == "evaluate":
+        gt_dir, pred_dir = build_report_dirs(tmp_path, n_cases=3)
+        argv = ["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir), "--out", str(out),
+                "--scatter", str(tmp_path / "s.csv"), "--seed", "-1"]
+    else:
+        argv = ["phantom", "--count", "1", "--dims", "8,12,12", "--out", str(out), "--seed", "-1"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--seed: must be nonnegative" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

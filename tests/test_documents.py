@@ -143,8 +143,9 @@ def test_mutated_grid_header(cases, data, grid):
     check_outcome(code, err, header, rejected, accepted_codes=(0, 2))
     if rejected is None and code == 2:
         # A header that reads on its own can still disagree with the other
-        # grids; that message gives both geometries but names neither file.
+        # grids; that message gives both geometries and names both files.
         assert "error: geometry mismatch" in err
+        assert f"{case_dir / grid}: dims " in err
 
 
 @EXAMPLES

@@ -34,6 +34,8 @@ from lungsev.toynet import (
     write_loss_csv,
 )
 from lungsev.toynet.optim import FINAL_LR
+from lungsev.toynet.train import _prepare, sample_augment
+from lungsev.volume import Volume, clip_normalize
 
 
 def proj_loss(out: Tensor, proj: np.ndarray) -> Tensor:
@@ -595,3 +597,84 @@ def test_sample_validation():
         Sample(np.zeros((4, 4, 4)), np.zeros((4, 4, 3)), np.zeros((4, 4, 4)))
     with pytest.raises(InputError):
         Sample(np.zeros((4, 4, 4)), np.full((4, 4, 4), 2.0), np.zeros((4, 4, 4)))
+
+
+# ---------------------------------------------------------------------------
+# Augmentation
+# ---------------------------------------------------------------------------
+
+def asymmetric_sample(seed=0, dims=(3, 4, 5)):
+    """A sample whose image lies inside the lung window and whose arrays all
+    change under a flip along any axis."""
+    rng = np.random.default_rng(seed)
+    sample = Sample(
+        rng.uniform(-1300.0, 100.0, size=dims),
+        rng.integers(0, 2, size=dims),
+        rng.integers(0, 2, size=dims),
+    )
+    for a in (sample.image, sample.target, sample.lung):
+        for axis in (0, 1, 2):
+            assert not np.array_equal(np.flip(a, axis), a)
+    return sample
+
+
+def test_augment_deterministic():
+    sample = asymmetric_sample()
+    assert sample_augment(99) == sample_augment(99)
+    for a, b in zip(_prepare(sample, sample_augment(123)), _prepare(sample, sample_augment(123))):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_augment_flip_is_involution():
+    sample = asymmetric_sample(4)
+    plain = _prepare(sample)
+    for axis in (0, 1, 2):
+        flipped = Sample(*(np.flip(a, axis) for a in (sample.image, sample.target, sample.lung)))
+        for got, want in zip(_prepare(flipped, (0.0, axis)), plain):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_augment_shift_within_bounds_and_uniform_flip_rates():
+    counts = {None: 0, 0: 0, 1: 0, 2: 0}
+    for seed in range(10_000):
+        shift, axis = sample_augment(seed)
+        assert -20.0 <= shift <= 20.0
+        counts[axis] += 1
+    assert abs(counts[None] / 10_000 - 0.5) < 0.02
+    for axis in (0, 1, 2):
+        assert abs(counts[axis] / 10_000 - 1 / 6) < 0.02
+
+
+def test_augment_matches_manual_composition():
+    sample = asymmetric_sample(17)
+    axes = set()
+    for seed in range(12):
+        shift, axis = sample_augment(seed)
+        axes.add(axis)
+        x, y, m = _prepare(sample, (shift, axis))
+        image, target, lung = sample.image + shift, sample.target, sample.lung
+        if axis is not None:
+            image, target, lung = (np.flip(a, axis) for a in (image, target, lung))
+        np.testing.assert_array_equal(x[0, 0], clip_normalize(Volume(image, (1, 1, 1))).data)
+        np.testing.assert_array_equal(y[0, 0], target)
+        np.testing.assert_array_equal(m[0, 0], lung)
+    assert axes == {None, 0, 1, 2}
+
+
+def test_augment_flips_image_target_and_lung_together():
+    sample = asymmetric_sample(8)
+    x0, y0, m0 = _prepare(sample)
+    for axis in (0, 1, 2):
+        x, y, m = _prepare(sample, (0.0, axis))
+        np.testing.assert_array_equal(x, np.flip(x0, axis + 2))
+        np.testing.assert_array_equal(y, np.flip(y0, axis + 2))
+        np.testing.assert_array_equal(m, np.flip(m0, axis + 2))
+
+
+def test_augment_does_not_mutate_input():
+    sample = asymmetric_sample(1)
+    before = [a.copy() for a in (sample.image, sample.target, sample.lung)]
+    for axis in (None, 0, 1, 2):
+        _prepare(sample, (7.5, axis))
+    for a, b in zip((sample.image, sample.target, sample.lung), before):
+        np.testing.assert_array_equal(a, b)

@@ -12,18 +12,14 @@ from lungsev.volume import (
     AIR_HU,
     LabelMask,
     Volume,
-    WindowSpec,
-    apply_augment,
     check_same_geometry,
     clip_normalize,
     crop_box,
-    flip,
     lung_center,
     read_mask,
     read_volume,
     resample,
     resample_mask,
-    sample_augment,
     write_volume,
 )
 
@@ -204,7 +200,7 @@ def test_mask_roundtrip(tmp_path):
 
 def test_resample_constant_volume_stays_constant():
     v = make_volume(np.full((4, 5, 6), -600.0), spacing=(2.0, 1.0, 1.0))
-    out = resample(v, (1.0, 0.5, 2.0), mode="trilinear")
+    out = resample(v, (1.0, 0.5, 2.0))
     assert out.dims == (8, 10, 3)
     np.testing.assert_allclose(out.data, -600.0, rtol=0, atol=0)
 
@@ -212,10 +208,11 @@ def test_resample_constant_volume_stays_constant():
 def test_resample_identity_spacing():
     rng = np.random.default_rng(3)
     v = make_volume(rng.standard_normal((4, 5, 6)), spacing=(1.5, 1.0, 0.5))
-    tri = resample(v, v.spacing_mm, mode="trilinear")
-    near = resample(v, v.spacing_mm, mode="nearest")
+    tri = resample(v, v.spacing_mm)
     np.testing.assert_array_equal(tri.data, v.data)
-    np.testing.assert_array_equal(near.data, v.data)
+    m = LabelMask(rng.integers(0, 6, size=(4, 5, 6)).astype(np.uint8), v.spacing_mm)
+    near = resample_mask(m, m.spacing_mm)
+    np.testing.assert_array_equal(near.data, m.data)
 
 
 def test_resample_trilinear_reproduces_affine_ramp():
@@ -225,7 +222,7 @@ def test_resample_trilinear_reproduces_affine_ramp():
     X = 8
     data = np.broadcast_to(np.arange(X, dtype=np.float64), (4, 4, X)).copy()
     v = make_volume(data)
-    out = resample(v, (1.0, 1.0, 0.5), mode="trilinear")
+    out = resample(v, (1.0, 1.0, 0.5))
     assert out.dims == (4, 4, 16)
     expected_x = np.clip(np.arange(16) * 0.5, 0, X - 1)
     expected = np.broadcast_to(expected_x, (4, 4, 16))
@@ -234,10 +231,11 @@ def test_resample_trilinear_reproduces_affine_ramp():
 
 def test_resample_nearest_values_subset_of_input():
     rng = np.random.default_rng(5)
-    v = make_volume(rng.integers(-1000, 200, size=(5, 7, 6)).astype(np.int16), spacing=(3, 1, 1))
-    out = resample(v, (1.0, 0.7, 1.3), mode="nearest")
+    data = rng.integers(-1000, 200, size=(5, 7, 6)).astype(np.int16)
+    m = LabelMask(data, (3, 1, 1), allowed_labels=tuple(range(-1000, 200)))
+    out = resample_mask(m, (1.0, 0.7, 1.3))
     assert out.data.dtype == np.int16
-    assert set(np.unique(out.data)) <= set(np.unique(v.data))
+    assert set(np.unique(out.data)) <= set(np.unique(m.data))
 
 
 def test_resample_mask_preserves_labels():
@@ -304,7 +302,7 @@ def test_resample_trilinear_matches_eight_corner_reference(seed, dims, spacing, 
         data = rng.integers(-32768, 32768, size=dims).astype(np.int16)
     else:
         data = rng.uniform(-3000.0, 3000.0, size=dims)
-    out = resample(Volume(data, spacing), target, mode="trilinear")
+    out = resample(Volume(data, spacing), target)
     want, _ = eight_corner_trilinear(data, spacing, target)
     assert out.data.dtype == np.float64
     assert out.dims == want.shape
@@ -319,7 +317,7 @@ def test_resample_trilinear_keeps_constant_regions_exact(target):
     blocks = rng.integers(-1024, 400, size=(3, 4, 4)).astype(np.int16)
     data = np.repeat(np.repeat(np.repeat(blocks, 6, axis=0), 9, axis=1), 9, axis=2)
     spacing = (1.0, 0.7, 0.7)
-    out = resample(Volume(data, spacing), target, mode="trilinear")
+    out = resample(Volume(data, spacing), target)
     want, constant = eight_corner_trilinear(data, spacing, target)
     assert constant.any() and not constant.all()
     np.testing.assert_array_equal(out.data[constant], want[constant])
@@ -350,15 +348,10 @@ def test_clip_normalize_bounds_and_monotone():
     rng = np.random.default_rng(9)
     a = rng.uniform(-3000, 3000, size=(4, 4, 4))
     b = a + rng.uniform(0, 500, size=a.shape)  # b >= a pointwise
-    wa = clip_normalize(make_volume(a), WindowSpec(level=-500, width=1200))
-    wb = clip_normalize(make_volume(b), WindowSpec(level=-500, width=1200))
+    wa = clip_normalize(make_volume(a))
+    wb = clip_normalize(make_volume(b))
     assert np.all(wa.data >= 0.0) and np.all(wa.data <= 1.0)
     assert np.all(wb.data >= wa.data)
-
-
-def test_window_spec_rejects_nonpositive_width():
-    with pytest.raises(InputError):
-        WindowSpec(level=0, width=0)
 
 
 # ---------------------------------------------------------------------------
@@ -442,51 +435,11 @@ def test_crop_box_rejects_empty_box():
         crop_box(v, (2, 2, 2), (0, 4, 4))
 
 
-# ---------------------------------------------------------------------------
-# Augmentation
-# ---------------------------------------------------------------------------
-
-def test_augment_deterministic():
-    rng = np.random.default_rng(0)
-    v = make_volume(rng.integers(-1000, 100, size=(4, 4, 4)).astype(np.int16))
-    a = apply_augment(v, sample_augment(123))
-    b = apply_augment(v, sample_augment(123))
-    np.testing.assert_array_equal(a.data, b.data)
-    assert sample_augment(99) == sample_augment(99)
-
-
-def test_flip_is_involution():
-    rng = np.random.default_rng(4)
-    v = make_volume(rng.standard_normal((3, 4, 5)))
-    for axis in (0, 1, 2):
-        np.testing.assert_array_equal(flip(flip(v, axis), axis).data, v.data)
-
-
-def test_augment_shift_within_bounds_and_uniform_flip_rates():
-    counts = {None: 0, 0: 0, 1: 0, 2: 0}
-    for seed in range(10_000):
-        plan = sample_augment(seed)
-        assert -20.0 <= plan.intensity_shift_hu <= 20.0
-        counts[plan.flip_axis] += 1
-    assert abs(counts[None] / 10_000 - 0.5) < 0.02
-    for axis in (0, 1, 2):
-        assert abs(counts[axis] / 10_000 - 1 / 6) < 0.02
-
-
-def test_apply_augment_matches_manual_composition():
-    rng = np.random.default_rng(17)
-    v = make_volume(rng.standard_normal((4, 4, 4)))
-    plan = sample_augment(5)
-    out = apply_augment(v, plan)
-    manual = v.data + plan.intensity_shift_hu
-    if plan.flip_axis is not None:
-        manual = np.flip(manual, axis=plan.flip_axis)
-    np.testing.assert_array_equal(out.data, manual)
-
-
-def test_augment_does_not_mutate_input():
-    data = np.zeros((2, 2, 2), dtype=np.float64)
-    v = Volume(data, (1, 1, 1))
-    before = v.data.copy()
-    apply_augment(v, sample_augment(1))
-    np.testing.assert_array_equal(v.data, before)
+def test_crop_box_keeps_dtype_and_rejects_a_pad_it_cannot_hold():
+    v = make_volume(np.arange(64, dtype=np.int16).reshape(4, 4, 4))
+    out = crop_box(v, center=(0, 0, 0), box=(4, 4, 4), pad_value=AIR_HU)
+    assert out.data.dtype == np.int16
+    assert out.data[0, 0, 0] == AIR_HU
+    np.testing.assert_array_equal(out.data[2:, 2:, 2:], v.data[:2, :2, :2])
+    with pytest.raises(InputError, match="pad value 0.5"):
+        crop_box(v, center=(0, 0, 0), box=(4, 4, 4), pad_value=0.5)
