@@ -18,7 +18,6 @@ from .errors import (
     GeometryError,
     HeaderError,
     InputError,
-    InternalError,
     LungSevError,
 )
 from .severity import DEFAULT_THRESHOLD_HU, SeverityReport, compute_report
@@ -31,7 +30,6 @@ __all__ = [
     "GeometryError",
     "HeaderError",
     "InputError",
-    "InternalError",
     "LungSevError",
     "DEFAULT_THRESHOLD_HU",
     "SeverityReport",

@@ -218,13 +218,21 @@ NET_FIELDS = {
 }
 
 
-def _load_samples(data_dir: str) -> list[Sample]:
+def _load_samples(data_dir: str, config: NetConfig) -> list[Sample]:
+    """Each case under data_dir; a case whose dims are not multiples of the
+    network's cumulative stride stops the read with an error naming it."""
     case_dirs = sorted(p for p in Path(data_dir).iterdir() if p.is_dir())
     if not case_dirs:
         raise InputError(f"no case directories in {data_dir}")
+    stride = config.cumulative_stride
     samples = []
     for case_dir in case_dirs:
         volume = read_volume(case_dir / "volume")
+        if any(d % s for d, s in zip(volume.dims, stride)):
+            raise InputError(
+                f"{case_dir / 'volume.json'}: dims {volume.dims} must be multiples "
+                f"of the network's cumulative stride {stride}"
+            )
         lobes = read_mask(case_dir / "lobes")
         abnorm = read_mask(case_dir / "abnorm", allowed_labels=(1,))
         samples.append(Sample(volume.data.astype(np.float64), abnorm.data > 0, lobes.data > 0))
@@ -246,7 +254,7 @@ def _train_run(doc: dict) -> dict:
 
 def cmd_train_toy(args: argparse.Namespace) -> int:
     run = read_json(args.config, _train_run)
-    samples = _load_samples(run["data_dir"])
+    samples = _load_samples(run["data_dir"], run["config"])
     result = train(run["config"], samples, run["epochs"], run["initial_lr"])
     save_checkpoint(result.params, run["out_checkpoint"])
     write_loss_csv(result.history, run["out_loss_csv"])
@@ -339,6 +347,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (InputError, OSError) as exc:  # a bad input file or an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a requested grid larger than memory
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 2
     except LungSevError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

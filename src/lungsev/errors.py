@@ -4,7 +4,8 @@ its fields by read_field, so the message reads "<file>: <field>: <problem>".
 
 The CLI maps these onto exit codes: anything derived from InputError is a
 usage or data problem (exit 2), as is an OSError from reading or writing a
-file; InternalError signals a broken invariant (exit 3).
+file; any other LungSevError, such as ConvergenceError, signals a broken
+invariant (exit 3).
 """
 
 import json
@@ -42,10 +43,6 @@ class DegenerateDataError(InputError):
 
 class ConvergenceError(LungSevError):
     """An iterative numerical routine failed to converge."""
-
-
-class InternalError(LungSevError):
-    """An internal invariant was violated; indicates a bug, not bad input."""
 
 
 # What a check raises; OverflowError is an int too large for a float.

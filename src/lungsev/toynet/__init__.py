@@ -6,7 +6,6 @@ from .tensor import (
     leaky_relu,
     mul,
     neg,
-    set_debug_finite,
     softmax_channels,
     sub,
     take_channel,
@@ -34,7 +33,6 @@ __all__ = [
     "leaky_relu",
     "mul",
     "neg",
-    "set_debug_finite",
     "softmax_channels",
     "sub",
     "take_channel",

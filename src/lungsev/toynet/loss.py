@@ -35,6 +35,6 @@ def jaccard_loss(p: Tensor, target, lung) -> Tensor:
     s_pp = tsum(mul(pm, pm))
     s_yy = float((y * m).sum())
 
-    num = add(s_py, SMOOTHING)
-    den = add(add(s_pp, neg(s_py)), s_yy + SMOOTHING)
-    return add(neg(div0(num, den)), 1.0)
+    num = add(s_py, Tensor(SMOOTHING))
+    den = add(add(s_pp, neg(s_py)), Tensor(s_yy + SMOOTHING))
+    return add(neg(div0(num, den)), Tensor(1.0))

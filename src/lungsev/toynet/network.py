@@ -88,19 +88,14 @@ def init_params(config: NetConfig) -> dict[str, Tensor]:
     rng = np.random.default_rng(config.seed)
     params: dict[str, Tensor] = {}
 
-    def conv_p(name, c_out, c_in, kernel):
-        fan_in = c_in * kernel[0] * kernel[1] * kernel[2]
-        bound = math.sqrt(1.0 / fan_in)
+    def conv_p(name, c_in, c_out, kernel, transpose=False):
+        """Weights uniform within sqrt(1/fan_in), fan_in = c_in * kernel volume,
+        laid out (C_out, C_in, ...) for a conv and (C_in, C_out, ...) for a
+        transpose conv; a zero bias over the output channels."""
+        bound = math.sqrt(1.0 / (c_in * math.prod(kernel)))
+        shape = (c_in, c_out, *kernel) if transpose else (c_out, c_in, *kernel)
         params[f"{name}.w"] = Tensor(
-            rng.uniform(-bound, bound, size=(c_out, c_in, *kernel)), requires_grad=True, name=f"{name}.w"
-        )
-        params[f"{name}.b"] = Tensor(np.zeros(c_out), requires_grad=True, name=f"{name}.b")
-
-    def tconv_p(name, c_in, c_out, kernel):
-        fan_in = c_in * kernel[0] * kernel[1] * kernel[2]
-        bound = math.sqrt(1.0 / fan_in)
-        params[f"{name}.w"] = Tensor(
-            rng.uniform(-bound, bound, size=(c_in, c_out, *kernel)), requires_grad=True, name=f"{name}.w"
+            rng.uniform(-bound, bound, size=shape), requires_grad=True, name=f"{name}.w"
         )
         params[f"{name}.b"] = Tensor(np.zeros(c_out), requires_grad=True, name=f"{name}.b")
 
@@ -109,7 +104,7 @@ def init_params(config: NetConfig) -> dict[str, Tensor]:
         params[f"{name}.beta"] = Tensor(np.zeros(c), requires_grad=True, name=f"{name}.beta")
 
     ch = config.encoder_channels()
-    conv_p("stem", ch[0], IN_CHANNELS, STEM_KERNEL)
+    conv_p("stem", IN_CHANNELS, ch[0], STEM_KERNEL)
     norm_p("stem.norm", ch[0])
 
     for k in range(1, config.num_dense_blocks + 1):
@@ -119,16 +114,16 @@ def init_params(config: NetConfig) -> dict[str, Tensor]:
         for j in range(1, config.layers_per_block + 1):
             c_in = ch[k - 1] + (j - 1) * config.growth_rate
             norm_p(f"enc{k}.layer{j}.norm", c_in)
-            conv_p(f"enc{k}.layer{j}", config.growth_rate, c_in, kernel)
+            conv_p(f"enc{k}.layer{j}", c_in, config.growth_rate, kernel)
 
     for k in range(config.num_dense_blocks, 0, -1):
         stride = config.downsample_strides[k - 1]
         kernel = config.block_kernel(k)
-        tconv_p(f"dec{k}.up", ch[k], ch[k - 1], stride)
+        conv_p(f"dec{k}.up", ch[k], ch[k - 1], stride, transpose=True)
         norm_p(f"dec{k}.norm", 2 * ch[k - 1])
-        conv_p(f"dec{k}", ch[k - 1], 2 * ch[k - 1], kernel)
+        conv_p(f"dec{k}", 2 * ch[k - 1], ch[k - 1], kernel)
 
-    conv_p("head", OUT_CHANNELS, ch[0], (1, 1, 1))
+    conv_p("head", ch[0], OUT_CHANNELS, (1, 1, 1))
     return params
 
 

@@ -93,7 +93,7 @@ def conv3d(x: Tensor, w: Tensor, bias: Tensor, stride=(1, 1, 1), padding="same")
     co, ci, kz, ky, kx = w.data.shape
     if x.data.shape[1] != ci:
         raise InputError(f"conv3d: input has {x.data.shape[1]} channels, weights expect {ci}")
-    if bias is not None and bias.data.shape != (co,):
+    if bias.data.shape != (co,):
         raise InputError(f"conv3d: bias shape {bias.data.shape} != ({co},)")
     stride = _as_triple("stride", stride)
     if any(s < 1 for s in stride):
@@ -105,21 +105,20 @@ def conv3d(x: Tensor, w: Tensor, bias: Tensor, stride=(1, 1, 1), padding="same")
     b = x.data.shape[0]
     out = cols @ w.data.reshape(co, -1).T
     out = out.transpose(0, 2, 1).reshape(b, co, *out_dims)
-    if bias is not None:
-        out = out + bias.data.reshape(1, co, 1, 1, 1)
+    out = out + bias.data.reshape(1, co, 1, 1, 1)
 
     def back(g):
         gn = g.transpose(0, 2, 3, 4, 1).reshape(b, -1, co)
         if w.requires_grad:
             _accum(w, np.einsum("bnc,bnk->ck", gn, cols).reshape(w.data.shape))
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3, 4)))
         if x.requires_grad:
             dcols = gn @ w.data.reshape(co, -1)
             dxp = _scatter_windows(dcols, xp_shape, out_dims, kernel, stride)
             _accum(x, _unpad(dxp, pad, x.data.shape[2:]))
 
-    return _result(out, (x, w, bias) if bias is not None else (x, w), back)
+    return _result(out, (x, w, bias), back)
 
 
 def transpose_conv3d(x: Tensor, w: Tensor, bias: Tensor, stride) -> Tensor:
@@ -132,7 +131,7 @@ def transpose_conv3d(x: Tensor, w: Tensor, bias: Tensor, stride) -> Tensor:
         raise InputError(
             f"transpose_conv3d: input has {x.data.shape[1]} channels, weights expect {cx}"
         )
-    if bias is not None and bias.data.shape != (co,):
+    if bias.data.shape != (co,):
         raise InputError(f"transpose_conv3d: bias shape {bias.data.shape} != ({co},)")
     stride = _as_triple("stride", stride)
     if any(s < 1 for s in stride):
@@ -144,8 +143,7 @@ def transpose_conv3d(x: Tensor, w: Tensor, bias: Tensor, stride) -> Tensor:
     xn = x.data.transpose(0, 2, 3, 4, 1).reshape(b, -1, cx)
     cols = xn @ w.data.reshape(cx, -1)
     out = _scatter_windows(cols, (b, co, *out_dims), (z, y, xdim), kernel, stride)
-    if bias is not None:
-        out = out + bias.data.reshape(1, co, 1, 1, 1)
+    out = out + bias.data.reshape(1, co, 1, 1, 1)
 
     def back(g):
         gwin = sliding_window_view(g, kernel, axis=(2, 3, 4))[
@@ -153,7 +151,7 @@ def transpose_conv3d(x: Tensor, w: Tensor, bias: Tensor, stride) -> Tensor:
         ]
         if w.requires_grad:
             _accum(w, np.tensordot(x.data, gwin, axes=([0, 2, 3, 4], [0, 2, 3, 4])))
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3, 4)))
         if x.requires_grad:
             gcols, _, _ = _conv_cols(g, kernel, stride, (0, 0, 0))
@@ -162,10 +160,10 @@ def transpose_conv3d(x: Tensor, w: Tensor, bias: Tensor, stride) -> Tensor:
                 (gcols @ w.data.reshape(cx, -1).T).transpose(0, 2, 1).reshape(x.data.shape),
             )
 
-    return _result(out, (x, w, bias) if bias is not None else (x, w), back)
+    return _result(out, (x, w, bias), back)
 
 
-def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = NORM_EPS) -> Tensor:
+def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-channel affine normalization using batch statistics over (B,Z,Y,X)."""
     if x.data.ndim != 5:
         raise InputError(f"channel_norm expects a 5-d tensor, got {x.data.shape}")
@@ -176,7 +174,7 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = NORM_EPS) 
     n = x.data.size / c
     mu = x.data.mean(axis=axes, keepdims=True)
     var = x.data.var(axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = (x.data - mu) * inv
     gview = gamma.data.reshape(1, c, 1, 1, 1)
     out = gview * xhat + beta.data.reshape(1, c, 1, 1, 1)

@@ -14,17 +14,9 @@ for volumetric data, but the core here is shape-agnostic.
 
 import numpy as np
 
-from ..errors import InputError, InternalError
-
-_DEBUG_FINITE = False
+from ..errors import InputError
 
 LEAKY_SLOPE = 0.01
-
-
-def set_debug_finite(enabled: bool) -> None:
-    """When enabled, every op output is checked for NaN/inf."""
-    global _DEBUG_FINITE
-    _DEBUG_FINITE = bool(enabled)
 
 
 class Tensor:
@@ -37,8 +29,6 @@ class Tensor:
         self.name = name
         self._parents = ()
         self._backward = None
-        if _DEBUG_FINITE and not np.all(np.isfinite(self.data)):
-            raise InternalError(f"non-finite values in tensor {name or '<unnamed>'}")
 
     @property
     def shape(self):
@@ -96,24 +86,12 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     t.grad += g
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
     if a.data.shape != b.data.shape:
         raise InputError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
 
 
-def add(a, b) -> Tensor:
-    if isinstance(b, (int, float)):
-        a = as_tensor(a)
-
-        def back(g):
-            _accum(a, g)
-
-        return _result(a.data + float(b), (a,), back)
-    a, b = as_tensor(a), as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
 
     def back(g):
@@ -123,31 +101,18 @@ def add(a, b) -> Tensor:
     return _result(a.data + b.data, (a, b), back)
 
 
-def sub(a, b) -> Tensor:
-    if isinstance(b, (int, float)):
-        return add(a, -float(b))
+def sub(a: Tensor, b: Tensor) -> Tensor:
     return add(a, neg(b))
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
+def neg(a: Tensor) -> Tensor:
     def back(g):
         _accum(a, -g)
 
     return _result(-a.data, (a,), back)
 
 
-def mul(a, b) -> Tensor:
-    if isinstance(b, (int, float)):
-        a = as_tensor(a)
-        s = float(b)
-
-        def back(g):
-            _accum(a, g * s)
-
-        return _result(a.data * s, (a,), back)
-    a, b = as_tensor(a), as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
 
     def back(g):
@@ -170,8 +135,6 @@ def div0(a: Tensor, b: Tensor) -> Tensor:
 
 
 def tsum(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-
     def back(g):
         _accum(a, np.full_like(a.data, float(g)))
 
@@ -179,7 +142,6 @@ def tsum(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     pos = a.data > 0
 
     def back(g):
@@ -189,7 +151,7 @@ def leaky_relu(a: Tensor) -> Tensor:
 
 
 def concat(tensors, axis: int = 1) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
+    tensors = list(tensors)  # a snapshot: dense blocks append to the list they pass
     if not tensors:
         raise InputError("concat needs at least one tensor")
     sizes = [t.data.shape[axis] for t in tensors]
@@ -206,7 +168,6 @@ def concat(tensors, axis: int = 1) -> Tensor:
 
 def take_channel(a: Tensor, channel: int) -> Tensor:
     """Select one channel of a (B, C, Z, Y, X) tensor, keeping the axis."""
-    a = as_tensor(a)
     if a.data.ndim != 5:
         raise InputError(f"take_channel expects 5-d tensor, got {a.data.shape}")
     c = int(channel)
@@ -223,7 +184,6 @@ def take_channel(a: Tensor, channel: int) -> Tensor:
 
 def softmax_channels(a: Tensor) -> Tensor:
     """Numerically stable softmax across axis 1."""
-    a = as_tensor(a)
     z = a.data - a.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     s = e / e.sum(axis=1, keepdims=True)

@@ -534,6 +534,19 @@ def test_train_toy_unreadable_config_exits_2(tmp_path):
     assert main(["train-toy", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+def test_train_toy_names_the_case_the_network_cannot_take(tmp_path, capsys):
+    data_dir = tmp_path / "cases"
+    write_phantom_case(data_dir, "case_000", seed=1, dims=(8, 16, 16))
+    write_phantom_case(data_dir, "case_001", seed=2, dims=(8, 18, 16))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(make_train_config(tmp_path, data_dir)))
+    assert main(["train-toy", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data_dir / 'case_001' / 'volume.json'}: dims (8, 18, 16)")
+    assert "cumulative stride (2, 4, 4)" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # dispatch and plumbing
 # ---------------------------------------------------------------------------
@@ -601,6 +614,23 @@ def test_unwritable_output_path_exits_2(command, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert str(target) in err
+    assert "Traceback" not in err
+
+
+# Both grids exceed the 128 TiB user address space, so the allocation fails at once.
+@pytest.mark.parametrize("command", ["preprocess", "phantom"])
+def test_grid_too_large_for_memory_exits_2(command, tmp_path, capsys):
+    if command == "preprocess":
+        case_dir, _ = write_phantom_case(tmp_path, "c0", seed=3)
+        argv = ["preprocess", "--volume", str(case_dir / "volume"), "--lobes",
+                str(case_dir / "lobes"), "--out", str(tmp_path / "pre"),
+                "--box", "100000,100000,100000"]
+    else:
+        argv = ["phantom", "--out", str(tmp_path / "big"), "--count", "1",
+                "--dims", "10000000,10000000,10000000"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: not enough memory: ")
     assert "Traceback" not in err
 
 

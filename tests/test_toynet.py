@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from lungsev.errors import HeaderError, InputError, InternalError
+from lungsev.errors import HeaderError, InputError
 from lungsev.toynet import (
     NetConfig,
     OptimizerState,
@@ -25,7 +25,6 @@ from lungsev.toynet import (
     net_forward,
     optimizer_step,
     save_checkpoint,
-    set_debug_finite,
     softmax_channels,
     take_channel,
     train,
@@ -208,15 +207,6 @@ def test_softmax_channels_properties_and_gradients():
     fd_check(lambda: proj_loss(softmax_channels(x), proj), [x])
 
 
-def test_debug_finite_hook():
-    set_debug_finite(True)
-    try:
-        with pytest.raises(InternalError):
-            Tensor(np.array([1.0, np.inf]))
-    finally:
-        set_debug_finite(False)
-
-
 # ---------------------------------------------------------------------------
 # Dense blocks and the full network
 # ---------------------------------------------------------------------------
@@ -314,6 +304,24 @@ def test_net_config_validation():
     with pytest.raises(InputError):
         NetConfig(num_dense_blocks=3)  # stride count mismatch
     assert NetConfig().cumulative_stride == (8, 32, 32)
+
+
+def test_init_params_scales_weights_by_fan_in():
+    params = init_params(NetConfig())
+    weights = [name for name in params if name.endswith(".w")]
+    assert len(weights) == 1 + 5 * 3 + 5 * 2 + 1  # stem, encoder, decoder, head
+    for name in weights:
+        shape = params[name].data.shape
+        # conv weights are (C_out, C_in, k...), transpose conv weights (C_in, C_out, k...)
+        c_in = shape[0] if name.startswith("dec") and name.endswith(".up.w") else shape[1]
+        bound = np.sqrt(1.0 / (c_in * np.prod(shape[2:])))
+        peak = np.abs(params[name].data).max()
+        assert 0.9 * bound < peak <= bound, name
+    for name, t in params.items():
+        if name.endswith((".b", ".beta")):
+            assert np.all(t.data == 0.0), name
+        elif name.endswith(".gamma"):
+            assert np.all(t.data == 1.0), name
 
 
 def test_end_to_end_loss_gradients():
