@@ -95,6 +95,12 @@ def _check_aligned(first, *others) -> None:
             )
 
 
+def _output(path):
+    """`path`, once the directory that holds it exists."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 # ---------------------------------------------------------------------------
 # quantify
 # ---------------------------------------------------------------------------
@@ -110,8 +116,7 @@ def cmd_quantify(args: argparse.Namespace) -> int:
 
     payload = report.to_json_dict()
     payload["wall_time_s"] = elapsed
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _output(Path(args.out))
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(
         f"{args.volume}: po={report.po:.4f} pho={report.pho:.4f} "
@@ -145,12 +150,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     positives = _read_id_list(args.positive_list) if args.positive_list else None
     summary = evaluate_reports(gt, pred, positives)
 
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _output(Path(args.out))
     out.write_text(json.dumps(summary.to_json_dict(), indent=2) + "\n")
     if args.scatter:
         rows = scatter_rows(summary, jitter_pct=args.jitter_pct, seed=args.seed)
-        write_scatter_csv(rows, args.scatter)
+        write_scatter_csv(rows, _output(args.scatter))
     print(f"evaluated {summary.n_cases} cases ({summary.n_positive} positive) -> {out}")
     return 0
 
@@ -193,7 +197,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     cropped = crop_box(v_res, center, args.box, pad_value=AIR_HU)
     normed = clip_normalize(cropped)
     out_volume = Volume(normed.data.astype(np.float32), normed.spacing_mm)
-    write_volume(out_volume, args.out)
+    write_volume(out_volume, _output(args.out))
     print(f"preprocessed {args.volume} -> {args.out} dims={out_volume.dims}")
     return 0
 
@@ -255,9 +259,10 @@ def _train_run(doc: dict) -> dict:
 def cmd_train_toy(args: argparse.Namespace) -> int:
     run = read_json(args.config, _train_run)
     samples = _load_samples(run["data_dir"], run["config"])
+    checkpoint, loss_csv = _output(run["out_checkpoint"]), _output(run["out_loss_csv"])
     result = train(run["config"], samples, run["epochs"], run["initial_lr"])
-    save_checkpoint(result.params, run["out_checkpoint"])
-    write_loss_csv(result.history, run["out_loss_csv"])
+    save_checkpoint(result.params, checkpoint)
+    write_loss_csv(result.history, loss_csv)
     print(
         f"trained {len(result.history)} iterations; best validation loss "
         f"{result.best_val_loss:.6f} at iteration {result.best_iteration}"

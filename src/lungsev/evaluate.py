@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -36,41 +36,32 @@ class MetricStats:
 
     Any statistic whose preconditions fail (constant series, empty
     contingency support, ...) is left as None with the reason recorded
-    in the matching *_undefined field.
+    in the matching *_undefined field. Fields are in summary JSON order.
     """
 
     metric: str
     pearson_r: float | None = None
     pearson_p: float | None = None
-    pearson_undefined: str | None = None
     kendall_tau: float | None = None
     kendall_p: float | None = None
-    kendall_undefined: str | None = None
     chi2: float | None = None
     chi2_dof: int | None = None
     chi2_p: float | None = None
+    pearson_undefined: str | None = None
+    kendall_undefined: str | None = None
     chi2_undefined: str | None = None
-    fit: RegressionFit | None = None
     fit_undefined: str | None = None
+    fit: RegressionFit | None = None
 
     def to_json_dict(self) -> dict:
-        names = ("pearson_r", "pearson_p", "kendall_tau", "kendall_p", "chi2", "chi2_dof", "chi2_p")
-        out: dict = {name: getattr(self, name) for name in names}
-        for key in ("pearson", "kendall", "chi2"):
-            reason = getattr(self, key + "_undefined")
-            if reason is not None:
-                out[key + "_undefined"] = reason
-        if self.metric in FIT_METRICS:
-            if self.fit is not None:
-                out["beta0"] = self.fit.beta0
-                out["beta0_ci"] = list(self.fit.beta0_ci)
-                out["beta1"] = self.fit.beta1
-                out["beta1_ci"] = list(self.fit.beta1_ci)
-                out["r2"] = self.fit.r2
-                out["mean_abs_error"] = self.fit.mean_error
-                out["rmse_about_fit"] = self.fit.rmse_about_fit
-            else:
-                out["fit_undefined"] = self.fit_undefined
+        out = {
+            key: value
+            for key, value in vars(self).items()
+            if key not in ("metric", "fit") and not (value is None and key.endswith("_undefined"))
+        }
+        if self.fit is not None:
+            for key, value in vars(self.fit).items():
+                out["mean_abs_error" if key == "mean_error" else key] = value
         return out
 
 
@@ -107,49 +98,37 @@ class EvaluationSummary:
         }
 
 
+def _attempt(fields: dict, key: str, compute) -> None:
+    """Add the (name, value) pairs compute() returns to fields or, when the
+    statistic is undefined for this cohort, the reason under key_undefined."""
+    try:
+        fields.update(compute())
+    except DegenerateDataError as exc:
+        fields[key + "_undefined"] = exc.reason
+
+
 def _metric_stats(
     metric: str,
     rows: Sequence[CaseRow],
     positive_rows: Sequence[CaseRow],
 ) -> MetricStats:
-    gt_all = [row.gt[metric] for row in rows]
-    pred_all = [row.pred[metric] for row in rows]
-    gt_pos = [row.gt[metric] for row in positive_rows]
-    pred_pos = [row.pred[metric] for row in positive_rows]
+    series = PairedSeries(
+        [row.gt[metric] for row in positive_rows], [row.pred[metric] for row in positive_rows]
+    )
+    edges = PERCENT_BIN_EDGES if metric in FIT_METRICS else SCORE_BIN_EDGES
+    gt_bins = bin_counts((row.gt[metric] for row in rows), edges)
+    pred_bins = bin_counts((row.pred[metric] for row in rows), edges)
 
     fields: dict = {"metric": metric}
-
-    try:
-        series = PairedSeries(gt_pos, pred_pos)
-        r, p = pearson(series)
-        fields["pearson_r"] = r
-        fields["pearson_p"] = p
-    except DegenerateDataError as exc:
-        fields["pearson_undefined"] = str(exc)
-
-    try:
-        series = PairedSeries(gt_pos, pred_pos)
-        tau, p = kendall_tau(series)
-        fields["kendall_tau"] = tau
-        fields["kendall_p"] = p
-    except DegenerateDataError as exc:
-        fields["kendall_undefined"] = str(exc)
-
-    edges = PERCENT_BIN_EDGES if metric in FIT_METRICS else SCORE_BIN_EDGES
-    try:
-        result = chi2_contingency(bin_counts(gt_all, edges), bin_counts(pred_all, edges))
-        fields["chi2"] = result.chi2
-        fields["chi2_dof"] = result.dof
-        fields["chi2_p"] = result.p_value
-    except DegenerateDataError as exc:
-        fields["chi2_undefined"] = str(exc)
-
+    _attempt(fields, "pearson", lambda: zip(("pearson_r", "pearson_p"), pearson(series)))
+    _attempt(fields, "kendall", lambda: zip(("kendall_tau", "kendall_p"), kendall_tau(series)))
+    _attempt(
+        fields,
+        "chi2",
+        lambda: zip(("chi2", "chi2_dof", "chi2_p"), astuple(chi2_contingency(gt_bins, pred_bins))),
+    )
     if metric in FIT_METRICS:
-        try:
-            fields["fit"] = linfit(PairedSeries(gt_pos, pred_pos))
-        except DegenerateDataError as exc:
-            fields["fit_undefined"] = str(exc)
-
+        _attempt(fields, "fit", lambda: {"fit": linfit(series)})
     return MetricStats(**fields)
 
 
@@ -222,21 +201,17 @@ def scatter_rows(summary: EvaluationSummary, jitter_pct: float = 0.2, seed: int 
     """
     if not np.isfinite(jitter_pct) or jitter_pct < 0:
         raise InputError(f"jitter_pct must be a nonnegative finite value, got {jitter_pct}")
-    rng = np.random.default_rng(seed)
-    rows: list[tuple] = []
-    for case in summary.cases:
-        for metric in METRICS:
-            gt = case.gt[metric]
-            pred = case.pred[metric]
-            gt_j = gt + float(rng.uniform(-jitter_pct, jitter_pct))
-            pred_j = pred + float(rng.uniform(-jitter_pct, jitter_pct))
-            rows.append((case.case_id, metric, gt, pred, gt_j, pred_j))
-    return rows
+    points = [(case, m) for case in summary.cases for m in METRICS]
+    # One (gt, pred) jitter pair per point, drawn in row order.
+    jitter = np.random.default_rng(seed).uniform(-jitter_pct, jitter_pct, size=(len(points), 2))
+    return [
+        (case.case_id, m, case.gt[m], case.pred[m], case.gt[m] + dg, case.pred[m] + dp)
+        for (case, m), (dg, dp) in zip(points, jitter.tolist())
+    ]
 
 
 def write_scatter_csv(rows: Iterable[tuple], path) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(SCATTER_HEADER)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)

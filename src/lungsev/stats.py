@@ -53,13 +53,12 @@ class RegressionFit:
     """OLS fit of gt on pred with intercept, 95% CIs, and error summaries."""
 
     beta0: float
-    beta1: float
     beta0_ci: tuple[float, float]
+    beta1: float
     beta1_ci: tuple[float, float]
     r2: float
     mean_error: float  # mean |gt - pred|
     rmse_about_fit: float  # sqrt(SSres / n)
-    n: int
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,6 @@ class ContingencyResult:
     chi2: float
     dof: int
     p_value: float
-    table: tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _exact_collinear_sign(x: tuple[float, ...], y: tuple[float, ...]) -> int:
@@ -216,15 +214,14 @@ def bin_counts(values, edges=PERCENT_BIN_EDGES) -> list[int]:
     edges = tuple(float(e) for e in edges)
     if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
         raise InputError(f"bin edges must be strictly increasing, got {edges}")
+    v = np.fromiter(values, dtype=np.float64)
+    outside = ~((v >= edges[0]) & (v <= edges[-1]))  # NaN compares false, so it is outside
+    if outside.any():
+        bad = float(v[outside.argmax()])
+        raise InputError(f"value {bad} outside bin range [{edges[0]}, {edges[-1]}]")
     k = len(edges) - 1
-    counts = [0] * k
-    for v in values:
-        v = float(v)
-        if not (edges[0] <= v <= edges[-1]):
-            raise InputError(f"value {v} outside bin range [{edges[0]}, {edges[-1]}]")
-        idx = int(np.searchsorted(edges, v, side="right")) - 1
-        counts[min(idx, k - 1)] += 1
-    return counts
+    idx = np.minimum(np.searchsorted(edges, v, side="right") - 1, k - 1)  # last bin is closed
+    return np.bincount(idx, minlength=k).tolist()
 
 
 def chi2_contingency(gt_counts, pred_counts) -> ContingencyResult:
@@ -255,7 +252,7 @@ def chi2_contingency(gt_counts, pred_counts) -> ContingencyResult:
             chi2 += diff * diff / expected
     dof = len(keep) - 1
     p = reg_inc_gamma_q(dof / 2.0, chi2 / 2.0)
-    return ContingencyResult(chi2=chi2, dof=dof, p_value=p, table=(tuple(gt), tuple(pred)))
+    return ContingencyResult(chi2=chi2, dof=dof, p_value=p)
 
 
 def linfit(s: PairedSeries) -> RegressionFit:
@@ -291,11 +288,10 @@ def linfit(s: PairedSeries) -> RegressionFit:
     tq = student_t_ppf_upper(0.025, n - 2)
     return RegressionFit(
         beta0=beta0,
-        beta1=beta1,
         beta0_ci=(beta0 - tq * se_beta0, beta0 + tq * se_beta0),
+        beta1=beta1,
         beta1_ci=(beta1 - tq * se_beta1, beta1 + tq * se_beta1),
         r2=r2,
         mean_error=float(np.mean(np.abs(y - x))),
         rmse_about_fit=math.sqrt(ssres / n),
-        n=n,
     )

@@ -617,6 +617,34 @@ def test_unwritable_output_path_exits_2(command, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["preprocess", "evaluate_scatter", "train_toy"])
+def test_output_parent_directories_are_created(command, tmp_path):
+    new_dir = tmp_path / "new" / "dir"
+    if command == "preprocess":
+        case_dir, _ = write_phantom_case(tmp_path, "c0", seed=3)
+        argv = ["preprocess", "--volume", str(case_dir / "volume"), "--lobes",
+                str(case_dir / "lobes"), "--out", str(new_dir / "case_000"), "--box", "4,8,8"]
+        outputs = [new_dir / "case_000.json", new_dir / "case_000.raw"]
+    elif command == "evaluate_scatter":
+        gt_dir, pred_dir = build_report_dirs(tmp_path, n_cases=3)
+        argv = ["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir),
+                "--out", str(tmp_path / "s.json"), "--scatter", str(new_dir / "s.csv")]
+        outputs = [new_dir / "s.csv"]
+    else:
+        data_dir = tmp_path / "cases"
+        assert main(["phantom", "--count", "10", "--dims", "8,16,16", "--out", str(data_dir)]) == 0
+        config = make_train_config(tmp_path, data_dir)
+        config["out_checkpoint"] = str(new_dir / "ckpt")
+        config["out_loss_csv"] = str(tmp_path / "other" / "loss.csv")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        argv = ["train-toy", "--config", str(config_path)]
+        outputs = [new_dir / "ckpt.json", new_dir / "ckpt.raw", tmp_path / "other" / "loss.csv"]
+    assert main(argv) == 0
+    for path in outputs:
+        assert path.is_file()
+
+
 # Both grids exceed the 128 TiB user address space, so the allocation fails at once.
 @pytest.mark.parametrize("command", ["preprocess", "phantom"])
 def test_grid_too_large_for_memory_exits_2(command, tmp_path, capsys):

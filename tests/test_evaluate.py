@@ -240,6 +240,19 @@ def test_scatter_rows_jitter_is_bounded_and_display_only():
     assert summary2.metrics["po"] == summary.metrics["po"]
 
 
+def test_scatter_rows_draw_jitter_per_row_gt_first():
+    gt, pred = random_cohort(25, 9)
+    summary = evaluate_reports(gt, pred)
+    rng = np.random.default_rng(5)
+    expected = []
+    for case in summary.cases:
+        for metric in METRICS:
+            gt_j = case.gt[metric] + float(rng.uniform(-0.3, 0.3))
+            pred_j = case.pred[metric] + float(rng.uniform(-0.3, 0.3))
+            expected.append((case.case_id, metric, case.gt[metric], case.pred[metric], gt_j, pred_j))
+    assert scatter_rows(summary, jitter_pct=0.3, seed=5) == expected
+
+
 def test_scatter_csv_round_trip(tmp_path):
     gt, pred = random_cohort(23, 5)
     summary = evaluate_reports(gt, pred)
@@ -294,3 +307,52 @@ def test_summary_json_structure():
     assert first["case_id"] == sorted(gt)[0]
     assert {"po_gt", "po_pred", "lhos_gt", "lhos_pred"} <= set(first)
     assert isinstance(summary, EvaluationSummary)
+
+
+STATISTIC_KEYS = ["pearson_r", "pearson_p", "kendall_tau", "kendall_p", "chi2", "chi2_dof", "chi2_p"]
+FIT_KEYS = ["beta0", "beta0_ci", "beta1", "beta1_ci", "r2", "mean_abs_error", "rmse_about_fit"]
+
+
+def _all_zero_cohort():
+    gt = {f"c{i}": make_report(0.0, 0.0, 0, 0) for i in range(6)}
+    return gt, dict(gt)
+
+
+def _constant_prediction_cohort():
+    gt, _ = random_cohort(3, 10)
+    return gt, {cid: make_report(5.0, 1.0, 4, 2) for cid in gt}
+
+
+@pytest.mark.parametrize(
+    "cohort, expected",
+    [
+        (
+            lambda: random_cohort(31, 8),
+            {m: STATISTIC_KEYS + (FIT_KEYS if m in ("po", "pho") else []) for m in METRICS},
+        ),
+        (
+            _all_zero_cohort,
+            {
+                m: STATISTIC_KEYS
+                + ["pearson_undefined", "kendall_undefined", "chi2_undefined"]
+                + (["fit_undefined"] if m in ("po", "pho") else [])
+                for m in METRICS
+            },
+        ),
+        (
+            _constant_prediction_cohort,
+            {
+                m: STATISTIC_KEYS
+                + ["pearson_undefined", "kendall_undefined"]
+                + (["fit_undefined"] if m in ("po", "pho") else [])
+                for m in METRICS
+            },
+        ),
+    ],
+    ids=["all_defined", "all_zero", "constant_prediction"],
+)
+def test_summary_metric_keys_keep_their_order(cohort, expected):
+    # statistics first, then the reasons for undefined ones, then the fit panel
+    gt, pred = cohort()
+    metrics = evaluate_reports(gt, pred).to_json_dict()["metrics"]
+    assert {m: list(metrics[m]) for m in METRICS} == expected

@@ -272,6 +272,23 @@ def test_bin_counts_out_of_range_raises():
         bin_counts([101.0])
     with pytest.raises(InputError):
         bin_counts([-0.5])
+    with pytest.raises(InputError, match="value -1.0 outside"):
+        bin_counts([3.0, -1.0, 101.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bin_counts_non_finite_raises_naming_the_value(bad):
+    with pytest.raises(InputError, match=f"value {bad} outside"):
+        bin_counts([3.0, bad, 50.0, 200.0])
+
+
+def test_bin_counts_accepts_any_iterable():
+    values = [0.0, 0.5, 1.0, 24.9, 25.0, 99.0, 100.0]
+    expected = [2, 2, 1, 0, 2]
+    assert bin_counts(values) == expected
+    assert bin_counts(tuple(values)) == expected
+    assert bin_counts(v for v in values) == expected
+    assert bin_counts(np.array(values)) == expected
 
 
 # ---------------------------------------------------------------------------
