@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from . import phantom as phantom_mod
-from .errors import GeometryError, InputError, LungSevError
-from .errors import at_least, entries, exactly, finite, read_field, read_json
+from .errors import InputError, LungSevError
+from .errors import at_least, entries, exactly, only_fields, positive, read_field, read_json
 from .evaluate import evaluate_reports, scatter_rows, write_scatter_csv
 from .severity import DEFAULT_THRESHOLD_HU, SeverityReport, compute_report
 from .toynet import NetConfig, save_checkpoint, train, write_loss_csv
@@ -25,6 +25,7 @@ from .toynet.train import Sample
 from .volume import (
     AIR_HU,
     Volume,
+    check_same_geometry,
     clip_normalize,
     crop_box,
     lung_center,
@@ -83,18 +84,6 @@ def _seed_arg(text: str) -> int:
     return seed
 
 
-def _check_aligned(first, *others) -> None:
-    """Raise GeometryError, naming both files, unless every (path, grid) pair
-    in `others` has the dims and spacing of the `first` pair."""
-    first_path, a = first
-    for path, b in others:
-        if a.dims != b.dims or a.spacing_mm != b.spacing_mm:
-            raise GeometryError(
-                f"geometry mismatch: {first_path}: dims {a.dims} spacing {a.spacing_mm} "
-                f"vs {path}: dims {b.dims} spacing {b.spacing_mm}"
-            )
-
-
 def _output(path):
     """`path`, once the directory that holds it exists."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
@@ -110,7 +99,7 @@ def cmd_quantify(args: argparse.Namespace) -> int:
     volume = read_volume(args.volume)
     lobes = read_mask(args.lobes)
     abnorm = read_mask(args.abnorm, allowed_labels=(1,))
-    _check_aligned((args.volume, volume), (args.lobes, lobes), (args.abnorm, abnorm))
+    check_same_geometry((args.volume, volume), (args.lobes, lobes), (args.abnorm, abnorm))
     report = compute_report(volume, lobes, abnorm, threshold=args.threshold_hu)
     elapsed = time.perf_counter() - t0
 
@@ -190,7 +179,7 @@ def cmd_phantom(args: argparse.Namespace) -> int:
 def cmd_preprocess(args: argparse.Namespace) -> int:
     volume = read_volume(args.volume)
     lobes = read_mask(args.lobes)
-    _check_aligned((args.volume, volume), (args.lobes, lobes))
+    check_same_geometry((args.volume, volume), (args.lobes, lobes))
     v_res = resample(volume, RESAMPLE_SPACING_MM)
     m_res = resample_mask(lobes, RESAMPLE_SPACING_MM)
     center = lung_center(m_res)
@@ -223,8 +212,9 @@ NET_FIELDS = {
 
 
 def _load_samples(data_dir: str, config: NetConfig) -> list[Sample]:
-    """Each case under data_dir; a case whose dims are not multiples of the
-    network's cumulative stride stops the read with an error naming it."""
+    """Each case under data_dir; a case whose three grids differ in dims or
+    spacing, or whose dims are not multiples of the network's cumulative
+    stride, stops the read with an error naming it."""
     case_dirs = sorted(p for p in Path(data_dir).iterdir() if p.is_dir())
     if not case_dirs:
         raise InputError(f"no case directories in {data_dir}")
@@ -239,6 +229,8 @@ def _load_samples(data_dir: str, config: NetConfig) -> list[Sample]:
             )
         lobes = read_mask(case_dir / "lobes")
         abnorm = read_mask(case_dir / "abnorm", allowed_labels=(1,))
+        check_same_geometry(
+            (case_dir / "volume", volume), (case_dir / "lobes", lobes), (case_dir / "abnorm", abnorm))
         samples.append(Sample(volume.data.astype(np.float64), abnorm.data > 0, lobes.data > 0))
     return samples
 
@@ -248,10 +240,11 @@ def _train_run(doc: dict) -> dict:
     missing = [field for field in REQUIRED_TRAIN_FIELDS if field not in doc]
     if missing:
         raise InputError("missing field(s): " + ", ".join(missing))
+    only_fields(doc, {*REQUIRED_TRAIN_FIELDS, *NET_FIELDS, "initial_lr"})
     return {
         "config": NetConfig(**{f: read_field(doc, f, c) for f, c in NET_FIELDS.items() if f in doc}),
         "epochs": read_field(doc, "epochs", _positive),
-        "initial_lr": read_field(doc, "initial_lr", finite) if "initial_lr" in doc else 0.001,
+        "initial_lr": read_field(doc, "initial_lr", positive) if "initial_lr" in doc else 0.001,
         **{f: read_field(doc, f, exactly(str)) for f in ("data_dir", "out_checkpoint", "out_loss_csv")},
     }
 

@@ -71,6 +71,14 @@ def read_json(path, build, error: type = InputError):
         raise _named(exc, path, error) from exc
 
 
+def only_fields(doc, fields) -> None:
+    """Raise InputError naming each key of `doc` outside `fields`, so that a
+    misspelt optional field is not silently left at its default."""
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise InputError("unknown field(s): " + ", ".join(unknown))
+
+
 def read_field(doc, key: str, check):
     """check(doc[key]), where a missing key or a value that check rejects
     raises InputError naming the key."""
@@ -111,6 +119,13 @@ def finite(value) -> float:
     if (type(value) is float or type(value) is int) and math.isfinite(value):
         return float(value)
     raise ValueError(f"expected a finite number, got {value!r}")
+
+
+def positive(value) -> float:
+    """Pass a finite JSON number > 0, as a float."""
+    if finite(value) > 0:
+        return float(value)
+    raise ValueError(f"expected a number > 0, got {value!r}")
 
 
 def one_of(*options: str):

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, entries, exactly, finite, integer, read_field
+from .errors import InputError, entries, exactly, finite, integer, only_fields, read_field
 from .severity import LobeRecord, SeverityReport
 from .volume import LabelMask, Volume, write_volume
 
@@ -151,6 +151,7 @@ class PhantomSpec:
     @staticmethod
     def from_json_dict(d: dict) -> "PhantomSpec":
         """The spec that to_json_dict wrote; fields after `lungs` are optional."""
+        only_fields(d, {"dims", "spacing_mm", "lungs", *_OPTIONAL_FIELDS})
         optional = {f: read_field(d, f, check) for f, check in _OPTIONAL_FIELDS.items() if f in d}
         return PhantomSpec(
             dims=read_field(d, "dims", entries(integer, 3)),
@@ -328,34 +329,12 @@ def generate(spec: PhantomSpec) -> PhantomCase:
     return PhantomCase(volume=volume, lobes=lobes_mask, abnorm_gt=abnorm_mask, oracle=oracle)
 
 
-def _shift_any(mask: np.ndarray) -> np.ndarray:
-    """True where any 6-connected neighbor is set; out of bounds counts unset."""
-    out = np.zeros_like(mask)
-    out[1:, :, :] |= mask[:-1, :, :]
-    out[:-1, :, :] |= mask[1:, :, :]
-    out[:, 1:, :] |= mask[:, :-1, :]
-    out[:, :-1, :] |= mask[:, 1:, :]
-    out[:, :, 1:] |= mask[:, :, :-1]
-    out[:, :, :-1] |= mask[:, :, 1:]
-    return out
-
-
-def _shift_all(mask: np.ndarray) -> np.ndarray:
-    """True where all 6-connected neighbors are set; out of bounds counts unset."""
-    out = np.zeros_like(mask)
-    out[1:, :, :] = mask[:-1, :, :]
-    out[:-1, :, :] &= mask[1:, :, :]
-    out[:, 1:, :] &= mask[:, :-1, :]
-    out[:, :-1, :] &= mask[:, 1:, :]
-    out[:, :, 1:] &= mask[:, :, :-1]
-    out[:, :, :-1] &= mask[:, :, 1:]
-    out[0, :, :] = False
-    out[-1, :, :] = False
-    out[:, 0, :] = False
-    out[:, -1, :] = False
-    out[:, :, 0] = False
-    out[:, :, -1] = False
-    return out
+def _neighbours(mask: np.ndarray) -> list[np.ndarray]:
+    """The six 6-connected neighbours of every voxel, as shifted views of the
+    mask padded with one unset voxel per side: out of bounds counts unset."""
+    p = np.pad(mask, 1)
+    z, y, x = (slice(1, n + 1) for n in mask.shape)
+    return [p[:-2, y, x], p[2:, y, x], p[z, :-2, x], p[z, 2:, x], p[z, y, :-2], p[z, y, 2:]]
 
 
 def make_noisy_prediction(
@@ -372,11 +351,11 @@ def make_noisy_prediction(
     mask = case.abnorm_gt.data > 0
     rng = np.random.default_rng(seed)
     for _ in range(erode_vox):
-        boundary = mask & ~_shift_all(mask)
+        boundary = mask & ~np.logical_and.reduce(_neighbours(mask))
         flips = rng.random(mask.shape) < FLIP_PROB
         mask = mask & ~(boundary & flips)
     for _ in range(dilate_vox):
-        candidates = ~mask & _shift_any(mask)
+        candidates = ~mask & np.logical_or.reduce(_neighbours(mask))
         flips = rng.random(mask.shape) < FLIP_PROB
         mask = mask | (candidates & flips)
     return LabelMask(mask.astype(np.uint8), case.abnorm_gt.spacing_mm, allowed_labels=(1,))

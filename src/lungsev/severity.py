@@ -136,9 +136,8 @@ def compute_report(
     threshold: float = DEFAULT_THRESHOLD_HU,
 ) -> SeverityReport:
     """Full severity breakdown: global PO/PHO plus per-lobe scores and sums."""
-    check_same_geometry(v, lobes)
+    check_same_geometry(("volume", v), ("lobes", lobes), ("abnorm", abnorm))
     _check_raw_hu(v)
-    check_same_geometry(lobes, abnorm)
     lung_count = int(np.count_nonzero(lobes.data > 0))
     if lung_count == 0:
         raise EmptyMaskError("lung mask is empty")

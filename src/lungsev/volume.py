@@ -44,23 +44,13 @@ def _round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else int(math.ceil(x - 0.5))
 
 
-def _validate_grid(data: np.ndarray, spacing_mm: tuple[float, float, float]) -> None:
-    if data.ndim != 3:
-        raise InputError(f"grid data must be 3D (z,y,x), got ndim={data.ndim}")
-    if any(d < 1 for d in data.shape):
-        raise InputError(f"grid dims must all be >= 1, got {data.shape}")
-    if len(spacing_mm) != 3:
-        raise InputError(f"spacing_mm must have 3 components, got {spacing_mm}")
-    for s in spacing_mm:
-        if not (math.isfinite(s) and s > 0):
-            raise InputError(f"spacing_mm components must be positive and finite, got {spacing_mm}")
-
-
 @dataclass(frozen=True)
 class Volume:
     """A 3D scalar grid (z-y-x order) with physical voxel spacing in mm.
 
-    The data array is frozen at construction; operations return new volumes.
+    Every grid is built here: the data must be 3D with every dim >= 1 and
+    the spacing three finite positive numbers. The data array is frozen at
+    construction; operations return new grids.
     """
 
     data: np.ndarray
@@ -69,7 +59,15 @@ class Volume:
     def __post_init__(self):
         data = np.asarray(self.data)
         spacing = tuple(float(s) for s in self.spacing_mm)
-        _validate_grid(data, spacing)
+        if data.ndim != 3:
+            raise InputError(f"grid data must be 3D (z,y,x), got ndim={data.ndim}")
+        if any(d < 1 for d in data.shape):
+            raise InputError(f"grid dims must all be >= 1, got {data.shape}")
+        if len(spacing) != 3:
+            raise InputError(f"spacing_mm must have 3 components, got {spacing}")
+        for s in spacing:
+            if not (math.isfinite(s) and s > 0):
+                raise InputError(f"spacing_mm components must be positive and finite, got {spacing}")
         data = data.view()
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
@@ -80,10 +78,15 @@ class Volume:
         """(Z, Y, X) voxel counts."""
         return self.data.shape
 
+    @property
+    def voxel_volume_mm3(self) -> float:
+        sz, sy, sx = self.spacing_mm
+        return sz * sy * sx
+
 
 @dataclass(frozen=True)
-class LabelMask:
-    """Integer label grid aligned with a Volume.
+class LabelMask(Volume):
+    """A Volume whose voxels are integer labels.
 
     Label semantics: 0 = background; for lobe masks 1..5 are the five lung
     lobes (three right, two left); for abnormality masks 1 = abnormal.
@@ -94,14 +97,11 @@ class LabelMask:
     fails or the allowed set has gaps, to name the offending labels.
     """
 
-    data: np.ndarray
-    spacing_mm: tuple[float, float, float]
     allowed_labels: tuple[int, ...] = field(default=LOBE_LABELS)
 
     def __post_init__(self):
-        data = np.asarray(self.data)
-        spacing = tuple(float(s) for s in self.spacing_mm)
-        _validate_grid(data, spacing)
+        super().__post_init__()
+        data = self.data
         if not np.issubdtype(data.dtype, np.integer):
             raise InputError(f"mask dtype must be integer, got {data.dtype}")
         allowed = tuple(sorted({0, *map(int, self.allowed_labels)}))
@@ -110,29 +110,19 @@ class LabelMask:
             bad = set(np.unique(data).tolist()) - set(allowed)
             if bad:
                 raise InputError(f"mask contains labels {sorted(bad)} outside allowed set {allowed}")
-        data = data.view()
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "spacing_mm", spacing)
         object.__setattr__(self, "allowed_labels", allowed)
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
 
-    @property
-    def voxel_volume_mm3(self) -> float:
-        sz, sy, sx = self.spacing_mm
-        return sz * sy * sx
-
-
-def check_same_geometry(a: Volume | LabelMask, b: Volume | LabelMask) -> None:
-    """Raise GeometryError unless dims and spacing match exactly."""
-    if a.dims != b.dims or a.spacing_mm != b.spacing_mm:
-        raise GeometryError(
-            f"geometry mismatch: dims {a.dims} spacing {a.spacing_mm} "
-            f"vs dims {b.dims} spacing {b.spacing_mm}"
-        )
+def check_same_geometry(first: tuple[str, Volume], *others: tuple[str, Volume]) -> None:
+    """Raise GeometryError, naming both grids, unless every (name, grid) pair
+    in `others` has the dims and spacing of the `first` pair."""
+    first_name, a = first
+    for name, b in others:
+        if a.dims != b.dims or a.spacing_mm != b.spacing_mm:
+            raise GeometryError(
+                f"geometry mismatch: {first_name}: dims {a.dims} spacing {a.spacing_mm} "
+                f"vs {name}: dims {b.dims} spacing {b.spacing_mm}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +140,7 @@ def _paths_for(path: str | Path) -> tuple[Path, Path]:
     return p.with_name(p.name + ".json"), p.with_name(p.name + ".raw")
 
 
-def write_volume(v: Volume | LabelMask, path: str | Path) -> None:
+def write_volume(v: Volume, path: str | Path) -> None:
     """Write the header/payload file pair for a grid.
 
     The array dtype must be one of int16, float32, uint8; callers convert
@@ -204,7 +194,7 @@ def read_mask(path: str | Path, allowed_labels: tuple[int, ...] = LOBE_LABELS) -
 # Resampling
 # ---------------------------------------------------------------------------
 
-def _source_coords(grid: Volume | LabelMask, target_spacing) -> tuple[tuple, list[np.ndarray]]:
+def _source_coords(grid: Volume, target_spacing) -> tuple[tuple, list[np.ndarray]]:
     """The checked target spacing, and per axis the source index of each
     output voxel center, clamped to the source domain (clamp-to-edge).
 

@@ -547,6 +547,54 @@ def test_train_toy_names_the_case_the_network_cannot_take(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("mismatch", ["dims", "spacing"])
+def test_train_toy_names_the_case_whose_grids_disagree(mismatch, tmp_path, capsys):
+    data_dir = tmp_path / "cases"
+    write_phantom_case(data_dir, "case_000", seed=1, dims=(8, 16, 16))
+    case_dir, _ = write_phantom_case(data_dir, "case_001", seed=2, dims=(8, 16, 16))
+    if mismatch == "dims":
+        other_dir, _ = write_phantom_case(tmp_path, "other", seed=3, dims=(16, 16, 16))
+        for suffix in (".json", ".raw"):
+            shutil.copy(other_dir / f"lobes{suffix}", case_dir / f"lobes{suffix}")
+        lobes = "dims (16, 16, 16) spacing (1.5, 1.0, 1.0)"
+    else:
+        _set_header_field("spacing_mm", [1.5, 1.0, 7.0])(case_dir, "lobes")
+        lobes = "dims (8, 16, 16) spacing (1.5, 1.0, 7.0)"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(make_train_config(tmp_path, data_dir)))
+    assert main(["train-toy", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: geometry mismatch: {case_dir / 'volume'}: dims (8, 16, 16) spacing (1.5, 1.0, 1.0) "
+                   f"vs {case_dir / 'lobes'}: {lobes}\n")
+    assert not (tmp_path / "loss.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("stem_chanels", 2, "unknown field(s): stem_chanels"),
+     ("initial_lr", -5.0, "initial_lr: expected a number > 0, got -5.0"),
+     ("initial_lr", 0, "initial_lr: expected a number > 0, got 0")],
+    ids=["unknown_field", "negative_lr", "zero_lr"],
+)
+def test_train_toy_rejects_a_field_it_would_misread(field, value, message, tmp_path, capsys):
+    config = make_train_config(tmp_path, tmp_path)
+    config[field] = value
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["train-toy", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == f"error: {config_path}: {message}\n"
+
+
+def test_phantom_spec_with_an_unknown_field_exits_2(tmp_path, capsys):
+    payload = phantom.random_spec(3, dims=(10, 16, 16), n_lesions=1).to_json_dict()
+    payload["noise_sigma"] = 40  # meant noise_sigma_hu
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(payload))
+    assert main(["phantom", "--count", "1", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {spec_path}: unknown field(s): noise_sigma\n"
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # dispatch and plumbing
 # ---------------------------------------------------------------------------

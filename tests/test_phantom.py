@@ -10,6 +10,7 @@ from lungsev.phantom import (
     Ellipsoid,
     Lesion,
     PhantomSpec,
+    _neighbours,
     generate,
     make_noisy_prediction,
     oracle_report,
@@ -286,6 +287,24 @@ def test_dilated_po_matches_independent_recount():
         po_module = compute_report(case.volume, case.lobes, pred).po
         po_oracle = oracle_report(case.volume, case.lobes, pred).po
         assert po_module == po_oracle
+
+
+@pytest.mark.parametrize("shape", [(4, 5, 6), (1, 5, 6), (4, 1, 6), (4, 5, 1), (1, 1, 4), (1, 1, 1)])
+@pytest.mark.parametrize("density", [0.6, 1.0])
+def test_neighbours_match_a_voxel_loop(shape, density):
+    mask = np.random.default_rng(sum(shape)).random(shape) < density
+    steps = [(-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1)]
+    want_any = np.zeros(shape, dtype=bool)
+    want_all = np.zeros(shape, dtype=bool)
+    for voxel in np.ndindex(shape):
+        neighbours = [tuple(v + d for v, d in zip(voxel, step)) for step in steps]
+        # out of bounds counts as unset
+        values = [all(0 <= n < size for n, size in zip(nb, shape)) and bool(mask[nb]) for nb in neighbours]
+        want_any[voxel] = any(values)
+        want_all[voxel] = all(values)
+    views = _neighbours(mask)
+    np.testing.assert_array_equal(np.logical_or.reduce(views), want_any)
+    np.testing.assert_array_equal(np.logical_and.reduce(views), want_all)
 
 
 def test_prediction_rejects_negative_counts():

@@ -130,6 +130,17 @@ def test_po_geometry_mismatch_raises():
         po_of(lobes_mask(np.ones((3, 3, 3))), abn_mask(np.zeros((3, 3, 4))))
 
 
+@pytest.mark.parametrize("role", ["lobes", "abnorm"])
+def test_geometry_mismatch_names_the_grids_by_role(role):
+    grids = {"lobes": lobes_mask(np.ones((3, 3, 3))), "abnorm": abn_mask(np.zeros((3, 3, 3)))}
+    grids[role] = LabelMask(grids[role].data, (1.0, 1.0, 2.0), grids[role].allowed_labels)
+    hu = Volume(np.full((3, 3, 3), -800.0), SPACING)
+    with pytest.raises(GeometryError) as exc:
+        compute_report(hu, grids["lobes"], grids["abnorm"])
+    assert str(exc.value).startswith("geometry mismatch: volume: dims (3, 3, 3) spacing (1.0, 1.0, 1.0) vs ")
+    assert str(exc.value).endswith(f" vs {role}: dims (3, 3, 3) spacing (1.0, 1.0, 2.0)")
+
+
 # ---------------------------------------------------------------------------
 # PHO
 # ---------------------------------------------------------------------------

@@ -32,21 +32,32 @@ def make_volume(data, spacing=(1.0, 1.0, 1.0)):
 # Construction and invariants
 # ---------------------------------------------------------------------------
 
-def test_volume_rejects_bad_geometry():
-    with pytest.raises(InputError):
-        Volume(np.zeros((2, 2)), (1, 1, 1))
-    with pytest.raises(InputError):
-        Volume(np.zeros((2, 2, 2)), (1, 0, 1))
-    with pytest.raises(InputError):
-        Volume(np.zeros((2, 2, 2)), (1, -3, 1))
-    with pytest.raises(InputError):
-        Volume(np.zeros((2, 2, 2)), (1, float("nan"), 1))
+# Every grid goes through Volume's constructor; a lobe mask is a Volume with labels.
+GRID_KINDS = pytest.mark.parametrize("kind, dtype", [(Volume, np.float64), (LabelMask, np.uint8)],
+                                     ids=["Volume", "LabelMask"])
 
 
-def test_volume_data_is_frozen():
-    v = make_volume(np.zeros((2, 2, 2)))
+@GRID_KINDS
+def test_volume_rejects_bad_geometry(kind, dtype):
+    with pytest.raises(InputError, match="grid data must be 3D"):
+        kind(np.zeros((2, 2), dtype), (1, 1, 1))
+    with pytest.raises(InputError, match="grid dims must all be >= 1"):
+        kind(np.zeros((2, 0, 2), dtype), (1, 1, 1))
+    with pytest.raises(InputError, match="spacing_mm must have 3 components"):
+        kind(np.zeros((2, 2, 2), dtype), (1, 1))
+    with pytest.raises(InputError):
+        kind(np.zeros((2, 2, 2), dtype), (1, 0, 1))
+    with pytest.raises(InputError):
+        kind(np.zeros((2, 2, 2), dtype), (1, -3, 1))
+    with pytest.raises(InputError, match="positive and finite"):
+        kind(np.zeros((2, 2, 2), dtype), (1, float("nan"), 1))
+
+
+@GRID_KINDS
+def test_volume_data_is_frozen(kind, dtype):
+    v = kind(np.zeros((2, 2, 2), dtype), (1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
-        v.data[0, 0, 0] = 1.0
+        v.data[0, 0, 0] = 1
 
 
 def test_mask_rejects_labels_outside_declared_set():
@@ -99,11 +110,15 @@ def test_geometry_check():
     a = make_volume(np.zeros((2, 2, 2)))
     b = make_volume(np.zeros((2, 2, 3)))
     c = make_volume(np.zeros((2, 2, 2)), spacing=(1, 1, 2))
-    check_same_geometry(a, a)
-    with pytest.raises(GeometryError):
-        check_same_geometry(a, b)
-    with pytest.raises(GeometryError):
-        check_same_geometry(a, c)
+    check_same_geometry(("a", a), ("a again", a))
+    with pytest.raises(GeometryError) as exc:
+        check_same_geometry(("a", a), ("b", b))
+    assert str(exc.value) == (
+        "geometry mismatch: a: dims (2, 2, 2) spacing (1.0, 1.0, 1.0) vs b: dims (2, 2, 3) spacing (1.0, 1.0, 1.0)")
+    with pytest.raises(GeometryError) as exc:
+        check_same_geometry(("a", a), ("a again", a), ("c", c))
+    assert str(exc.value).startswith("geometry mismatch: a: dims ")
+    assert " vs c: dims (2, 2, 2) spacing (1.0, 1.0, 2.0)" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
