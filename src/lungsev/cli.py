@@ -16,11 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from . import phantom as phantom_mod
-from .errors import InputError, LungSevError
-from .errors import at_least, entries, exactly, only_fields, positive, read_field, read_json
+from .errors import InputError, LungSevError, at_least, entries, exactly, finite, nonnegative
+from .errors import only_fields, positive, read_field, read_json
 from .evaluate import evaluate_reports, scatter_rows, write_scatter_csv
 from .severity import DEFAULT_THRESHOLD_HU, SeverityReport, compute_report
 from .toynet import NetConfig, save_checkpoint, train, write_loss_csv
+from .toynet.network import NET_FIELDS
 from .toynet.train import Sample
 from .volume import (
     AIR_HU,
@@ -44,44 +45,19 @@ DEFAULT_BOX = (384, 384, 384)
 RESAMPLE_SPACING_MM = (3.0, 1.0, 1.0)
 
 
-def _box_arg(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected Z,Y,X integers, got {text!r}")
-    try:
-        box = tuple(int(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected Z,Y,X integers, got {text!r}") from None
-    if any(b <= 0 for b in box):
-        raise argparse.ArgumentTypeError(f"box entries must be positive, got {text!r}")
-    return box
+def _flag(check, parse=float):
+    """An argparse type that parses a flag's text and passes it through an
+    errors check; a value either rejects is a usage error naming the flag."""
+    def convert(text: str):
+        try:
+            return check(parse(text))
+        except (TypeError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    value = _finite_float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
-    return value
-
-
-def _seed_arg(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
-    return seed
+def _ints(text: str) -> list[int]:
+    return [int(part) for part in text.split(",")]
 
 
 def _output(path):
@@ -106,7 +82,7 @@ def cmd_quantify(args: argparse.Namespace) -> int:
     payload = report.to_json_dict()
     payload["wall_time_s"] = elapsed
     out = _output(Path(args.out))
-    out.write_text(json.dumps(payload, indent=2) + "\n")
+    out.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     print(
         f"{args.volume}: po={report.po:.4f} pho={report.pho:.4f} "
         f"lss={report.lss} lhos={report.lhos} ({elapsed:.2f}s) -> {out}"
@@ -140,7 +116,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     summary = evaluate_reports(gt, pred, positives)
 
     out = _output(Path(args.out))
-    out.write_text(json.dumps(summary.to_json_dict(), indent=2) + "\n")
+    out.write_text(json.dumps(summary.to_json_dict(), indent=2, allow_nan=False) + "\n")
     if args.scatter:
         rows = scatter_rows(summary, jitter_pct=args.jitter_pct, seed=args.seed)
         write_scatter_csv(rows, _output(args.scatter))
@@ -153,8 +129,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_phantom(args: argparse.Namespace) -> int:
-    if args.count < 1:
-        raise InputError(f"count must be positive, got {args.count}")
     base_spec = read_json(args.spec, phantom_mod.PhantomSpec.from_json_dict) if args.spec else None
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
@@ -167,7 +141,7 @@ def cmd_phantom(args: argparse.Namespace) -> int:
         case = phantom_mod.generate(spec)
         case_dir = out_root / f"case_{index:03d}"
         phantom_mod.write_case(case, case_dir)
-        (case_dir / "spec.json").write_text(json.dumps(spec.to_json_dict(), indent=2) + "\n")
+        (case_dir / "spec.json").write_text(json.dumps(spec.to_json_dict(), indent=2, allow_nan=False) + "\n")
     print(f"wrote {args.count} cases to {out_root}")
     return 0
 
@@ -196,20 +170,6 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 REQUIRED_TRAIN_FIELDS = ("data_dir", "epochs", "out_checkpoint", "out_loss_csv", "seed")
-
-_positive = at_least(1)
-
-# NetConfig fields a config may set, each with the function that checks its value.
-NET_FIELDS = {
-    "seed": at_least(0),
-    "stem_channels": _positive,
-    "growth_rate": _positive,
-    "layers_per_block": _positive,
-    "num_dense_blocks": _positive,
-    "norm_enabled": exactly(bool),
-    "downsample_strides": entries(entries(_positive, 3)),
-}
-
 
 def _load_samples(data_dir: str, config: NetConfig) -> list[Sample]:
     """Each case under data_dir; a case whose three grids differ in dims or
@@ -242,8 +202,8 @@ def _train_run(doc: dict) -> dict:
         raise InputError("missing field(s): " + ", ".join(missing))
     only_fields(doc, {*REQUIRED_TRAIN_FIELDS, *NET_FIELDS, "initial_lr"})
     return {
-        "config": NetConfig(**{f: read_field(doc, f, c) for f, c in NET_FIELDS.items() if f in doc}),
-        "epochs": read_field(doc, "epochs", _positive),
+        "config": NetConfig(**{f: doc[f] for f in NET_FIELDS if f in doc}),
+        "epochs": read_field(doc, "epochs", at_least(1)),
         "initial_lr": read_field(doc, "initial_lr", positive) if "initial_lr" in doc else 0.001,
         **{f: read_field(doc, f, exactly(str)) for f in ("data_dir", "out_checkpoint", "out_loss_csv")},
     }
@@ -280,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_quant.add_argument("--volume", required=True, help="HU volume file base path")
     p_quant.add_argument("--lobes", required=True, help="lobe label mask file base path")
     p_quant.add_argument("--abnorm", required=True, help="binary abnormality mask file base path")
-    p_quant.add_argument("--threshold-hu", type=_finite_float, default=DEFAULT_THRESHOLD_HU)
+    p_quant.add_argument("--threshold-hu", type=_flag(finite), default=DEFAULT_THRESHOLD_HU)
     p_quant.add_argument("--out", default="report.json")
     p_quant.set_defaults(func=cmd_quantify)
 
@@ -289,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--pred", required=True, help="directory of predicted report JSON files")
     p_eval.add_argument("--out", default="summary.json")
     p_eval.add_argument("--scatter", default=None, help="optional scatter CSV output path")
-    p_eval.add_argument("--jitter-pct", type=_nonnegative_float, default=0.2)
-    p_eval.add_argument("--seed", type=_seed_arg, default=0)
+    p_eval.add_argument("--jitter-pct", type=_flag(nonnegative), default=0.2)
+    p_eval.add_argument("--seed", type=_flag(at_least(0), int), default=0)
     p_eval.add_argument(
         "--positive-list",
         default=None,
@@ -301,10 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_phantom = sub.add_parser("phantom", help="generate synthetic cases with known reports")
     p_phantom.add_argument("--out", required=True)
-    p_phantom.add_argument("--count", type=int, required=True)
-    p_phantom.add_argument("--seed", type=_seed_arg, default=0)
-    p_phantom.add_argument("--dims", type=_box_arg, default=(16, 28, 28))
-    p_phantom.add_argument("--noise-sigma", type=float, default=0.0, dest="noise_sigma")
+    p_phantom.add_argument("--count", type=_flag(at_least(1), int), required=True)
+    p_phantom.add_argument("--seed", type=_flag(at_least(0), int), default=0)
+    p_phantom.add_argument("--dims", type=_flag(entries(at_least(1), 3), _ints), default=(16, 28, 28))
+    p_phantom.add_argument("--noise-sigma", type=_flag(nonnegative), default=0.0, dest="noise_sigma")
     p_phantom.add_argument("--spec", default=None, help="spec JSON to reuse for every case")
     p_phantom.set_defaults(func=cmd_phantom)
 
@@ -312,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--volume", required=True)
     p_pre.add_argument("--lobes", required=True)
     p_pre.add_argument("--out", required=True)
-    p_pre.add_argument("--box", type=_box_arg, default=DEFAULT_BOX)
+    p_pre.add_argument("--box", type=_flag(entries(at_least(1), 3), _ints), default=DEFAULT_BOX)
     p_pre.set_defaults(func=cmd_preprocess)
 
     p_train = sub.add_parser("train-toy", help="train the small segmentation network")

@@ -8,7 +8,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDataError, InputError
+from .errors import DegenerateDataError, InputError, checked, nonnegative
 from .severity import SeverityReport
 from .stats import (
     PERCENT_BIN_EDGES,
@@ -199,8 +199,7 @@ def scatter_rows(summary: EvaluationSummary, jitter_pct: float = 0.2, seed: int 
     The jitter exists purely to separate overlapping markers; the
     unjittered columns are the values every statistic is computed from.
     """
-    if not np.isfinite(jitter_pct) or jitter_pct < 0:
-        raise InputError(f"jitter_pct must be a nonnegative finite value, got {jitter_pct}")
+    jitter_pct = checked("jitter_pct", jitter_pct, nonnegative)
     points = [(case, m) for case in summary.cases for m in METRICS]
     # One (gt, pred) jitter pair per point, drawn in row order.
     jitter = np.random.default_rng(seed).uniform(-jitter_pct, jitter_pct, size=(len(points), 2))

@@ -13,13 +13,13 @@ itself is clipped to +/-24 HU.
 """
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, entries, exactly, finite, integer, only_fields, read_field
+from .errors import InputError, at_least, checked, entries, exactly, finite, integer, nonnegative
+from .errors import one_of, only_fields, positive, read_field
 from .severity import LobeRecord, SeverityReport
 from .volume import LabelMask, Volume, write_volume
 
@@ -32,11 +32,10 @@ FLIP_PROB = 0.8
 LESION_KINDS = ("ggo", "consolidation")
 
 
-def _triple(name, value, kind=float):
-    t = tuple(kind(v) for v in value)
-    if len(t) != 3:
-        raise InputError(f"{name} must have 3 entries, got {len(t)}")
-    return t
+def _check_fields(recipe) -> None:
+    """Run each field of a frozen recipe through its _SPEC_CHECKS check, keeping what it returns."""
+    for name, value in list(vars(recipe).items()):
+        object.__setattr__(recipe, name, checked(name, value, _SPEC_CHECKS[name]))
 
 
 @dataclass(frozen=True)
@@ -47,14 +46,7 @@ class Ellipsoid:
     radii_mm: tuple[float, float, float]
 
     def __post_init__(self):
-        center = _triple("center_mm", self.center_mm)
-        radii = _triple("radii_mm", self.radii_mm)
-        if not all(math.isfinite(c) for c in center):
-            raise InputError(f"ellipsoid center must be finite, got {center}")
-        if not all(math.isfinite(r) and r > 0 for r in radii):
-            raise InputError(f"ellipsoid radii must be > 0, got {radii}")
-        object.__setattr__(self, "center_mm", center)
-        object.__setattr__(self, "radii_mm", radii)
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -64,16 +56,14 @@ class Lesion:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in LESION_KINDS:
-            raise InputError(f"lesion kind must be one of {LESION_KINDS}, got {self.kind!r}")
-        hu = float(self.intensity_hu)
+        _check_fields(self)
+        hu = self.intensity_hu
         if self.kind == "consolidation" and not hu >= HIGH_OPACITY_HU:
             raise InputError(f"consolidation intensity must be >= {HIGH_OPACITY_HU}, got {hu}")
         if self.kind == "ggo" and not (GGO_FLOOR_HU < hu < HIGH_OPACITY_HU):
             raise InputError(
                 f"ggo intensity must lie in ({GGO_FLOOR_HU}, {HIGH_OPACITY_HU}), got {hu}"
             )
-        object.__setattr__(self, "intensity_hu", hu)
 
 
 @dataclass(frozen=True)
@@ -94,49 +84,27 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
-        dims = _triple("dims", self.dims, int)
-        if any(d < 8 for d in dims):
-            raise InputError(f"phantom dims must be >= 8 per axis, got {dims}")
-        spacing = _triple("spacing_mm", self.spacing_mm)
-        if not all(math.isfinite(s) and s > 0 for s in spacing):
-            raise InputError(f"spacing must be positive, got {spacing}")
-        lungs = tuple(self.lungs)
-        if len(lungs) != 2 or not all(isinstance(e, Ellipsoid) for e in lungs):
-            raise InputError("lungs must be exactly two ellipsoids (right, left)")
-        if not any(_inside(e, *_centres(dims, spacing)).any() for e in lungs):
+        _check_fields(self)
+        dims, spacing = self.dims, self.spacing_mm
+        if not any(_inside(e, *_centres(dims, spacing)).any() for e in self.lungs):
             raise InputError(f"lungs: no voxel centre of the {dims} grid at {spacing} mm lies in a lung")
-        f1, f2 = (float(f) for f in self.right_cut_fractions)
+        f1, f2 = self.right_cut_fractions
         if not (0.0 < f1 < f2 < 1.0):
             raise InputError(f"right cut fractions must satisfy 0 < f1 < f2 < 1, got {(f1, f2)}")
-        fl = float(self.left_cut_fraction)
-        if not (0.0 < fl < 1.0):
-            raise InputError(f"left cut fraction must lie in (0,1), got {fl}")
-        sigma = float(self.noise_sigma_hu)
-        if not (math.isfinite(sigma) and sigma >= 0.0):
-            raise InputError(f"noise sigma must be >= 0, got {sigma}")
-        lesions = tuple(self.lesions)
-        if sigma > 0.0:
+        if not (0.0 < self.left_cut_fraction < 1.0):
+            raise InputError(f"left cut fraction must lie in (0,1), got {self.left_cut_fraction}")
+        if self.noise_sigma_hu > 0.0:
             # Noise is clipped below the margin, so intensities this far from
             # the threshold can never cross it.
-            for les in lesions:
+            for les in self.lesions:
                 dist = abs(les.intensity_hu - HIGH_OPACITY_HU)
                 if dist < NOISE_MARGIN_HU:
                     raise InputError(
                         f"lesion at {les.intensity_hu} HU is within {NOISE_MARGIN_HU} HU of "
                         f"the {HIGH_OPACITY_HU} threshold; not allowed with noise enabled"
                     )
-            if abs(float(self.lung_parenchyma_hu) - HIGH_OPACITY_HU) < NOISE_MARGIN_HU:
+            if abs(self.lung_parenchyma_hu - HIGH_OPACITY_HU) < NOISE_MARGIN_HU:
                 raise InputError("parenchyma HU too close to threshold for noisy generation")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "spacing_mm", spacing)
-        object.__setattr__(self, "lungs", lungs)
-        object.__setattr__(self, "right_cut_fractions", (f1, f2))
-        object.__setattr__(self, "left_cut_fraction", fl)
-        object.__setattr__(self, "lesions", lesions)
-        object.__setattr__(self, "background_hu", float(self.background_hu))
-        object.__setattr__(self, "lung_parenchyma_hu", float(self.lung_parenchyma_hu))
-        object.__setattr__(self, "noise_sigma_hu", sigma)
-        object.__setattr__(self, "seed", int(self.seed))
 
     def to_json_dict(self) -> dict:
         """Every field in declaration order; a lesion is its ellipsoid's fields plus HU and type."""
@@ -150,37 +118,47 @@ class PhantomSpec:
 
     @staticmethod
     def from_json_dict(d: dict) -> "PhantomSpec":
-        """The spec that to_json_dict wrote; fields after `lungs` are optional."""
-        only_fields(d, {"dims", "spacing_mm", "lungs", *_OPTIONAL_FIELDS})
-        optional = {f: read_field(d, f, check) for f, check in _OPTIONAL_FIELDS.items() if f in d}
-        return PhantomSpec(
-            dims=read_field(d, "dims", entries(integer, 3)),
-            spacing_mm=read_field(d, "spacing_mm", _point),
-            lungs=read_field(d, "lungs", entries(_ellipsoid)),
-            **optional,
-        )
+        """The spec that to_json_dict wrote; fields after `lungs` are optional.
+        Nested objects become Ellipsoid and Lesion, and each class checks its own values."""
+        only_fields(d, [f.name for f in fields(PhantomSpec)])
+        nested = {"lungs": entries(_ellipsoid), "lesions": entries(_lesion)}
+        return PhantomSpec(**{
+            f.name: read_field(d, f.name, nested.get(f.name, _as_given))
+            for f in fields(PhantomSpec) if f.name in d or f.default is MISSING
+        })
 
 
-_point = entries(finite, 3)
+# The check for every field of Ellipsoid, Lesion and PhantomSpec.
+_SPEC_CHECKS = {
+    "center_mm": entries(finite, 3),
+    "radii_mm": entries(positive, 3),
+    "shape": exactly(Ellipsoid),
+    "intensity_hu": finite,
+    "kind": one_of(*LESION_KINDS),
+    "dims": entries(at_least(8), 3),
+    "spacing_mm": entries(positive, 3),
+    "lungs": entries(exactly(Ellipsoid), 2),
+    "right_cut_fractions": entries(finite, 2),
+    "left_cut_fraction": finite,
+    "lesions": entries(exactly(Lesion)),
+    "background_hu": finite,
+    "lung_parenchyma_hu": finite,
+    "noise_sigma_hu": nonnegative,
+    "seed": integer,
+}
+
+
+def _as_given(value):
+    """A read_field check that passes any value on to the class that checks it."""
+    return value
 
 
 def _ellipsoid(d: dict) -> Ellipsoid:
-    return Ellipsoid(read_field(d, "center_mm", _point), read_field(d, "radii_mm", _point))
+    return Ellipsoid(read_field(d, "center_mm", _as_given), read_field(d, "radii_mm", _as_given))
 
 
 def _lesion(d: dict) -> Lesion:
-    return Lesion(_ellipsoid(d), read_field(d, "intensity_hu", finite), read_field(d, "type", exactly(str)))
-
-
-_OPTIONAL_FIELDS = {
-    "right_cut_fractions": entries(finite, 2),
-    "left_cut_fraction": finite,
-    "lesions": entries(_lesion),
-    "background_hu": finite,
-    "lung_parenchyma_hu": finite,
-    "noise_sigma_hu": finite,
-    "seed": integer,
-}
+    return Lesion(_ellipsoid(d), read_field(d, "intensity_hu", _as_given), read_field(d, "type", _as_given))
 
 
 @dataclass(frozen=True)
@@ -346,8 +324,8 @@ def make_noisy_prediction(
     boundary candidate flips independently with probability 0.8. With both
     counts zero the ground truth is returned unchanged.
     """
-    if dilate_vox < 0 or erode_vox < 0:
-        raise InputError("dilate/erode counts must be >= 0")
+    dilate_vox = checked("dilate_vox", dilate_vox, at_least(0))
+    erode_vox = checked("erode_vox", erode_vox, at_least(0))
     mask = case.abnorm_gt.data > 0
     rng = np.random.default_rng(seed)
     for _ in range(erode_vox):
@@ -410,4 +388,4 @@ def write_case(case: PhantomCase, out_dir: str | Path) -> None:
     write_volume(case.volume, out / "volume")
     write_volume(case.lobes, out / "lobes")
     write_volume(case.abnorm_gt, out / "abnorm")
-    (out / "oracle.json").write_text(json.dumps(case.oracle.to_json_dict(), indent=2))
+    (out / "oracle.json").write_text(json.dumps(case.oracle.to_json_dict(), indent=2, allow_nan=False))

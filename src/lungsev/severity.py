@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMaskError, InputError, entries, finite, integer, read_field
+from .errors import EmptyMaskError, InputError, checked, entries, finite, integer, read_field
 from .volume import LOBE_LABELS, LabelMask, Volume, check_same_geometry
 
 DEFAULT_THRESHOLD_HU = -200.0
@@ -119,10 +119,13 @@ def lobe_score(fraction: float) -> int:
 
 
 def _check_raw_hu(v: Volume) -> None:
-    # A volume whose every value sits in [0,1] is almost certainly the
-    # normalized training tensor, on which an HU threshold is meaningless.
+    # A NaN or infinite voxel would silently drop out of the counts. A volume
+    # whose every value sits in [0,1] is almost certainly the normalized
+    # training tensor, on which an HU threshold is meaningless.
     lo = float(v.data.min())
     hi = float(v.data.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InputError(f"volume holds non-finite values (min {lo}, max {hi})")
     if lo >= 0.0 and hi <= 1.0:
         raise InputError(
             "volume values all lie in [0,1]; high-opacity thresholding needs raw HU"
@@ -136,6 +139,7 @@ def compute_report(
     threshold: float = DEFAULT_THRESHOLD_HU,
 ) -> SeverityReport:
     """Full severity breakdown: global PO/PHO plus per-lobe scores and sums."""
+    threshold = checked("threshold", threshold, finite)
     check_same_geometry(("volume", v), ("lobes", lobes), ("abnorm", abnorm))
     _check_raw_hu(v)
     lung_count = int(np.count_nonzero(lobes.data > 0))
@@ -186,5 +190,5 @@ def compute_report(
         lung_volume_mm3=lung_count * voxel_mm3,
         abnormal_volume_mm3=n_abn_total * voxel_mm3,
         high_opacity_volume_mm3=n_high_total * voxel_mm3,
-        threshold_hu=float(threshold),
+        threshold_hu=threshold,
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InputError
+from ..errors import InputError, at_least, checked, entries, exactly
 from .ops import channel_norm, conv3d, transpose_conv3d
 from .tensor import Tensor, concat, leaky_relu, softmax_channels
 
@@ -27,6 +27,19 @@ ISO_STRIDE = (2, 2, 2)
 IN_CHANNELS = 1
 OUT_CHANNELS = 2
 STEM_KERNEL = (1, 3, 3)
+
+_positive = at_least(1)
+
+# Each NetConfig field with the check its value must pass.
+NET_FIELDS = {
+    "seed": at_least(0),
+    "stem_channels": _positive,
+    "growth_rate": _positive,
+    "layers_per_block": _positive,
+    "num_dense_blocks": _positive,
+    "norm_enabled": exactly(bool),
+    "downsample_strides": entries(entries(_positive, 3)),
+}
 
 
 @dataclass(frozen=True)
@@ -46,22 +59,16 @@ class NetConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.stem_channels < 1 or self.layers_per_block < 1 or self.growth_rate < 1:
-            raise InputError("stem/layers/growth must be >= 1")
-        strides = tuple(tuple(int(v) for v in s) for s in self.downsample_strides)
-        if len(strides) != self.num_dense_blocks or not strides:
+        for name, check in NET_FIELDS.items():
+            object.__setattr__(self, name, checked(name, getattr(self, name), check))
+        strides = self.downsample_strides
+        if len(strides) != self.num_dense_blocks:
             raise InputError("need one downsample stride per dense block")
         for s in strides:
             if s not in (ANISO_STRIDE, ISO_STRIDE):
                 raise InputError(f"stride {s} must be {ANISO_STRIDE} or {ISO_STRIDE}")
-        # in-plane-only downsampling must come first, isotropic after
-        seen_iso = False
-        for s in strides:
-            if s == ISO_STRIDE:
-                seen_iso = True
-            elif seen_iso:
-                raise InputError("anisotropic strides must precede isotropic ones")
-        object.__setattr__(self, "downsample_strides", strides)
+        if strides != tuple(sorted(strides)):  # ANISO_STRIDE sorts before ISO_STRIDE
+            raise InputError("anisotropic strides must precede isotropic ones")
 
     @property
     def cumulative_stride(self) -> tuple[int, int, int]:

@@ -16,17 +16,14 @@ conv-input space.
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..errors import InputError
+from ..errors import InputError, at_least, checked, entries
 from .tensor import Tensor, _accum, _result
 
 NORM_EPS = 1e-5
 
-
-def _as_triple(name, value) -> tuple[int, int, int]:
-    t = tuple(int(v) for v in value)
-    if len(t) != 3 or any(v < 0 for v in t):
-        raise InputError(f"{name} must be 3 non-negative ints, got {value}")
-    return t
+# What conv3d and transpose_conv3d accept as a stride and as explicit padding.
+_STRIDE = entries(at_least(1), 3)
+_PADDING = entries(at_least(0), 3)
 
 
 def _resolve_padding(padding, kernel, stride):
@@ -36,7 +33,7 @@ def _resolve_padding(padding, kernel, stride):
         if any(k % 2 == 0 for k in kernel):
             raise InputError(f"'same' padding requires odd kernels, got {kernel}")
         return tuple(k // 2 for k in kernel)
-    return _as_triple("padding", padding)
+    return checked("padding", padding, _PADDING)
 
 
 def _pad_spatial(x, pad):
@@ -95,9 +92,7 @@ def conv3d(x: Tensor, w: Tensor, bias: Tensor, stride=(1, 1, 1), padding="same")
         raise InputError(f"conv3d: input has {x.data.shape[1]} channels, weights expect {ci}")
     if bias.data.shape != (co,):
         raise InputError(f"conv3d: bias shape {bias.data.shape} != ({co},)")
-    stride = _as_triple("stride", stride)
-    if any(s < 1 for s in stride):
-        raise InputError(f"stride entries must be >= 1, got {stride}")
+    stride = checked("stride", stride, _STRIDE)
     kernel = (kz, ky, kx)
     pad = _resolve_padding(padding, kernel, stride)
 
@@ -133,9 +128,7 @@ def transpose_conv3d(x: Tensor, w: Tensor, bias: Tensor, stride) -> Tensor:
         )
     if bias.data.shape != (co,):
         raise InputError(f"transpose_conv3d: bias shape {bias.data.shape} != ({co},)")
-    stride = _as_triple("stride", stride)
-    if any(s < 1 for s in stride):
-        raise InputError(f"stride entries must be >= 1, got {stride}")
+    stride = checked("stride", stride, _STRIDE)
     kernel = (kz, ky, kx)
 
     b, _, z, y, xdim = x.data.shape

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import HeaderError, InputError
-from ..errors import at_least, entries, exactly, one_of, read_field, read_json
+from ..errors import at_least, checked, entries, exactly, one_of, positive, read_field, read_json
 from ..volume import Volume, _paths_for, clip_normalize
 from .loss import jaccard_loss
 from .network import NetConfig, init_params, net_forward
@@ -108,8 +108,8 @@ def train(
     n = len(samples)
     if n < 10:
         raise InputError(f"need at least 10 samples for a nonempty 10% split, got {n}")
-    if epochs < 1:
-        raise InputError(f"epochs must be >= 1, got {epochs}")
+    epochs = checked("epochs", epochs, at_least(1))
+    initial_lr = checked("initial_lr", initial_lr, positive)
 
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(n)
@@ -171,7 +171,7 @@ def save_checkpoint(params: dict[str, Tensor], path) -> None:
         "tensors": [{"name": n, "shape": list(params[n].data.shape)} for n in names],
     }
     payload = b"".join(np.ascontiguousarray(params[n].data, dtype="<f8").tobytes() for n in names)
-    manifest_path.write_text(json.dumps(manifest, indent=2))
+    manifest_path.write_text(json.dumps(manifest, indent=2, allow_nan=False))
     payload_path.write_bytes(payload)
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyMaskError, GeometryError, HeaderError, InputError
-from .errors import at_least, entries, finite, one_of, read_field, read_json
+from .errors import at_least, checked, entries, finite, one_of, positive, read_field, read_json
 
 # Raw-file dtypes; the sidecar header names them by these strings.
 _HEADER_DTYPES = {
@@ -49,8 +49,9 @@ class Volume:
     """A 3D scalar grid (z-y-x order) with physical voxel spacing in mm.
 
     Every grid is built here: the data must be 3D with every dim >= 1 and
-    the spacing three finite positive numbers. The data array is frozen at
-    construction; operations return new grids.
+    the spacing three finite positive numbers that give the whole grid a
+    finite volume > 0. The data array is frozen at construction; operations
+    return new grids.
     """
 
     data: np.ndarray
@@ -68,6 +69,9 @@ class Volume:
         for s in spacing:
             if not (math.isfinite(s) and s > 0):
                 raise InputError(f"spacing_mm components must be positive and finite, got {spacing}")
+        grid_mm3 = math.prod(spacing) * data.size  # bounds every volume a report can hold
+        if not 0 < grid_mm3 < math.inf:
+            raise InputError(f"spacing_mm {spacing} over dims {data.shape} gives a grid of {grid_mm3} mm^3")
         data = data.view()
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
@@ -156,7 +160,7 @@ def write_volume(v: Volume, path: str | Path) -> None:
         "dtype": name,
         "byte_order": "little",
     }
-    header_path.write_text(json.dumps(header) + "\n")
+    header_path.write_text(json.dumps(header, allow_nan=False) + "\n")
     raw_path.write_bytes(np.ascontiguousarray(v.data, dtype=_HEADER_DTYPES[name]).tobytes())
 
 
@@ -176,7 +180,10 @@ def _read_grid(path: str | Path, make):
         expected = math.prod(dims) * dtype.itemsize
         if len(raw) != expected:
             raise HeaderError(f"payload length mismatch for {raw_path}: {len(raw)} bytes, header implies {expected}")
-        return make(np.frombuffer(raw, dtype=dtype).reshape(dims), spacing)
+        data = np.frombuffer(raw, dtype=dtype).reshape(dims)
+        if dtype.kind == "f" and not np.isfinite(data).all():
+            raise HeaderError(f"payload {raw_path} holds non-finite values")
+        return make(data, spacing)
 
     return read_json(header_path, build, HeaderError)
 
@@ -200,10 +207,7 @@ def _source_coords(grid: Volume, target_spacing) -> tuple[tuple, list[np.ndarray
 
     Output dims are round(dim_in * spacing_in / spacing_out), at least 1 per axis.
     """
-    target = tuple(float(s) for s in target_spacing)
-    for s in target:
-        if not (math.isfinite(s) and s > 0):
-            raise InputError(f"target spacing must be positive, got {target}")
+    target = checked("target_spacing", target_spacing, entries(positive, 3))
     coords = []
     for d, s_in, s_out in zip(grid.dims, grid.spacing_mm, target):
         out_dim = max(1, _round_half_away(d * s_in / s_out))
@@ -295,8 +299,7 @@ def crop_box(
     Padding happens in HU (default air, -1024) before any normalization.
     The output keeps the input dtype, which must hold pad_value exactly.
     """
-    if any(b < 1 for b in box):
-        raise InputError(f"crop box dims must be >= 1, got {box}")
+    box = checked("box", box, entries(at_least(1), 3))
     data = v.data
     try:
         exact = data.dtype.type(pad_value) == pad_value

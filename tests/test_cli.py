@@ -140,6 +140,37 @@ def test_quantify_malformed_header_exits_2(grid, mutate, expected, tmp_path, cap
 
 
 @pytest.mark.parametrize("command", ["quantify", "preprocess"])
+def test_non_finite_hu_exits_2_naming_the_volume(command, tmp_path, capsys):
+    case_dir, case = write_phantom_case(tmp_path, "c0", seed=3, dims=(8, 32, 32))
+    hu = case.volume.data.copy()
+    hu.flat[np.flatnonzero(case.lobes.data)[:100]] = np.nan
+    write_volume(Volume(hu, case.volume.spacing_mm), case_dir / "volume")
+    out = tmp_path / "out"
+    if command == "quantify":
+        code = run_quantify(case_dir, out)
+    else:
+        code = main(["preprocess", "--volume", str(case_dir / "volume"), "--lobes", str(case_dir / "lobes"),
+                     "--out", str(out), "--box", "8,32,32"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{case_dir / 'volume.json'}: " in err and "non-finite" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_quantify_spacing_whose_grid_volume_overflows_exits_2(tmp_path, capsys):
+    case_dir, _ = write_phantom_case(tmp_path, "c0", seed=3)
+    for grid in ("volume", "lobes", "abnorm"):
+        _set_header_field("spacing_mm", [1e300, 1e300, 1e300])(case_dir, grid)
+    out = tmp_path / "r.json"
+    assert run_quantify(case_dir, out) == 2
+    err = capsys.readouterr().err
+    assert f"{case_dir / 'volume.json'}: spacing_mm " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["quantify", "preprocess"])
 @pytest.mark.parametrize("mismatch", ["dims", "spacing"])
 def test_geometry_mismatch_names_both_files(command, mismatch, tmp_path, capsys):
     case_dir, _ = write_phantom_case(tmp_path, "c0", seed=1, dims=(20, 40, 40))
@@ -625,6 +656,27 @@ def test_out_of_range_numeric_flags_exit_2(argv, flag, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--count", ["phantom", "--count", "0"]),
+        ("--noise-sigma", ["phantom", "--count", "1", "--noise-sigma", "nan"]),
+        ("--dims", ["phantom", "--count", "1", "--dims", "8,32"]),
+        ("--box", ["preprocess", "--volume", "v", "--lobes", "l", "--box", "0,8,8"]),
+        ("--threshold-hu",
+         ["quantify", "--volume", "v", "--lobes", "l", "--abnorm", "a", "--threshold-hu", "inf"]),
+        ("--jitter-pct", ["evaluate", "--gt", "g", "--pred", "p", "--jitter-pct", "-1"]),
+    ],
+)
+def test_flag_outside_its_range_is_a_usage_error_naming_it(flag, argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["evaluate", "phantom"])
 def test_negative_seed_exits_2(command, tmp_path, capsys):
     out = tmp_path / "out"
@@ -637,7 +689,7 @@ def test_negative_seed_exits_2(command, tmp_path, capsys):
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "--seed: must be nonnegative" in err
+    assert "--seed: expected an integer >= 0, got -1" in err
     assert "Traceback" not in err
     assert not out.exists()
 

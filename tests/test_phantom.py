@@ -1,6 +1,7 @@
 """Phantom generator tests: determinism, geometry, oracle cross-checks."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,6 +93,23 @@ def test_lesion_intensity_class_bounds():
         Lesion(shape, -800.0, "ggo")
     with pytest.raises(InputError):
         Lesion(shape, -500.0, "fibrosis")
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("radii_mm", lambda: Ellipsoid((8.0, 9.0, 5.0), (1, -1, 1))),
+        ("center_mm", lambda: Ellipsoid((8.0, float("nan"), 5.0), (1, 1, 1))),
+        ("kind", lambda: Lesion(Ellipsoid((8, 9, 5), (2, 2, 2)), -500.0, "fibrosis")),
+        ("spacing_mm", lambda: replace(simple_spec(), spacing_mm=(1, 0, 1))),
+        ("dims", lambda: replace(simple_spec(), dims=(12, 20, 7))),
+        ("noise_sigma_hu", lambda: replace(simple_spec(), noise_sigma_hu=-1.0)),
+        ("seed", lambda: replace(simple_spec(), seed=1.5)),
+    ],
+)
+def test_spec_values_are_rejected_naming_their_field(field, build):
+    with pytest.raises(InputError, match=f"^{field}: "):
+        build()
 
 
 def test_noise_margin_enforced():

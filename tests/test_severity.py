@@ -475,3 +475,52 @@ def test_report_counts_equal_boolean_mask_reference(
     abn = LabelMask(abn_data, spacing, allowed_labels=(1,))
     got = compute_report(v, lobes, abn, threshold)
     assert got == boolean_mask_report(v, lobes, abn, threshold)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_report_rejects_a_volume_with_non_finite_hu(bad):
+    v, lobes, abn = random_case(3)
+    hu = v.data.copy()
+    hu.flat[np.flatnonzero(lobes.data)[0]] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        compute_report(Volume(hu, v.spacing_mm), lobes, abn)
+
+
+_extreme_spacing = st.floats(min_value=1e-120, max_value=1e120)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    dims=st.tuples(_dim, _dim, _dim),
+    spacing=st.tuples(_extreme_spacing, _extreme_spacing, _extreme_spacing),
+    hu_scale=st.sampled_from([1.0, 1e30, 1e300]),
+    threshold=st.floats(),
+)
+def test_every_report_is_strict_json_that_reads_back(seed, dims, spacing, hu_scale, threshold):
+    # A grid whose physical volume is not a finite number > 0 and a
+    # non-finite threshold are refused before any counting; every report
+    # that is returned writes without NaN or infinity and reads back equal.
+    rng = np.random.default_rng(seed)
+    lobe_data = rng.integers(0, 6, size=dims).astype(np.uint8)
+    lobe_data.flat[0] = 1
+    abn_data = (rng.random(dims) < 0.5).astype(np.uint8)
+    hu = rng.uniform(-1.0, 1.0, size=dims) * hu_scale
+    hu.flat[0] = -1024.0
+
+    def report():
+        return compute_report(
+            Volume(hu, spacing),
+            LabelMask(lobe_data, spacing),
+            LabelMask(abn_data, spacing, allowed_labels=(1,)),
+            threshold,
+        )
+
+    grid_mm3 = spacing[0] * spacing[1] * spacing[2] * lobe_data.size
+    if not (0 < grid_mm3 < float("inf") and np.isfinite(threshold)):
+        with pytest.raises(InputError):
+            report()
+        return
+    got = report()
+    text = json.dumps(got.to_json_dict(), allow_nan=False)
+    assert SeverityReport.from_json_dict(json.loads(text)) == got

@@ -306,6 +306,26 @@ def test_net_config_validation():
     assert NetConfig().cumulative_stride == (8, 32, 32)
 
 
+def test_net_config_names_the_field_it_rejects():
+    with pytest.raises(InputError, match=r"^stem_channels: expected an integer >= 1, got 0$"):
+        NetConfig(stem_channels=0)
+    with pytest.raises(InputError, match=r"^norm_enabled: "):
+        NetConfig(norm_enabled=1)
+    with pytest.raises(InputError, match=r"^downsample_strides: "):
+        NetConfig(downsample_strides=((1, 2),), num_dense_blocks=1)
+
+
+def test_conv_arguments_name_the_one_they_reject():
+    x = Tensor(np.zeros((1, 1, 4, 4, 4)))
+    w, b = Tensor(np.zeros((1, 1, 1, 1, 1))), Tensor(np.zeros(1))
+    with pytest.raises(InputError, match=r"^stride: expected an integer >= 1, got 0$"):
+        conv3d(x, w, b, stride=(0, 1, 1), padding=(0, 0, 0))
+    with pytest.raises(InputError, match=r"^padding: expected an integer >= 0, got -1$"):
+        conv3d(x, w, b, padding=(-1, 0, 0))
+    with pytest.raises(InputError, match=r"^stride: expected 3 entries, got 2$"):
+        transpose_conv3d(x, w, b, stride=(2, 2))
+
+
 def test_init_params_scales_weights_by_fan_in():
     params = init_params(NetConfig())
     weights = [name for name in params if name.endswith(".w")]
@@ -501,6 +521,15 @@ def test_train_rejects_small_datasets():
     config = toy_config(norm_enabled=True)
     with pytest.raises(InputError):
         train(config, background_samples(9), epochs=1)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("initial_lr", -5.0), ("initial_lr", float("nan")), ("epochs", 0)]
+)
+def test_train_checks_its_own_arguments(field, value):
+    arguments = {"epochs": 1, "initial_lr": 0.001, field: value}
+    with pytest.raises(InputError, match=f"^{field}: "):
+        train(toy_config(), background_samples(10), **arguments)
 
 
 def test_train_background_case_converges_fast():

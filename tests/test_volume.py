@@ -53,6 +53,24 @@ def test_volume_rejects_bad_geometry(kind, dtype):
         kind(np.zeros((2, 2, 2), dtype), (1, float("nan"), 1))
 
 
+@pytest.mark.parametrize(
+    "spacing", [(1e300, 1e300, 1e300), (1e-200, 1e-200, 1e-200), (1e154, 1e154, 1.0)],
+    ids=["voxel_overflows", "voxel_underflows", "grid_overflows"],
+)
+def test_volume_rejects_spacing_whose_grid_volume_is_not_finite_and_positive(spacing):
+    with pytest.raises(InputError, match=r"^spacing_mm .* gives a grid of (inf|0\.0) mm\^3$"):
+        Volume(np.zeros((4, 4, 4)), spacing)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_rejects_a_float_payload_with_non_finite_values(bad, tmp_path):
+    data = np.full((2, 3, 4), -500.0, dtype=np.float32)
+    data[1, 2, 3] = bad
+    write_volume(Volume(data, (1.0, 1.0, 1.0)), tmp_path / "v")
+    with pytest.raises(HeaderError, match=r"v\.json: payload .*v\.raw holds non-finite values"):
+        read_volume(tmp_path / "v")
+
+
 @GRID_KINDS
 def test_volume_data_is_frozen(kind, dtype):
     v = kind(np.zeros((2, 2, 2), dtype), (1.0, 1.0, 1.0))
