@@ -22,9 +22,9 @@ from .evaluate import evaluate_reports, scatter_rows, write_scatter_csv
 from .severity import DEFAULT_THRESHOLD_HU, SeverityReport, compute_report
 from .toynet import NetConfig, save_checkpoint, train, write_loss_csv
 from .toynet.network import NET_FIELDS
-from .toynet.train import Sample
 from .volume import (
     AIR_HU,
+    LabelMask,
     Volume,
     check_same_geometry,
     clip_normalize,
@@ -171,7 +171,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 REQUIRED_TRAIN_FIELDS = ("data_dir", "epochs", "out_checkpoint", "out_loss_csv", "seed")
 
-def _load_samples(data_dir: str, config: NetConfig) -> list[Sample]:
+def _load_cases(data_dir: str, config: NetConfig) -> list[tuple[Volume, LabelMask, LabelMask]]:
     """Each case under data_dir; a case whose three grids differ in dims or
     spacing, or whose dims are not multiples of the network's cumulative
     stride, stops the read with an error naming it."""
@@ -179,7 +179,7 @@ def _load_samples(data_dir: str, config: NetConfig) -> list[Sample]:
     if not case_dirs:
         raise InputError(f"no case directories in {data_dir}")
     stride = config.cumulative_stride
-    samples = []
+    cases = []
     for case_dir in case_dirs:
         volume = read_volume(case_dir / "volume")
         if any(d % s for d, s in zip(volume.dims, stride)):
@@ -191,8 +191,8 @@ def _load_samples(data_dir: str, config: NetConfig) -> list[Sample]:
         abnorm = read_mask(case_dir / "abnorm", allowed_labels=(1,))
         check_same_geometry(
             (case_dir / "volume", volume), (case_dir / "lobes", lobes), (case_dir / "abnorm", abnorm))
-        samples.append(Sample(volume.data.astype(np.float64), abnorm.data > 0, lobes.data > 0))
-    return samples
+        cases.append((volume, lobes, abnorm))
+    return cases
 
 
 def _train_run(doc: dict) -> dict:
@@ -211,9 +211,9 @@ def _train_run(doc: dict) -> dict:
 
 def cmd_train_toy(args: argparse.Namespace) -> int:
     run = read_json(args.config, _train_run)
-    samples = _load_samples(run["data_dir"], run["config"])
+    cases = _load_cases(run["data_dir"], run["config"])
     checkpoint, loss_csv = _output(run["out_checkpoint"]), _output(run["out_loss_csv"])
-    result = train(run["config"], samples, run["epochs"], run["initial_lr"])
+    result = train(run["config"], cases, run["epochs"], run["initial_lr"])
     save_checkpoint(result.params, checkpoint)
     write_loss_csv(result.history, loss_csv)
     print(

@@ -60,8 +60,7 @@ class MetricStats:
             if key not in ("metric", "fit") and not (value is None and key.endswith("_undefined"))
         }
         if self.fit is not None:
-            for key, value in vars(self.fit).items():
-                out["mean_abs_error" if key == "mean_error" else key] = value
+            out.update(vars(self.fit))
         return out
 
 

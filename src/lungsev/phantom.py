@@ -51,16 +51,19 @@ class Ellipsoid:
 
 @dataclass(frozen=True)
 class Lesion:
+    """An ellipsoid painted at one HU value; `type` (the spec file's key) is
+    "ggo" or "consolidation"."""
+
     shape: Ellipsoid
     intensity_hu: float
-    kind: str
+    type: str
 
     def __post_init__(self):
         _check_fields(self)
         hu = self.intensity_hu
-        if self.kind == "consolidation" and not hu >= HIGH_OPACITY_HU:
+        if self.type == "consolidation" and not hu >= HIGH_OPACITY_HU:
             raise InputError(f"consolidation intensity must be >= {HIGH_OPACITY_HU}, got {hu}")
-        if self.kind == "ggo" and not (GGO_FLOOR_HU < hu < HIGH_OPACITY_HU):
+        if self.type == "ggo" and not (GGO_FLOOR_HU < hu < HIGH_OPACITY_HU):
             raise InputError(
                 f"ggo intensity must lie in ({GGO_FLOOR_HU}, {HIGH_OPACITY_HU}), got {hu}"
             )
@@ -112,7 +115,7 @@ class PhantomSpec:
             **vars(self),
             "lungs": [dict(vars(e)) for e in self.lungs],
             "lesions": [
-                {**vars(l.shape), "intensity_hu": l.intensity_hu, "type": l.kind} for l in self.lesions
+                {**vars(l.shape), "intensity_hu": l.intensity_hu, "type": l.type} for l in self.lesions
             ],
         }
 
@@ -134,7 +137,7 @@ _SPEC_CHECKS = {
     "radii_mm": entries(positive, 3),
     "shape": exactly(Ellipsoid),
     "intensity_hu": finite,
-    "kind": one_of(*LESION_KINDS),
+    "type": one_of(*LESION_KINDS),
     "dims": entries(at_least(8), 3),
     "spacing_mm": entries(positive, 3),
     "lungs": entries(exactly(Ellipsoid), 2),

@@ -57,7 +57,7 @@ class RegressionFit:
     beta1: float
     beta1_ci: tuple[float, float]
     r2: float
-    mean_error: float  # mean |gt - pred|
+    mean_abs_error: float  # mean |gt - pred|
     rmse_about_fit: float  # sqrt(SSres / n)
 
 
@@ -292,6 +292,6 @@ def linfit(s: PairedSeries) -> RegressionFit:
         beta1=beta1,
         beta1_ci=(beta1 - tq * se_beta1, beta1 + tq * se_beta1),
         r2=r2,
-        mean_error=float(np.mean(np.abs(y - x))),
+        mean_abs_error=float(np.mean(np.abs(y - x))),
         rmse_about_fit=math.sqrt(ssres / n),
     )

@@ -17,7 +17,6 @@ from .loss import jaccard_loss
 from .optim import OptimizerState, bound_schedule, optimizer_step
 from .train import (
     HistoryRow,
-    Sample,
     TrainResult,
     load_checkpoint,
     save_checkpoint,
@@ -49,7 +48,6 @@ __all__ = [
     "bound_schedule",
     "optimizer_step",
     "HistoryRow",
-    "Sample",
     "TrainResult",
     "load_checkpoint",
     "save_checkpoint",

@@ -25,7 +25,7 @@ def jaccard_loss(p: Tensor, target, lung) -> Tensor:
         raise InputError("jaccard_loss: target must be binary")
     if not np.all((m == 0) | (m == 1)):
         raise InputError("jaccard_loss: lung mask must be binary")
-    if p.data.min() < 0.0 or p.data.max() > 1.0:
+    if not (p.data.min() >= 0.0 and p.data.max() <= 1.0):  # NaN fails both
         raise InputError("jaccard_loss: probabilities must lie in [0,1]")
 
     ym = Tensor(y * m)

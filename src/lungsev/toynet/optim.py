@@ -40,13 +40,16 @@ class OptimizerState:
     v: dict = field(default_factory=dict)
 
 
-def optimizer_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-                   state: OptimizerState) -> bool:
-    """Apply one update in place. Returns False (and counts a skip) when any
+def optimizer_step(params: dict[str, Tensor], state: OptimizerState) -> bool:
+    """Apply one update in place from each parameter's .grad (None counts as
+    zeros), then clear every .grad. Returns False (and counts a skip) when any
     gradient is non-finite; parameters and moments are left untouched then."""
     names = sorted(params)
+    grads = {name: params[name].grad for name in names}
+    for p in params.values():
+        p.grad = None
     for name in names:
-        g = grads.get(name)
+        g = grads[name]
         if g is not None and not np.all(np.isfinite(g)):
             state.skipped_steps += 1
             log.warning("non-finite gradient for %s at step %d; step skipped",
@@ -59,12 +62,9 @@ def optimizer_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     step_size = state.lr * np.sqrt(1.0 - BETA2**t) / (1.0 - BETA1**t)
     for name in names:
         p = params[name]
-        g = grads.get(name)
+        g = grads[name]
         if g is None:
             g = np.zeros_like(p.data)
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != p.data.shape:
-            raise InputError(f"gradient shape {g.shape} != param shape {p.data.shape} for {name}")
         m = state.m.get(name)
         v = state.v.get(name)
         if m is None:

@@ -39,9 +39,6 @@ class Tensor:
             raise InputError(f"item() needs a scalar tensor, got shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         if self.data.size != 1:
             raise InputError("backward() requires a scalar root")

@@ -1,6 +1,6 @@
 """Training loop, checkpoints, and loss-curve serialization.
 
-Single-sample batches, a seeded 10% validation split, per-sample augmentation
+Single-case batches, a seeded 10% validation split, per-case augmentation
 (HU shift + axis flip applied to image and masks alike), and selection of the
 parameters with minimal validation loss. Everything is deterministic for a
 fixed config seed.
@@ -15,37 +15,13 @@ import numpy as np
 
 from ..errors import HeaderError, InputError
 from ..errors import at_least, checked, entries, exactly, one_of, positive, read_field, read_json
-from ..volume import Volume, _paths_for, clip_normalize
+from ..volume import LabelMask, Volume, _paths_for, check_same_geometry, clip_normalize
 from .loss import jaccard_loss
 from .network import NetConfig, init_params, net_forward
 from .optim import OptimizerState, optimizer_step
 from .tensor import Tensor, take_channel
 
 VALIDATION_FRACTION = 0.1
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One training case: an HU image plus binary target and lung masks."""
-
-    image: np.ndarray
-    target: np.ndarray
-    lung: np.ndarray
-
-    def __post_init__(self):
-        img = np.asarray(self.image, dtype=np.float64)
-        tgt = np.asarray(self.target)
-        lng = np.asarray(self.lung)
-        if img.ndim != 3 or img.shape != tgt.shape or img.shape != lng.shape:
-            raise InputError(
-                f"sample arrays must share a 3-d shape, got {img.shape}, {tgt.shape}, {lng.shape}"
-            )
-        for name, arr in (("target", tgt), ("lung", lng)):
-            if not np.all((arr == 0) | (arr == 1)):
-                raise InputError(f"sample {name} must be binary")
-        object.__setattr__(self, "image", img)
-        object.__setattr__(self, "target", tgt.astype(np.float64))
-        object.__setattr__(self, "lung", lng.astype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -73,22 +49,26 @@ def sample_augment(seed: int) -> tuple[float, int | None]:
     return shift, axis
 
 
-def _prepare(sample: Sample, augment=None):
-    """Network input, target and lung arrays for one sample: with an
-    augment (shift, axis), the image is shifted, then image and masks are
-    flipped together; the image is windowed last."""
-    image, target, lung = sample.image, sample.target, sample.lung
+def _prepare(case, augment=None):
+    """Network input, target and lung arrays for one (volume, lobes, abnorm)
+    case, in float64 with 0/1 masks: with an augment (shift, axis), the
+    image is shifted, then image and masks are flipped together; the image
+    is windowed last."""
+    volume, lobes, abnorm = case
+    image = volume.data.astype(np.float64)
+    target = (abnorm.data > 0).astype(np.float64)
+    lung = (lobes.data > 0).astype(np.float64)
     if augment is not None:
         shift, axis = augment
         image = image + shift
         if axis is not None:
             image, target, lung = (np.flip(a, axis) for a in (image, target, lung))
-    x = clip_normalize(Volume(image, (1.0, 1.0, 1.0))).data
+    x = clip_normalize(Volume(image, volume.spacing_mm)).data
     return x[None, None], target[None, None], lung[None, None]
 
 
-def _loss_for(sample: Sample, params, config, augment=None) -> Tensor:
-    x, y, m = _prepare(sample, augment)
+def _loss_for(case, params, config, augment=None) -> Tensor:
+    x, y, m = _prepare(case, augment)
     probs = net_forward(Tensor(x), params, config)
     return jaccard_loss(take_channel(probs, 1), y, m)
 
@@ -101,15 +81,20 @@ def _clone_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
 
 def train(
     config: NetConfig,
-    samples: list[Sample],
+    cases: list[tuple[Volume, LabelMask, LabelMask]],
     epochs: int,
     initial_lr: float = 0.001,
 ) -> TrainResult:
-    n = len(samples)
+    """Train on (volume, lobes, abnorm) cases, the grids compute_report takes;
+    each case's three grids must share dims and spacing."""
+    n = len(cases)
     if n < 10:
-        raise InputError(f"need at least 10 samples for a nonempty 10% split, got {n}")
+        raise InputError(f"need at least 10 cases for a nonempty 10% split, got {n}")
     epochs = checked("epochs", epochs, at_least(1))
     initial_lr = checked("initial_lr", initial_lr, positive)
+    for i, (volume, lobes, abnorm) in enumerate(cases):
+        check_same_geometry(
+            (f"case {i} volume", volume), (f"case {i} lobes", lobes), (f"case {i} abnorm", abnorm))
 
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(n)
@@ -129,17 +114,14 @@ def train(
         epoch_order = [train_idx[int(i)] for i in rng.permutation(len(train_idx))]
         for si in epoch_order:
             augment = sample_augment(int(rng.integers(0, 2**31)))
-            loss = _loss_for(samples[si], params, config, augment)
-            for t in params.values():
-                t.zero_grad()
+            loss = _loss_for(cases[si], params, config, augment)
             loss.backward()
-            grads = {name: t.grad for name, t in params.items()}
-            optimizer_step(params, grads, state)
+            optimizer_step(params, state)
             iteration += 1
             history.append(HistoryRow(iteration, loss.item(), None))
             del loss  # free this step's tape before the next forward pass builds one
 
-        val_losses = [_loss_for(samples[vi], params, config).item() for vi in val_idx]
+        val_losses = [_loss_for(cases[vi], params, config).item() for vi in val_idx]
         val_loss = float(np.mean(val_losses))
         last = history[-1]
         history[-1] = HistoryRow(last.iteration, last.train_loss, val_loss)

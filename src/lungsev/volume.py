@@ -144,16 +144,25 @@ def _paths_for(path: str | Path) -> tuple[Path, Path]:
     return p.with_name(p.name + ".json"), p.with_name(p.name + ".raw")
 
 
+def _check_finite_payload(data: np.ndarray, raw_path: Path) -> None:
+    """Raise HeaderError naming `raw_path` if a float grid holds NaN or an
+    infinity. Min and max propagate both, so no full-size temporary is made."""
+    if data.dtype.kind == "f" and not (math.isfinite(data.min()) and math.isfinite(data.max())):
+        raise HeaderError(f"payload {raw_path} holds non-finite values")
+
+
 def write_volume(v: Volume, path: str | Path) -> None:
     """Write the header/payload file pair for a grid.
 
     The array dtype must be one of int16, float32, uint8; callers convert
-    beforehand. Payload is raw little-endian voxels in z-y-x linear order.
+    beforehand, and a float grid must be finite, as read_volume requires.
+    Payload is raw little-endian voxels in z-y-x linear order.
     """
     name = v.data.dtype.name
     if name not in _HEADER_DTYPES:
         raise InputError(f"unsupported dtype {name!r}; expected one of {sorted(_HEADER_DTYPES)}")
     header_path, raw_path = _paths_for(path)
+    _check_finite_payload(v.data, raw_path)
     header = {
         "dims": list(v.dims),
         "spacing_mm": list(v.spacing_mm),
@@ -181,8 +190,7 @@ def _read_grid(path: str | Path, make):
         if len(raw) != expected:
             raise HeaderError(f"payload length mismatch for {raw_path}: {len(raw)} bytes, header implies {expected}")
         data = np.frombuffer(raw, dtype=dtype).reshape(dims)
-        if dtype.kind == "f" and not np.isfinite(data).all():
-            raise HeaderError(f"payload {raw_path} holds non-finite values")
+        _check_finite_payload(data, raw_path)
         return make(data, spacing)
 
     return read_json(header_path, build, HeaderError)

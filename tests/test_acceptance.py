@@ -27,7 +27,6 @@ from lungsev.stats import (
 )
 from lungsev.toynet import (
     NetConfig,
-    Sample,
     Tensor,
     add,
     channel_norm,
@@ -277,7 +276,7 @@ def test_criterion_04_perfect_agreement_fixed_point():
         assert fit.beta0 == 0.0
         assert fit.beta1 == 1.0
         assert fit.r2 == 1.0
-        assert fit.mean_error == 0.0
+        assert fit.mean_abs_error == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +286,7 @@ def test_criterion_04_perfect_agreement_fixed_point():
 def fd_check(build_loss, tensors, h=1e-5, tol=1e-6, samples=4, seed=0):
     loss = build_loss()
     for t in tensors:
-        t.zero_grad()
+        t.grad = None
     loss.backward()
     analytic = {
         id(t): (np.zeros_like(t.data) if t.grad is None else t.grad.copy()) for t in tensors
@@ -426,24 +425,17 @@ def test_criterion_06_network_output_contract():
 # Criterion 7: training converges, tracks validation, and reproduces bitwise
 # ---------------------------------------------------------------------------
 
-def phantom_samples(n=10, dims=(8, 16, 16)):
-    samples = []
+def phantom_cases(n=10, dims=(8, 16, 16)):
+    cases = []
     for i in range(n):
-        spec = phantom.random_spec(100 + i, dims=dims, n_lesions=1 + i % 4)
-        case = phantom.generate(spec)
-        samples.append(
-            Sample(
-                image=case.volume.data.astype(np.float64),
-                target=(case.abnorm_gt.data > 0),
-                lung=(case.lobes.data > 0),
-            )
-        )
-    return samples
+        case = phantom.generate(phantom.random_spec(100 + i, dims=dims, n_lesions=1 + i % 4))
+        cases.append((case.volume, case.lobes, case.abnorm_gt))
+    return cases
 
 
 def test_criterion_07_training_convergence_and_reproducibility(tmp_path):
     t0 = time.perf_counter()
-    samples = phantom_samples(10)
+    cases = phantom_cases(10)
     config = NetConfig(
         stem_channels=4,
         num_dense_blocks=2,
@@ -453,8 +445,8 @@ def test_criterion_07_training_convergence_and_reproducibility(tmp_path):
         norm_enabled=True,
         seed=11,
     )
-    per_epoch = 9  # 10 samples minus the single validation case
-    result = train(config, samples, epochs=22)
+    per_epoch = 9  # 10 cases minus the single validation case
+    result = train(config, cases, epochs=22)
     assert len(result.history) == 22 * per_epoch
     assert len(result.history) <= 200
     assert len(result.val_indices) == 1
@@ -477,7 +469,7 @@ def test_criterion_07_training_convergence_and_reproducibility(tmp_path):
     for name in result.params:
         assert np.array_equal(restored[name].data, result.params[name].data)
 
-    repeat = train(config, samples, epochs=22)
+    repeat = train(config, cases, epochs=22)
     assert repeat.history == result.history
     for name in result.params:
         assert np.array_equal(repeat.params[name].data, result.params[name].data)

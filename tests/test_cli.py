@@ -144,7 +144,7 @@ def test_non_finite_hu_exits_2_naming_the_volume(command, tmp_path, capsys):
     case_dir, case = write_phantom_case(tmp_path, "c0", seed=3, dims=(8, 32, 32))
     hu = case.volume.data.copy()
     hu.flat[np.flatnonzero(case.lobes.data)[:100]] = np.nan
-    write_volume(Volume(hu, case.volume.spacing_mm), case_dir / "volume")
+    (case_dir / "volume.raw").write_bytes(hu.astype("<f4").tobytes())  # write_volume refuses NaN
     out = tmp_path / "out"
     if command == "quantify":
         code = run_quantify(case_dir, out)
@@ -404,10 +404,16 @@ def test_phantom_spec_whose_lungs_miss_every_voxel_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_phantom_rejects_bad_count(tmp_path, capsys):
-    code = main(["phantom", "--count", "0", "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert "count" in capsys.readouterr().err
+def test_phantom_spec_lesion_error_names_the_key_the_file_holds(tmp_path, capsys):
+    payload = phantom.random_spec(3, dims=(10, 16, 16), n_lesions=1).to_json_dict()
+    payload["lesions"][0]["type"] = "fibrosis"
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(payload))
+    assert main(["phantom", "--count", "1", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {spec_path}: lesions: type: unsupported value 'fibrosis', "
+        "expected one of ('ggo', 'consolidation')\n")
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -642,21 +648,6 @@ def test_usage_errors_exit_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
-    [
-        (["quantify", "--volume", "v", "--lobes", "l", "--abnorm", "a",
-          "--threshold-hu", "nan"], "threshold"),
-        (["evaluate", "--gt", "g", "--pred", "p", "--jitter-pct", "-1"], "jitter"),
-    ],
-)
-def test_out_of_range_numeric_flags_exit_2(argv, flag, tmp_path, capsys):
-    out = tmp_path / "out.json"
-    assert main(argv + ["--out", str(out)]) == 2
-    assert flag in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
     "flag, argv",
     [
         ("--count", ["phantom", "--count", "0"]),
@@ -666,6 +657,8 @@ def test_out_of_range_numeric_flags_exit_2(argv, flag, tmp_path, capsys):
         ("--threshold-hu",
          ["quantify", "--volume", "v", "--lobes", "l", "--abnorm", "a", "--threshold-hu", "inf"]),
         ("--jitter-pct", ["evaluate", "--gt", "g", "--pred", "p", "--jitter-pct", "-1"]),
+        ("--threshold-hu",
+         ["quantify", "--volume", "v", "--lobes", "l", "--abnorm", "a", "--threshold-hu", "nan"]),
     ],
 )
 def test_flag_outside_its_range_is_a_usage_error_naming_it(flag, argv, tmp_path, capsys):

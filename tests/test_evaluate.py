@@ -79,7 +79,7 @@ def test_identical_reports_reach_the_exact_fixed_point():
         assert fit.beta0_ci == (0.0, 0.0)
         assert fit.beta1_ci == (1.0, 1.0)
         assert fit.r2 == 1.0
-        assert fit.mean_error == 0.0
+        assert fit.mean_abs_error == 0.0
         assert fit.rmse_about_fit == 0.0
     for metric in ("lss", "lhos"):
         assert summary.metrics[metric].fit is None

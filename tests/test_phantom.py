@@ -100,7 +100,7 @@ def test_lesion_intensity_class_bounds():
     [
         ("radii_mm", lambda: Ellipsoid((8.0, 9.0, 5.0), (1, -1, 1))),
         ("center_mm", lambda: Ellipsoid((8.0, float("nan"), 5.0), (1, 1, 1))),
-        ("kind", lambda: Lesion(Ellipsoid((8, 9, 5), (2, 2, 2)), -500.0, "fibrosis")),
+        ("type", lambda: Lesion(Ellipsoid((8, 9, 5), (2, 2, 2)), -500.0, "fibrosis")),
         ("spacing_mm", lambda: replace(simple_spec(), spacing_mm=(1, 0, 1))),
         ("dims", lambda: replace(simple_spec(), dims=(12, 20, 7))),
         ("noise_sigma_hu", lambda: replace(simple_spec(), noise_sigma_hu=-1.0)),

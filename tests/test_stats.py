@@ -369,7 +369,7 @@ def test_linfit_identity():
     fit = linfit(series(vals, vals))
     assert fit.beta0 == 0.0
     assert fit.beta1 == 1.0
-    assert fit.mean_error == 0.0
+    assert fit.mean_abs_error == 0.0
     assert fit.r2 == 1.0
 
 
@@ -397,7 +397,7 @@ def test_linfit_noisy_line_matches_normal_equations_oracle():
 
     sstot = float(((y - y.mean()) ** 2).sum())
     assert abs(fit.r2 - (1 - float(resid @ resid) / sstot)) < 1e-12
-    assert abs(fit.mean_error - float(np.mean(np.abs(y - x)))) < 1e-14
+    assert abs(fit.mean_abs_error - float(np.mean(np.abs(y - x)))) < 1e-14
 
 
 def test_linfit_residuals_sum_to_zero():

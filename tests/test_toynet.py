@@ -7,11 +7,10 @@ import json
 import numpy as np
 import pytest
 
-from lungsev.errors import HeaderError, InputError
+from lungsev.errors import GeometryError, HeaderError, InputError
 from lungsev.toynet import (
     NetConfig,
     OptimizerState,
-    Sample,
     Tensor,
     bound_schedule,
     channel_norm,
@@ -34,7 +33,7 @@ from lungsev.toynet import (
 )
 from lungsev.toynet.optim import FINAL_LR
 from lungsev.toynet.train import _prepare, sample_augment
-from lungsev.volume import Volume, clip_normalize
+from lungsev.volume import LabelMask, Volume, clip_normalize
 
 
 def proj_loss(out: Tensor, proj: np.ndarray) -> Tensor:
@@ -45,7 +44,7 @@ def fd_check(build_loss, tensors, h=1e-5, tol=1e-6, samples=4, seed=0):
     """Central finite differences vs backprop on sampled parameter entries."""
     loss = build_loss()
     for t in tensors:
-        t.zero_grad()
+        t.grad = None
     loss.backward()
     analytic = {id(t): (np.zeros_like(t.data) if t.grad is None else t.grad.copy()) for t in tensors}
     rng = np.random.default_rng(seed)
@@ -438,31 +437,41 @@ def test_jaccard_input_validation():
         jaccard_loss(p, np.zeros((1, 1, 2, 2, 1)), np.ones((1, 1, 2, 2, 2)))
     with pytest.raises(InputError):
         jaccard_loss(p, np.full((1, 1, 2, 2, 2), 0.5), np.ones((1, 1, 2, 2, 2)))
-    with pytest.raises(InputError):
-        jaccard_loss(Tensor(np.full((1, 1, 2, 2, 2), 1.5)), np.ones((1, 1, 2, 2, 2)), np.ones((1, 1, 2, 2, 2)))
+    for bad in (1.5, -0.5, np.nan):
+        probs = np.full((1, 1, 2, 2, 2), 0.5)
+        probs[0, 0, 1, 1, 1] = bad
+        with pytest.raises(InputError, match="probabilities must lie in"):
+            jaccard_loss(Tensor(probs), np.ones((1, 1, 2, 2, 2)), np.ones((1, 1, 2, 2, 2)))
 
 
 # ---------------------------------------------------------------------------
 # Optimizer
 # ---------------------------------------------------------------------------
 
+def step_with(w: Tensor, grad, state: OptimizerState) -> bool:
+    w.grad = grad
+    ok = optimizer_step({"w": w}, state)
+    assert w.grad is None  # the step consumes the gradient
+    return ok
+
+
 def test_optimizer_zero_gradient_keeps_params():
     w = Tensor(np.array([1.0, -2.0]), requires_grad=True, name="w")
     state = OptimizerState()
-    ok = optimizer_step({"w": w}, {"w": np.zeros(2)}, state)
-    assert ok
-    assert np.array_equal(w.data, [1.0, -2.0])
+    for grad in (np.zeros(2), None):  # no gradient counts as zeros
+        assert step_with(w, grad, state)
+        assert np.array_equal(w.data, [1.0, -2.0])
     # after a real step, a zero-grad step decays the first moment
-    optimizer_step({"w": w}, {"w": np.ones(2)}, state)
+    step_with(w, np.ones(2), state)
     m_before = state.m["w"].copy()
-    optimizer_step({"w": w}, {"w": np.zeros(2)}, state)
+    step_with(w, None, state)
     assert np.all(np.abs(state.m["w"]) < np.abs(m_before))
 
 
 def test_optimizer_skips_nonfinite_gradients():
     w = Tensor(np.array([1.0]), requires_grad=True, name="w")
     state = OptimizerState()
-    ok = optimizer_step({"w": w}, {"w": np.array([np.nan])}, state)
+    ok = step_with(w, np.array([np.nan]), state)
     assert not ok
     assert state.skipped_steps == 1
     assert state.step_count == 0
@@ -474,8 +483,7 @@ def test_optimizer_descends_quadratic():
     state = OptimizerState(lr=0.001)
     trace = []
     for _ in range(200):
-        g = 2.0 * w.data
-        optimizer_step({"w": w}, {"w": g}, state)
+        step_with(w, 2.0 * w.data, state)
         trace.append(abs(float(w.data[0])))
     tail = trace[20:]
     assert all(b < a for a, b in zip(tail, tail[1:]))
@@ -511,16 +519,31 @@ def blob_lung(dims=(4, 8, 8)):
     return (r <= 1.0).astype(np.uint8)
 
 
-def background_samples(n=10, dims=(4, 8, 8)):
+def background_cases(n=10, dims=(4, 8, 8)):
+    """n copies of one (volume, lobes, abnorm) case with no abnormal voxel."""
     lung = blob_lung(dims)
-    image = np.where(lung > 0, -850.0, -1024.0)
-    return [Sample(image, np.zeros(dims), lung) for _ in range(n)]
+    volume = Volume(np.where(lung > 0, -850.0, -1024.0), (1.0, 1.0, 1.0))
+    case = (volume, LabelMask(lung, (1.0, 1.0, 1.0)), LabelMask(np.zeros(dims, np.uint8), (1.0, 1.0, 1.0), (1,)))
+    return [case] * n
 
 
 def test_train_rejects_small_datasets():
     config = toy_config(norm_enabled=True)
     with pytest.raises(InputError):
-        train(config, background_samples(9), epochs=1)
+        train(config, background_cases(9), epochs=1)
+
+
+@pytest.mark.parametrize("mismatch", ["dims", "spacing"])
+def test_train_rejects_a_case_whose_grids_disagree(mismatch):
+    cases = background_cases(10)
+    volume, lobes, abnorm = cases[3]
+    if mismatch == "dims":
+        abnorm = LabelMask(np.zeros((4, 8, 4), np.uint8), abnorm.spacing_mm, (1,))
+    else:
+        abnorm = LabelMask(abnorm.data, (1.0, 1.0, 2.0), (1,))
+    cases[3] = (volume, lobes, abnorm)
+    with pytest.raises(GeometryError, match="^geometry mismatch: case 3 volume: .* vs case 3 abnorm: "):
+        train(toy_config(), cases, epochs=1)
 
 
 @pytest.mark.parametrize(
@@ -529,12 +552,12 @@ def test_train_rejects_small_datasets():
 def test_train_checks_its_own_arguments(field, value):
     arguments = {"epochs": 1, "initial_lr": 0.001, field: value}
     with pytest.raises(InputError, match=f"^{field}: "):
-        train(toy_config(), background_samples(10), **arguments)
+        train(toy_config(), background_cases(10), **arguments)
 
 
 def test_train_background_case_converges_fast():
     config = toy_config(norm_enabled=True, seed=5)
-    result = train(config, background_samples(10), epochs=6)
+    result = train(config, background_cases(10), epochs=6)
     within_50 = [row.train_loss for row in result.history if row.iteration <= 50]
     assert min(within_50) < 0.05
     assert result.history[-1].train_loss < 0.05
@@ -542,9 +565,9 @@ def test_train_background_case_converges_fast():
 
 def test_train_is_bit_deterministic():
     config = toy_config(norm_enabled=True, seed=6)
-    samples = background_samples(10)
-    r1 = train(config, samples, epochs=2)
-    r2 = train(config, samples, epochs=2)
+    cases = background_cases(10)
+    r1 = train(config, cases, epochs=2)
+    r2 = train(config, cases, epochs=2)
     assert r1.history == r2.history
     assert r1.best_val_loss == r2.best_val_loss
     assert all(
@@ -554,8 +577,7 @@ def test_train_is_bit_deterministic():
 
 def test_train_val_split_and_history_layout():
     config = toy_config(norm_enabled=True, seed=7)
-    samples = background_samples(12)
-    result = train(config, samples, epochs=3)
+    result = train(config, background_cases(12), epochs=3)
     assert len(result.val_indices) == 1
     per_epoch = (12 - 1)
     assert len(result.history) == 3 * per_epoch
@@ -570,7 +592,7 @@ def test_train_val_split_and_history_layout():
 
 def test_loss_csv_round_trip(tmp_path):
     config = toy_config(norm_enabled=True, seed=8)
-    result = train(config, background_samples(10), epochs=2)
+    result = train(config, background_cases(10), epochs=2)
     path = tmp_path / "loss.csv"
     write_loss_csv(result.history, path)
     with open(path, newline="") as fh:
@@ -629,44 +651,42 @@ def test_checkpoint_error_paths(tmp_path):
             load_checkpoint(tmp_path / "ckpt2")
 
 
-def test_sample_validation():
-    with pytest.raises(InputError):
-        Sample(np.zeros((4, 4, 4)), np.zeros((4, 4, 3)), np.zeros((4, 4, 4)))
-    with pytest.raises(InputError):
-        Sample(np.zeros((4, 4, 4)), np.full((4, 4, 4), 2.0), np.zeros((4, 4, 4)))
-
-
 # ---------------------------------------------------------------------------
 # Augmentation
 # ---------------------------------------------------------------------------
 
-def asymmetric_sample(seed=0, dims=(3, 4, 5)):
-    """A sample whose image lies inside the lung window and whose arrays all
-    change under a flip along any axis."""
+def asymmetric_case(seed=0, dims=(3, 4, 5)):
+    """A (volume, lobes, abnorm) case whose HU lie inside the lung window and
+    whose grids all change under a flip along any axis."""
     rng = np.random.default_rng(seed)
-    sample = Sample(
-        rng.uniform(-1300.0, 100.0, size=dims),
-        rng.integers(0, 2, size=dims),
-        rng.integers(0, 2, size=dims),
+    spacing = (1.0, 1.0, 1.0)
+    case = (
+        Volume(rng.uniform(-1300.0, 100.0, size=dims), spacing),
+        LabelMask(rng.integers(0, 2, size=dims), spacing),
+        LabelMask(rng.integers(0, 2, size=dims), spacing, (1,)),
     )
-    for a in (sample.image, sample.target, sample.lung):
+    for grid in case:
         for axis in (0, 1, 2):
-            assert not np.array_equal(np.flip(a, axis), a)
-    return sample
+            assert not np.array_equal(np.flip(grid.data, axis), grid.data)
+    return case
 
 
 def test_augment_deterministic():
-    sample = asymmetric_sample()
+    case = asymmetric_case()
     assert sample_augment(99) == sample_augment(99)
-    for a, b in zip(_prepare(sample, sample_augment(123)), _prepare(sample, sample_augment(123))):
+    for a, b in zip(_prepare(case, sample_augment(123)), _prepare(case, sample_augment(123))):
         np.testing.assert_array_equal(a, b)
 
 
 def test_augment_flip_is_involution():
-    sample = asymmetric_sample(4)
-    plain = _prepare(sample)
+    volume, lobes, abnorm = asymmetric_case(4)
+    plain = _prepare((volume, lobes, abnorm))
     for axis in (0, 1, 2):
-        flipped = Sample(*(np.flip(a, axis) for a in (sample.image, sample.target, sample.lung)))
+        flipped = (
+            Volume(np.flip(volume.data, axis), volume.spacing_mm),
+            LabelMask(np.flip(lobes.data, axis), lobes.spacing_mm),
+            LabelMask(np.flip(abnorm.data, axis), abnorm.spacing_mm, (1,)),
+        )
         for got, want in zip(_prepare(flipped, (0.0, axis)), plain):
             np.testing.assert_array_equal(got, want)
 
@@ -683,35 +703,36 @@ def test_augment_shift_within_bounds_and_uniform_flip_rates():
 
 
 def test_augment_matches_manual_composition():
-    sample = asymmetric_sample(17)
+    case = volume, lobes, abnorm = asymmetric_case(17)
     axes = set()
     for seed in range(12):
         shift, axis = sample_augment(seed)
         axes.add(axis)
-        x, y, m = _prepare(sample, (shift, axis))
-        image, target, lung = sample.image + shift, sample.target, sample.lung
+        x, y, m = _prepare(case, (shift, axis))
+        image, target, lung = volume.data + shift, abnorm.data, lobes.data
         if axis is not None:
             image, target, lung = (np.flip(a, axis) for a in (image, target, lung))
         np.testing.assert_array_equal(x[0, 0], clip_normalize(Volume(image, (1, 1, 1))).data)
         np.testing.assert_array_equal(y[0, 0], target)
         np.testing.assert_array_equal(m[0, 0], lung)
+        assert x.dtype == y.dtype == m.dtype == np.float64
     assert axes == {None, 0, 1, 2}
 
 
 def test_augment_flips_image_target_and_lung_together():
-    sample = asymmetric_sample(8)
-    x0, y0, m0 = _prepare(sample)
+    case = asymmetric_case(8)
+    x0, y0, m0 = _prepare(case)
     for axis in (0, 1, 2):
-        x, y, m = _prepare(sample, (0.0, axis))
+        x, y, m = _prepare(case, (0.0, axis))
         np.testing.assert_array_equal(x, np.flip(x0, axis + 2))
         np.testing.assert_array_equal(y, np.flip(y0, axis + 2))
         np.testing.assert_array_equal(m, np.flip(m0, axis + 2))
 
 
 def test_augment_does_not_mutate_input():
-    sample = asymmetric_sample(1)
-    before = [a.copy() for a in (sample.image, sample.target, sample.lung)]
+    case = asymmetric_case(1)
+    before = [grid.data.copy() for grid in case]
     for axis in (None, 0, 1, 2):
-        _prepare(sample, (7.5, axis))
-    for a, b in zip((sample.image, sample.target, sample.lung), before):
-        np.testing.assert_array_equal(a, b)
+        _prepare(case, (7.5, axis))
+    for grid, b in zip(case, before):
+        np.testing.assert_array_equal(grid.data, b)

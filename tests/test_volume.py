@@ -1,11 +1,14 @@
 """Tests for the volumetric data model, file I/O, and preprocessing ops."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lungsev.errors import EmptyMaskError, GeometryError, HeaderError, InputError
 from lungsev.volume import (
@@ -66,7 +69,12 @@ def test_volume_rejects_spacing_whose_grid_volume_is_not_finite_and_positive(spa
 def test_read_rejects_a_float_payload_with_non_finite_values(bad, tmp_path):
     data = np.full((2, 3, 4), -500.0, dtype=np.float32)
     data[1, 2, 3] = bad
-    write_volume(Volume(data, (1.0, 1.0, 1.0)), tmp_path / "v")
+    with pytest.raises(HeaderError, match=r"^payload .*v\.raw holds non-finite values$"):
+        write_volume(Volume(data, (1.0, 1.0, 1.0)), tmp_path / "v")  # refused with the reader's message
+    assert not list(tmp_path.iterdir())
+    header = {"dims": [2, 3, 4], "spacing_mm": [1.0, 1.0, 1.0], "dtype": "float32", "byte_order": "little"}
+    (tmp_path / "v.json").write_text(json.dumps(header))
+    (tmp_path / "v.raw").write_bytes(data.astype("<f4").tobytes())
     with pytest.raises(HeaderError, match=r"v\.json: payload .*v\.raw holds non-finite values"):
         read_volume(tmp_path / "v")
 
@@ -218,6 +226,32 @@ def test_write_rejects_unsupported_dtype(tmp_path):
     v = Volume(np.zeros((2, 2, 2), dtype=np.float64), (1, 1, 1))
     with pytest.raises(InputError, match="unsupported dtype"):
         write_volume(v, tmp_path / "v")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    array=hnp.arrays(st.sampled_from([np.dtype(d) for d in ("int16", "float32", "uint8")]),
+                     st.tuples(*[st.integers(1, 4)] * 3)),
+    spacing=st.tuples(*[st.floats(1e-90, 1e90)] * 3),
+)
+def test_every_grid_write_volume_accepts_reads_back_equal(array, spacing):
+    """Any payload, NaN and infinities included: write_volume refuses exactly
+    the non-finite float grids, and every grid it writes reads back with
+    equal dtype, dims, spacing and bytes."""
+    grid = Volume(array, spacing)
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "grid"
+        if not np.isfinite(array).all():
+            with pytest.raises(HeaderError, match="holds non-finite values"):
+                write_volume(grid, base)
+            assert not list(Path(tmp).iterdir())
+            return
+        write_volume(grid, base)
+        back = read_volume(base)
+    assert back.data.dtype == grid.data.dtype
+    assert back.dims == grid.dims
+    assert back.spacing_mm == grid.spacing_mm
+    assert back.data.tobytes() == grid.data.tobytes()
 
 
 def test_mask_roundtrip(tmp_path):
