@@ -150,16 +150,32 @@ def cmd_phantom(args: argparse.Namespace) -> int:
 # preprocess
 # ---------------------------------------------------------------------------
 
+def _windowed_float32(volume: Volume) -> Volume:
+    """The lung-windowed float32 grid; the float64 window dies on return."""
+    normed = clip_normalize(volume)
+    return Volume(normed.data.astype(np.float32), normed.spacing_mm)
+
+
+# Air after the window, as a float32 voxel holds it: padding the windowed
+# grid with it writes the bytes that padding with air in HU, then windowing,
+# would write.
+WINDOWED_AIR = float(_windowed_float32(Volume(np.full((1, 1, 1), AIR_HU), RESAMPLE_SPACING_MM)).data[0, 0, 0])
+
+
 def cmd_preprocess(args: argparse.Namespace) -> int:
+    """Resample, window, then crop. Each full-size grid is dropped as soon as
+    the next step has its result, so the peak stays near the two inputs and
+    the output box."""
     volume = read_volume(args.volume)
     lobes = read_mask(args.lobes)
     check_same_geometry((args.volume, volume), (args.lobes, lobes))
+    center = lung_center(resample_mask(lobes, RESAMPLE_SPACING_MM))
+    del lobes
     v_res = resample(volume, RESAMPLE_SPACING_MM)
-    m_res = resample_mask(lobes, RESAMPLE_SPACING_MM)
-    center = lung_center(m_res)
-    cropped = crop_box(v_res, center, args.box, pad_value=AIR_HU)
-    normed = clip_normalize(cropped)
-    out_volume = Volume(normed.data.astype(np.float32), normed.spacing_mm)
+    del volume
+    image = _windowed_float32(v_res)
+    del v_res
+    out_volume = crop_box(image, center, args.box, pad_value=WINDOWED_AIR)
     write_volume(out_volume, _output(args.out))
     print(f"preprocessed {args.volume} -> {args.out} dims={out_volume.dims}")
     return 0
@@ -268,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_phantom.add_argument("--spec", default=None, help="spec JSON to reuse for every case")
     p_phantom.set_defaults(func=cmd_phantom)
 
-    p_pre = sub.add_parser("preprocess", help="resample, crop, and window a volume")
+    p_pre = sub.add_parser("preprocess", help="resample, window, and crop a volume")
     p_pre.add_argument("--volume", required=True)
     p_pre.add_argument("--lobes", required=True)
     p_pre.add_argument("--out", required=True)

@@ -170,7 +170,9 @@ def write_volume(v: Volume, path: str | Path) -> None:
         "byte_order": "little",
     }
     header_path.write_text(json.dumps(header, allow_nan=False) + "\n")
-    raw_path.write_bytes(np.ascontiguousarray(v.data, dtype=_HEADER_DTYPES[name]).tobytes())
+    # A C-contiguous little-endian grid is written from its own buffer; only
+    # a strided or big-endian one is copied first.
+    raw_path.write_bytes(memoryview(np.ascontiguousarray(v.data, dtype=_HEADER_DTYPES[name])))
 
 
 def _read_grid(path: str | Path, make):
@@ -223,6 +225,12 @@ def _source_coords(grid: Volume, target_spacing) -> tuple[tuple, list[np.ndarray
     return target, coords
 
 
+# Output z-planes per resample slab. Its temporaries stay far below the output,
+# and small slabs ran fastest: on a 300x512x512 int16 chest (2-core VM) 1 to 4
+# planes took 0.26-0.33 s per resample, one slab of the whole grid 0.71 s.
+_RESAMPLE_SLAB_PLANES = 4
+
+
 def _lerp_axis(a: np.ndarray, coords: np.ndarray, axis: int) -> np.ndarray:
     """Linear interpolation of `a` at fractional indices `coords` along one axis.
 
@@ -250,12 +258,17 @@ def resample(v: Volume, target_spacing: tuple[float, float, float]) -> Volume:
     each pass reads the previous one's output, and the first reads the input
     dtype directly. This differs from interpolating the eight corners of each
     cell only in float64 rounding (pinned at 1e-9 HU by the tests), and
-    constant regions stay bit-exact.
+    constant regions stay bit-exact. The passes run on slabs of a few
+    output z-planes at a time (_RESAMPLE_SLAB_PLANES), filling the output in
+    place; every voxel gets the arithmetic of a whole-grid pass, so the
+    result is the same bytes without full-size float64 temporaries.
     """
     target, coords = _source_coords(v, target_spacing)
-    out = v.data
-    for axis, c in enumerate(coords):
-        out = _lerp_axis(out, c, axis)
+    cz, cy, cx = coords
+    out = np.empty((cz.size, cy.size, cx.size), dtype=np.float64)
+    for z0 in range(0, cz.size, _RESAMPLE_SLAB_PLANES):
+        slab = _lerp_axis(v.data, cz[z0:z0 + _RESAMPLE_SLAB_PLANES], 0)
+        out[z0:z0 + _RESAMPLE_SLAB_PLANES] = _lerp_axis(_lerp_axis(slab, cy, 1), cx, 2)
     return Volume(out, target)
 
 
@@ -275,23 +288,30 @@ def resample_mask(m: LabelMask, target_spacing: tuple[float, float, float]) -> L
 def clip_normalize(v: Volume) -> Volume:
     """Clip to the lung window and rescale to [0, 1].
 
-    out = (clamp(v, lo, hi) - lo) / width with lo, hi = -1350, 150 HU.
+    out = (clamp(v, lo, hi) - lo) / width with lo, hi = -1350, 150 HU,
+    computed in float64 in the one output array.
     Monotone and bounded; the window level, -600 HU, maps to 0.5.
     """
     lo = WINDOW_LEVEL_HU - WINDOW_WIDTH_HU / 2.0
-    clipped = np.clip(v.data.astype(np.float64, copy=False), lo, lo + WINDOW_WIDTH_HU)
-    return Volume((clipped - lo) / WINDOW_WIDTH_HU, v.spacing_mm)
+    out = np.clip(v.data, lo, lo + WINDOW_WIDTH_HU, dtype=np.float64)
+    out -= lo
+    out /= WINDOW_WIDTH_HU
+    return Volume(out, v.spacing_mm)
 
 
 def lung_center(lobes: LabelMask) -> tuple[int, int, int]:
     """Geometric center of the nonzero mask voxels, in voxel coordinates.
 
-    Arithmetic mean of nonzero indices, rounded half away from zero.
+    Arithmetic mean of nonzero indices, rounded half away from zero. Each
+    axis's mean comes from its per-index voxel counts, as exact integer
+    sums, so no index arrays are built.
     """
-    nz = np.nonzero(lobes.data)
-    if nz[0].size == 0:
+    per_zy = np.count_nonzero(lobes.data, axis=2)
+    total = int(per_zy.sum())
+    if total == 0:
         raise EmptyMaskError("cannot compute center of an empty mask")
-    return tuple(_round_half_away(float(np.mean(axis_idx))) for axis_idx in nz)
+    per_axis = (per_zy.sum(axis=1), per_zy.sum(axis=0), np.count_nonzero(lobes.data, axis=(0, 1)))
+    return tuple(_round_half_away(int(counts @ np.arange(counts.size)) / total) for counts in per_axis)
 
 
 def crop_box(
@@ -304,8 +324,9 @@ def crop_box(
 
     The source center voxel maps to index box//2 of the output, so the value
     at the center is preserved whenever the center lies inside the source.
-    Padding happens in HU (default air, -1024) before any normalization.
-    The output keeps the input dtype, which must hold pad_value exactly.
+    The default pad value is air in HU (-1024); a windowed grid is padded
+    with windowed air instead. The output keeps the input dtype, which must
+    hold pad_value exactly.
     """
     box = checked("box", box, entries(at_least(1), 3))
     data = v.data

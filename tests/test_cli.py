@@ -2,6 +2,7 @@ import csv
 import json
 import logging
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -446,6 +447,27 @@ def test_preprocess_equals_manual_composition(tmp_path):
     np.testing.assert_array_equal(got.data, expected)
     assert got.data.min() >= 0.0
     assert got.data.max() <= 1.0
+
+
+def test_preprocess_peak_memory_stays_within_the_inputs_two_resampled_grids_and_the_box(tmp_path):
+    """numpy reports its buffers to tracemalloc; the box pads the resampled
+    grid in z, so the windowed-air pad is written too."""
+    case_dir, _ = write_phantom_case(tmp_path, "c0", seed=3, dims=(48, 128, 128))
+    box = (32, 96, 96)
+    resampled_dims = resample_mask(read_mask(case_dir / "lobes"), RESAMPLE_SPACING_MM).dims
+    assert resampled_dims[0] < box[0]
+    resampled_voxels = int(np.prod(resampled_dims))
+    out_base = tmp_path / "pre"
+    tracemalloc.start()
+    try:
+        code = main(["preprocess", "--volume", str(case_dir / "volume"), "--lobes", str(case_dir / "lobes"),
+                     "--out", str(out_base), "--box", ",".join(map(str, box))])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    inputs = (case_dir / "volume.raw").stat().st_size + (case_dir / "lobes.raw").stat().st_size
+    assert peak <= inputs + 2 * resampled_voxels * 8 + (tmp_path / "pre.raw").stat().st_size
 
 
 def test_preprocess_constant_window_center_maps_to_half(tmp_path):

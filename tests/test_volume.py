@@ -25,6 +25,7 @@ from lungsev.volume import (
     resample_mask,
     write_volume,
 )
+from lungsev.volume import _RESAMPLE_SLAB_PLANES
 
 
 def make_volume(data, spacing=(1.0, 1.0, 1.0)):
@@ -254,6 +255,18 @@ def test_every_grid_write_volume_accepts_reads_back_equal(array, spacing):
     assert back.data.tobytes() == grid.data.tobytes()
 
 
+@pytest.mark.parametrize("make", [
+    lambda a: a[:, ::2],  # a strided view
+    lambda a: a.astype(">i2"),  # big-endian
+], ids=["strided_view", "big_endian"])
+def test_write_volume_of_a_non_native_layout_writes_little_endian_c_order(make, tmp_path):
+    data = make(np.arange(-60, 60, dtype=np.int16).reshape(3, 8, 5) * 271)
+    assert not (data.flags.c_contiguous and data.dtype == np.dtype("<i2"))
+    write_volume(Volume(data, (1.0, 1.0, 1.0)), tmp_path / "g")
+    assert (tmp_path / "g.raw").read_bytes() == np.ascontiguousarray(data, dtype="<i2").tobytes()
+    np.testing.assert_array_equal(read_volume(tmp_path / "g").data, data)
+
+
 def test_mask_roundtrip(tmp_path):
     m = LabelMask(np.arange(6, dtype=np.uint8).reshape(1, 2, 3) % 6, (2.0, 1.0, 1.0))
     write_volume(m, tmp_path / "m")
@@ -391,6 +404,41 @@ def test_resample_trilinear_keeps_constant_regions_exact(target):
     assert np.max(np.abs(out.data - want)) <= 1e-9
 
 
+def whole_grid_passes(data, spacing, target):
+    """Trilinear resampling as three whole-grid 1-D passes (z, y, x), each
+    voxel computed as lo + f*(hi - lo) in float64."""
+    out = data
+    for axis, (d, si, so) in enumerate(zip(data.shape, spacing, target)):
+        n = max(1, int(np.floor(d * si / so + 0.5)))
+        c = np.clip(np.arange(n, dtype=np.float64) * (so / si), 0.0, d - 1)
+        lo = np.minimum(np.floor(c).astype(np.intp), d - 1)
+        hi = np.minimum(lo + 1, d - 1)
+        shape = [1, 1, 1]
+        shape[axis] = -1
+        f = (c - lo).reshape(shape)
+        a_lo = np.take(out, lo, axis=axis).astype(np.float64)
+        a_hi = np.take(out, hi, axis=axis).astype(np.float64)
+        out = a_lo + f * (a_hi - a_lo)
+    return out
+
+
+@pytest.mark.parametrize("out_z", [1, _RESAMPLE_SLAB_PLANES + 1, 2 * _RESAMPLE_SLAB_PLANES + 3])
+@pytest.mark.parametrize("dtype", ["int16", "uint8", "float32"])
+def test_resample_in_slabs_equals_whole_grid_passes_bit_for_bit(dtype, out_z):
+    rng = np.random.default_rng(out_z)
+    shape = (7, 11, 10)
+    if dtype == "float32":
+        data = rng.uniform(-3000.0, 3000.0, size=shape).astype(np.float32)
+    else:
+        info = np.iinfo(dtype)
+        data = rng.integers(info.min, info.max, size=shape, endpoint=True).astype(dtype)
+    spacing, target = (1.0, 0.7, 0.7), (7.0 / out_z, 1.0, 1.0)
+    out = resample(Volume(data, spacing), target)
+    assert out.dims[0] == out_z
+    assert out_z == 1 or out_z % _RESAMPLE_SLAB_PLANES
+    np.testing.assert_array_equal(out.data, whole_grid_passes(data, spacing, target))
+
+
 def test_resample_rejects_bad_spacing():
     v = make_volume(np.zeros((2, 2, 2)))
     with pytest.raises(InputError):
@@ -443,6 +491,37 @@ def test_lung_center_rounding_is_half_up():
     m[0, 0, 0] = 1
     m[1, 1, 1] = 1  # means are 0.5 -> round away from zero -> 1
     assert lung_center(LabelMask(m, (1, 1, 1))) == (1, 1, 1)
+
+
+def nonzero_mean_center(mask):
+    """Mean of each axis's np.nonzero indices, rounded half up."""
+    return tuple(int(np.floor(float(np.mean(idx)) + 0.5)) for idx in np.nonzero(mask))
+
+
+def _center_cases():
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        shape = tuple(rng.integers(1, 12, size=3))
+        mask = rng.random(shape) < rng.uniform(0.01, 0.9)
+        mask.flat[rng.integers(mask.size)] = True
+        yield mask.astype(rng.choice([np.uint8, np.int16]))
+    one = np.zeros((5, 6, 7), dtype=np.uint8)
+    one[4, 0, 6] = 3
+    yield one
+    faces = np.zeros((5, 6, 7), dtype=np.uint8)
+    faces[[0, -1]] = 1
+    faces[:, [0, -1]] = 2
+    faces[:, :, [0, -1]] = 5
+    yield faces
+    for axis in range(3):  # the mean on `axis` is k + 0.5
+        tie = np.zeros((4, 4, 4), dtype=np.uint8)
+        tie[(1,) * axis + (slice(1, 3),) + (1,) * (2 - axis)] = 1
+        yield tie
+
+
+def test_lung_center_equals_the_rounded_mean_of_nonzero_indices():
+    for mask in _center_cases():
+        assert lung_center(LabelMask(mask, (1, 1, 1))) == nonzero_mean_center(mask)
 
 
 def test_lung_center_empty_mask_raises():
