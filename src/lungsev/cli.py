@@ -17,7 +17,7 @@ import numpy as np
 
 from . import phantom as phantom_mod
 from .errors import InputError, LungSevError, at_least, entries, exactly, finite, nonnegative
-from .errors import only_fields, positive, read_field, read_json
+from .errors import only_fields, read_field, read_json
 from .evaluate import evaluate_reports, scatter_rows, write_scatter_csv
 from .severity import DEFAULT_THRESHOLD_HU, SeverityReport, compute_report
 from .toynet import NetConfig, save_checkpoint, train, write_loss_csv
@@ -118,7 +118,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out = _output(Path(args.out))
     out.write_text(json.dumps(summary.to_json_dict(), indent=2, allow_nan=False) + "\n")
     if args.scatter:
-        rows = scatter_rows(summary, jitter_pct=args.jitter_pct, seed=args.seed)
+        rows = scatter_rows(summary, seed=args.seed)
         write_scatter_csv(rows, _output(args.scatter))
     print(f"evaluated {summary.n_cases} cases ({summary.n_positive} positive) -> {out}")
     return 0
@@ -129,6 +129,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_phantom(args: argparse.Namespace) -> int:
+    given = {"dims": args.dims, "noise_sigma_hu": args.noise_sigma}
+    given = {key: value for key, value in given.items() if value is not None}  # random_spec has the defaults
+    if args.spec and given:
+        flag = "--dims" if "dims" in given else "--noise-sigma"
+        raise InputError(f"{flag} cannot be used with --spec, whose file sets it")
     base_spec = read_json(args.spec, phantom_mod.PhantomSpec.from_json_dict) if args.spec else None
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
@@ -137,7 +142,7 @@ def cmd_phantom(args: argparse.Namespace) -> int:
         if base_spec is not None:
             spec = replace(base_spec, seed=case_seed)
         else:
-            spec = phantom_mod.random_spec(case_seed, dims=args.dims, noise_sigma_hu=args.noise_sigma)
+            spec = phantom_mod.random_spec(case_seed, **given)
         case = phantom_mod.generate(spec)
         case_dir = out_root / f"case_{index:03d}"
         phantom_mod.write_case(case, case_dir)
@@ -216,11 +221,10 @@ def _train_run(doc: dict) -> dict:
     missing = [field for field in REQUIRED_TRAIN_FIELDS if field not in doc]
     if missing:
         raise InputError("missing field(s): " + ", ".join(missing))
-    only_fields(doc, {*REQUIRED_TRAIN_FIELDS, *NET_FIELDS, "initial_lr"})
+    only_fields(doc, {*REQUIRED_TRAIN_FIELDS, *NET_FIELDS})
     return {
         "config": NetConfig(**{f: doc[f] for f in NET_FIELDS if f in doc}),
         "epochs": read_field(doc, "epochs", at_least(1)),
-        "initial_lr": read_field(doc, "initial_lr", positive) if "initial_lr" in doc else 0.001,
         **{f: read_field(doc, f, exactly(str)) for f in ("data_dir", "out_checkpoint", "out_loss_csv")},
     }
 
@@ -229,7 +233,7 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
     run = read_json(args.config, _train_run)
     cases = _load_cases(run["data_dir"], run["config"])
     checkpoint, loss_csv = _output(run["out_checkpoint"]), _output(run["out_loss_csv"])
-    result = train(run["config"], cases, run["epochs"], run["initial_lr"])
+    result = train(run["config"], cases, run["epochs"])
     save_checkpoint(result.params, checkpoint)
     write_loss_csv(result.history, loss_csv)
     print(
@@ -265,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--pred", required=True, help="directory of predicted report JSON files")
     p_eval.add_argument("--out", default="summary.json")
     p_eval.add_argument("--scatter", default=None, help="optional scatter CSV output path")
-    p_eval.add_argument("--jitter-pct", type=_flag(nonnegative), default=0.2)
     p_eval.add_argument("--seed", type=_flag(at_least(0), int), default=0)
     p_eval.add_argument(
         "--positive-list",
@@ -279,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_phantom.add_argument("--out", required=True)
     p_phantom.add_argument("--count", type=_flag(at_least(1), int), required=True)
     p_phantom.add_argument("--seed", type=_flag(at_least(0), int), default=0)
-    p_phantom.add_argument("--dims", type=_flag(entries(at_least(1), 3), _ints), default=(16, 28, 28))
-    p_phantom.add_argument("--noise-sigma", type=_flag(nonnegative), default=0.0, dest="noise_sigma")
+    p_phantom.add_argument("--dims", type=_flag(entries(at_least(1), 3), _ints))
+    p_phantom.add_argument("--noise-sigma", type=_flag(nonnegative), dest="noise_sigma")
     p_phantom.add_argument("--spec", default=None, help="spec JSON to reuse for every case")
     p_phantom.set_defaults(func=cmd_phantom)
 

@@ -8,7 +8,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDataError, InputError, checked, nonnegative
+from .errors import DegenerateDataError, InputError
 from .severity import SeverityReport
 from .stats import (
     PERCENT_BIN_EDGES,
@@ -156,6 +156,12 @@ def evaluate_reports(
     case_ids = sorted(gt_ids)
     if len(case_ids) < MIN_CASES:
         raise InputError(f"need at least {MIN_CASES} paired cases, got {len(case_ids)}")
+    threshold = gt_reports[case_ids[0]].threshold_hu  # reports at other thresholds do not compare
+    for side, reports in (("gt", gt_reports), ("pred", pred_reports)):
+        for cid in case_ids:
+            if reports[cid].threshold_hu != threshold:
+                raise InputError(f"{cid}: {side} report threshold_hu {reports[cid].threshold_hu} differs "
+                                 f"from {threshold} in the gt report of {case_ids[0]}")
 
     if positive_ids is None:
         positive = set(case_ids)
@@ -189,19 +195,21 @@ def evaluate_reports(
     )
 
 
+# Half-width of the display jitter, in each metric's own units.
+JITTER = 0.2
+
 SCATTER_HEADER = ("case_id", "metric", "gt", "pred", "gt_jittered", "pred_jittered")
 
 
-def scatter_rows(summary: EvaluationSummary, jitter_pct: float = 0.2, seed: int = 0) -> list[tuple]:
-    """Per-case scatter points with a small uniform display jitter.
+def scatter_rows(summary: EvaluationSummary, seed: int = 0) -> list[tuple]:
+    """Per-case scatter points with a uniform display jitter within ±JITTER.
 
     The jitter exists purely to separate overlapping markers; the
     unjittered columns are the values every statistic is computed from.
     """
-    jitter_pct = checked("jitter_pct", jitter_pct, nonnegative)
     points = [(case, m) for case in summary.cases for m in METRICS]
     # One (gt, pred) jitter pair per point, drawn in row order.
-    jitter = np.random.default_rng(seed).uniform(-jitter_pct, jitter_pct, size=(len(points), 2))
+    jitter = np.random.default_rng(seed).uniform(-JITTER, JITTER, size=(len(points), 2))
     return [
         (case.case_id, m, case.gt[m], case.pred[m], case.gt[m] + dg, case.pred[m] + dp)
         for (case, m), (dg, dp) in zip(points, jitter.tolist())

@@ -1,12 +1,12 @@
 """Anisotropic dense encoder-decoder for volumetric binary segmentation.
 
-Layout: a stem conv, then num_dense_blocks stages of [strided downsample
-conv -> dense block]. Early stages downsample only in-plane with (1,2,2)
-strides and use (1,3,3) kernels; once strides become isotropic (2,2,2) the
-kernels switch to (3,3,3). The decoder mirrors the encoder: each stage is a
-transpose conv (kernel = stride) back to the matching encoder resolution,
-concatenation with that skip tensor, and one composite conv. A 1x1x1 head
-plus channelwise softmax yields two per-voxel class probabilities.
+Layout: a stem conv, then one stage per downsample stride of [strided
+downsample conv -> dense block]. Early stages downsample only in-plane with
+(1,2,2) strides and use (1,3,3) kernels; once strides become isotropic
+(2,2,2) the kernels switch to (3,3,3). The decoder mirrors the encoder: each
+stage is a transpose conv (kernel = stride) back to the matching encoder
+resolution, concatenation with that skip tensor, and one composite conv. A
+1x1x1 head plus channelwise softmax yields two per-voxel class probabilities.
 
 Dense blocks follow the pre-activation pattern: every layer applies
 norm -> LeakyReLU -> conv to the concatenation of the block input and all
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InputError, at_least, checked, entries, exactly
+from ..errors import InputError, at_least, checked, entries
 from .ops import channel_norm, conv3d, transpose_conv3d
 from .tensor import Tensor, concat, leaky_relu, softmax_channels
 
@@ -27,6 +27,8 @@ ISO_STRIDE = (2, 2, 2)
 IN_CHANNELS = 1
 OUT_CHANNELS = 2
 STEM_KERNEL = (1, 3, 3)
+# A stage's conv kernel: in-plane while its stride is anisotropic, full 3-d once isotropic.
+STAGE_KERNEL = {ANISO_STRIDE: (1, 3, 3), ISO_STRIDE: (3, 3, 3)}
 
 _positive = at_least(1)
 
@@ -36,8 +38,6 @@ NET_FIELDS = {
     "stem_channels": _positive,
     "growth_rate": _positive,
     "layers_per_block": _positive,
-    "num_dense_blocks": _positive,
-    "norm_enabled": exactly(bool),
     "downsample_strides": entries(entries(_positive, 3)),
 }
 
@@ -45,7 +45,6 @@ NET_FIELDS = {
 @dataclass(frozen=True)
 class NetConfig:
     stem_channels: int = 8
-    num_dense_blocks: int = 5
     layers_per_block: int = 2
     growth_rate: int = 4
     downsample_strides: tuple[tuple[int, int, int], ...] = (
@@ -55,17 +54,16 @@ class NetConfig:
         ISO_STRIDE,
         ISO_STRIDE,
     )
-    norm_enabled: bool = True
     seed: int = 0
 
     def __post_init__(self):
         for name, check in NET_FIELDS.items():
             object.__setattr__(self, name, checked(name, getattr(self, name), check))
         strides = self.downsample_strides
-        if len(strides) != self.num_dense_blocks:
-            raise InputError("need one downsample stride per dense block")
+        if not strides:
+            raise InputError("downsample_strides: expected at least one stride")
         for s in strides:
-            if s not in (ANISO_STRIDE, ISO_STRIDE):
+            if s not in STAGE_KERNEL:
                 raise InputError(f"stride {s} must be {ANISO_STRIDE} or {ISO_STRIDE}")
         if strides != tuple(sorted(strides)):  # ANISO_STRIDE sorts before ISO_STRIDE
             raise InputError("anisotropic strides must precede isotropic ones")
@@ -77,15 +75,10 @@ class NetConfig:
             cum = [c * v for c, v in zip(cum, s)]
         return tuple(cum)
 
-    def block_kernel(self, index: int) -> tuple[int, int, int]:
-        """Conv kernel for stage `index` (1-based): in-plane while the
-        matching stride is anisotropic, full 3-d once isotropic."""
-        return (3, 3, 3) if self.downsample_strides[index - 1] == ISO_STRIDE else (1, 3, 3)
-
     def encoder_channels(self) -> list[int]:
-        """Channel width at each resolution level 0..num_dense_blocks."""
+        """Channel width at each resolution level, 0 to one per stride."""
         ch = [self.stem_channels]
-        for _ in range(self.num_dense_blocks):
+        for _ in self.downsample_strides:
             ch.append(ch[-1] + self.layers_per_block * self.growth_rate)
         return ch
 
@@ -114,18 +107,16 @@ def init_params(config: NetConfig) -> dict[str, Tensor]:
     conv_p("stem", IN_CHANNELS, ch[0], STEM_KERNEL)
     norm_p("stem.norm", ch[0])
 
-    for k in range(1, config.num_dense_blocks + 1):
-        stride = config.downsample_strides[k - 1]
-        kernel = config.block_kernel(k)
+    for k, stride in enumerate(config.downsample_strides, 1):
+        kernel = STAGE_KERNEL[stride]
         conv_p(f"enc{k}.down", ch[k - 1], ch[k - 1], stride)
         for j in range(1, config.layers_per_block + 1):
             c_in = ch[k - 1] + (j - 1) * config.growth_rate
             norm_p(f"enc{k}.layer{j}.norm", c_in)
             conv_p(f"enc{k}.layer{j}", c_in, config.growth_rate, kernel)
 
-    for k in range(config.num_dense_blocks, 0, -1):
-        stride = config.downsample_strides[k - 1]
-        kernel = config.block_kernel(k)
+    for k, stride in reversed(list(enumerate(config.downsample_strides, 1))):
+        kernel = STAGE_KERNEL[stride]
         conv_p(f"dec{k}.up", ch[k], ch[k - 1], stride, transpose=True)
         norm_p(f"dec{k}.norm", 2 * ch[k - 1])
         conv_p(f"dec{k}", 2 * ch[k - 1], ch[k - 1], kernel)
@@ -134,9 +125,7 @@ def init_params(config: NetConfig) -> dict[str, Tensor]:
     return params
 
 
-def _maybe_norm(x: Tensor, params, name, config: NetConfig) -> Tensor:
-    if not config.norm_enabled:
-        return x
+def _norm(x: Tensor, params, name) -> Tensor:
     return channel_norm(x, params[f"{name}.gamma"], params[f"{name}.beta"])
 
 
@@ -144,7 +133,7 @@ def dense_block(x: Tensor, params: dict, config: NetConfig, index: int) -> Tenso
     feats = [x]
     for j in range(1, config.layers_per_block + 1):
         h = feats[0] if len(feats) == 1 else concat(feats, axis=1)
-        h = _maybe_norm(h, params, f"enc{index}.layer{j}.norm", config)
+        h = _norm(h, params, f"enc{index}.layer{j}.norm")
         h = leaky_relu(h)
         h = conv3d(h, params[f"enc{index}.layer{j}.w"], params[f"enc{index}.layer{j}.b"],
                    stride=(1, 1, 1), padding="same")
@@ -167,22 +156,20 @@ def net_forward(x: Tensor, params: dict, config: NetConfig) -> Tensor:
         )
 
     h = conv3d(x, params["stem.w"], params["stem.b"], stride=(1, 1, 1), padding="same")
-    h = _maybe_norm(h, params, "stem.norm", config)
+    h = _norm(h, params, "stem.norm")
     h = leaky_relu(h)
 
     skips = []
-    for k in range(1, config.num_dense_blocks + 1):
+    for k, stride in enumerate(config.downsample_strides, 1):
         skips.append(h)
-        stride = config.downsample_strides[k - 1]
         h = conv3d(h, params[f"enc{k}.down.w"], params[f"enc{k}.down.b"],
                    stride=stride, padding=(0, 0, 0))
         h = dense_block(h, params, config, k)
 
-    for k in range(config.num_dense_blocks, 0, -1):
-        stride = config.downsample_strides[k - 1]
+    for k, stride in reversed(list(enumerate(config.downsample_strides, 1))):
         h = transpose_conv3d(h, params[f"dec{k}.up.w"], params[f"dec{k}.up.b"], stride=stride)
         h = concat([h, skips[k - 1]], axis=1)
-        h = _maybe_norm(h, params, f"dec{k}.norm", config)
+        h = _norm(h, params, f"dec{k}.norm")
         h = leaky_relu(h)
         h = conv3d(h, params[f"dec{k}.w"], params[f"dec{k}.b"], stride=(1, 1, 1), padding="same")
 

@@ -15,6 +15,7 @@ from .tensor import Tensor
 
 log = logging.getLogger("lungsev.toynet")
 
+LR = 0.001  # the adaptive step size before bias correction and the clamp
 FINAL_LR = 0.1
 GAMMA = 1e-3  # how fast the clamp interval closes around FINAL_LR
 BETA1 = 0.9
@@ -33,7 +34,6 @@ def bound_schedule(t: int) -> tuple[float, float]:
 
 @dataclass
 class OptimizerState:
-    lr: float = 0.001
     step_count: int = 0
     skipped_steps: int = 0
     m: dict = field(default_factory=dict)
@@ -59,7 +59,7 @@ def optimizer_step(params: dict[str, Tensor], state: OptimizerState) -> bool:
     state.step_count += 1
     t = state.step_count
     lower, upper = bound_schedule(t)
-    step_size = state.lr * np.sqrt(1.0 - BETA2**t) / (1.0 - BETA1**t)
+    step_size = LR * np.sqrt(1.0 - BETA2**t) / (1.0 - BETA1**t)
     for name in names:
         p = params[name]
         g = grads[name]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import HeaderError, InputError
-from ..errors import at_least, checked, entries, exactly, one_of, positive, read_field, read_json
+from ..errors import at_least, checked, entries, exactly, one_of, read_field, read_json
 from ..volume import LabelMask, Volume, _paths_for, check_same_geometry, clip_normalize
 from .loss import jaccard_loss
 from .network import NetConfig, init_params, net_forward
@@ -83,7 +83,6 @@ def train(
     config: NetConfig,
     cases: list[tuple[Volume, LabelMask, LabelMask]],
     epochs: int,
-    initial_lr: float = 0.001,
 ) -> TrainResult:
     """Train on (volume, lobes, abnorm) cases, the grids compute_report takes;
     each case's three grids must share dims and spacing."""
@@ -91,7 +90,6 @@ def train(
     if n < 10:
         raise InputError(f"need at least 10 cases for a nonempty 10% split, got {n}")
     epochs = checked("epochs", epochs, at_least(1))
-    initial_lr = checked("initial_lr", initial_lr, positive)
     for i, (volume, lobes, abnorm) in enumerate(cases):
         check_same_geometry(
             (f"case {i} volume", volume), (f"case {i} lobes", lobes), (f"case {i} abnorm", abnorm))
@@ -103,7 +101,7 @@ def train(
     train_idx = [int(i) for i in order[n_val:]]
 
     params = init_params(config)
-    state = OptimizerState(lr=initial_lr)
+    state = OptimizerState()
     history: list[HistoryRow] = []
     best_val = float("inf")
     best_params = _clone_params(params)
@@ -173,6 +171,8 @@ def load_checkpoint(path) -> dict[str, Tensor]:
         params: dict[str, Tensor] = {}
         offset = 0
         for name, shape in tensors:
+            if name in params:
+                raise HeaderError(f"tensors: duplicate name {name!r}")
             nbytes = math.prod(shape) * 8
             if offset + nbytes > len(blob):
                 raise HeaderError(f"payload {payload_path} too short for tensor {name}")

@@ -362,11 +362,9 @@ def test_criterion_05_gradient_checks():
 
     config = NetConfig(
         stem_channels=4,
-        num_dense_blocks=2,
         layers_per_block=1,
         growth_rate=3,
         downsample_strides=((1, 2, 2), (2, 2, 2)),
-        norm_enabled=False,
         seed=5,
     )
     params = init_params(config)
@@ -438,11 +436,9 @@ def test_criterion_07_training_convergence_and_reproducibility(tmp_path):
     cases = phantom_cases(10)
     config = NetConfig(
         stem_channels=4,
-        num_dense_blocks=2,
         layers_per_block=1,
         growth_rate=3,
         downsample_strides=((1, 2, 2), (2, 2, 2)),
-        norm_enabled=True,
         seed=11,
     )
     per_epoch = 9  # 10 cases minus the single validation case

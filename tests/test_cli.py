@@ -1,14 +1,16 @@
 import csv
 import json
 import logging
+import re
 import shutil
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lungsev import phantom
-from lungsev.cli import RESAMPLE_SPACING_MM, _log_level_from_env, main
+from lungsev.cli import RESAMPLE_SPACING_MM, _log_level_from_env, _train_run, main
 from lungsev.volume import (
     AIR_HU,
     LabelMask,
@@ -251,6 +253,18 @@ def test_evaluate_identity_reaches_fixed_point(tmp_path, capsys):
     assert "evaluated 5 cases" in capsys.readouterr().out
 
 
+def test_evaluate_refuses_reports_made_at_different_thresholds(tmp_path, capsys):
+    gt_dir, pred_dir = build_report_dirs(tmp_path, n_cases=4)
+    for i in range(4):
+        assert run_quantify(tmp_path / f"case_{i}", pred_dir / f"case_{i:03d}.json",
+                            ["--threshold-hu", "-600"]) == 0
+    out = tmp_path / "summary.json"
+    assert main(["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: case_000: pred report threshold_hu -600.0 differs from -200.0 in the gt report of case_000\n")
+    assert not out.exists()
+
+
 def test_evaluate_positive_list(tmp_path):
     gt_dir, pred_dir = build_report_dirs(tmp_path)
     listing = tmp_path / "positives.txt"
@@ -378,6 +392,16 @@ def test_phantom_spec_template_bumps_seed(tmp_path):
     assert s0["seed"] == 5
     assert s1["seed"] == 6
     assert s0["lungs"] == s1["lungs"]
+
+
+@pytest.mark.parametrize("flag, value", [("--dims", "16,16,16"), ("--noise-sigma", "0")])
+def test_phantom_spec_refuses_a_flag_its_file_sets(flag, value, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(phantom.random_spec(3, dims=(10, 16, 16)).to_json_dict()))
+    out = tmp_path / "out"
+    assert main(["phantom", "--count", "1", "--spec", str(spec_path), flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {flag} cannot be used with --spec, whose file sets it\n"
+    assert not out.exists()
 
 
 def test_phantom_spec_with_non_numeric_radius_exits_2(tmp_path, capsys):
@@ -533,7 +557,6 @@ def make_train_config(tmp_path, data_dir, seed=0):
         "stem_channels": 4,
         "growth_rate": 2,
         "layers_per_block": 1,
-        "num_dense_blocks": 2,
         "downsample_strides": [[1, 2, 2], [2, 2, 2]],
     }
 
@@ -562,6 +585,13 @@ def test_train_toy_runs_and_is_reproducible(tmp_path):
     assert (tmp_path / "ckpt.raw").read_bytes() == first_ckpt
 
 
+def test_readme_train_config_is_one_train_toy_accepts():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"cat > config\.json <<'EOF'\n(.*?)\nEOF\n", readme, re.DOTALL)
+    run = _train_run(json.loads(block.group(1)))
+    assert run["config"].cumulative_stride == (2, 4, 4)  # the stride README's text gives
+
+
 def test_train_toy_missing_field_names_it(tmp_path, capsys):
     config = {"data_dir": str(tmp_path), "seed": 0}
     config_path = tmp_path / "config.json"
@@ -575,8 +605,7 @@ def test_train_toy_missing_field_names_it(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("epochs", "two"), ("stem_channels", "4"), ("downsample_strides", 5),
-     ("norm_enabled", "false")],
+    [("epochs", "two"), ("stem_channels", "4"), ("downsample_strides", 5)],
 )
 def test_train_toy_wrongly_typed_field_names_it(field, value, tmp_path, capsys):
     config = make_train_config(tmp_path, tmp_path)
@@ -631,9 +660,12 @@ def test_train_toy_names_the_case_whose_grids_disagree(mismatch, tmp_path, capsy
 @pytest.mark.parametrize(
     "field, value, message",
     [("stem_chanels", 2, "unknown field(s): stem_chanels"),
-     ("initial_lr", -5.0, "initial_lr: expected a number > 0, got -5.0"),
-     ("initial_lr", 0, "initial_lr: expected a number > 0, got 0")],
-    ids=["unknown_field", "negative_lr", "zero_lr"],
+     # the learning rate, the stage count and the norm switch are fixed by the network
+     ("initial_lr", -5.0, "unknown field(s): initial_lr"),
+     ("initial_lr", 0, "unknown field(s): initial_lr"),
+     ("num_dense_blocks", 2, "unknown field(s): num_dense_blocks"),
+     ("norm_enabled", True, "unknown field(s): norm_enabled")],
+    ids=["unknown_field", "negative_lr", "zero_lr", "num_dense_blocks", "norm_enabled"],
 )
 def test_train_toy_rejects_a_field_it_would_misread(field, value, message, tmp_path, capsys):
     config = make_train_config(tmp_path, tmp_path)
@@ -667,6 +699,8 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
     assert main(["evaluate", "--gt", "g", "--pred", "p", "--workers", "1"]) == 2
     assert "unrecognized arguments: --workers" in capsys.readouterr().err
+    assert main(["evaluate", "--gt", "g", "--pred", "p", "--jitter-pct", "1"]) == 2
+    assert "unrecognized arguments: --jitter-pct 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -678,7 +712,7 @@ def test_usage_errors_exit_2(capsys):
         ("--box", ["preprocess", "--volume", "v", "--lobes", "l", "--box", "0,8,8"]),
         ("--threshold-hu",
          ["quantify", "--volume", "v", "--lobes", "l", "--abnorm", "a", "--threshold-hu", "inf"]),
-        ("--jitter-pct", ["evaluate", "--gt", "g", "--pred", "p", "--jitter-pct", "-1"]),
+        ("--box", ["preprocess", "--volume", "v", "--lobes", "l", "--box", "8,8"]),
         ("--threshold-hu",
          ["quantify", "--volume", "v", "--lobes", "l", "--abnorm", "a", "--threshold-hu", "nan"]),
     ],

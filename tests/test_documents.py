@@ -6,7 +6,8 @@ key, changes a type, inserts NaN or an infinity, negates a number, makes a
 list too long or too short, or nests a value one level too deep. A document
 that its reader rejects on its own must make the command exit 2 with the
 file's path in the one-line message; one that it accepts must be used as
-usual. Nothing may exit 3.
+usual, except that `evaluate` refuses a readable report quantified at a
+threshold the other reports do not share. Nothing may exit 3.
 """
 
 import contextlib
@@ -152,11 +153,18 @@ def test_mutated_grid_header(cases, data, grid):
 @given(data=st.data())
 def test_mutated_report(cases, data):
     report = cases / "pred" / "case_1.json"
-    with replaced(report, mutated(data, json.loads(report.read_text()))):
+    original = json.loads(report.read_text())
+    doc = mutated(data, original)
+    with replaced(report, doc):
         rejected = reject_message(functools.partial(read_json, build=SeverityReport.from_json_dict), report)
         code, err = run(["evaluate", "--gt", cases / "gt", "--pred", cases / "pred",
                          "--out", cases / "summary.json"])
-    check_outcome(code, err, report, rejected)
+    if rejected is None and doc["threshold_hu"] != original["threshold_hu"]:
+        assert code == 2
+        assert err == (f"error: case_1: pred report threshold_hu {float(doc['threshold_hu'])} differs "
+                       f"from {float(original['threshold_hu'])} in the gt report of case_0\n")
+    else:
+        check_outcome(code, err, report, rejected)
 
 
 @EXAMPLES
@@ -181,10 +189,10 @@ def test_mutated_train_config(cases, data):
         shutil.copytree(cases / "case_0", data_dir / "case_0")
     config = cases / "train.json"
     config.write_text(json.dumps({
-        "data_dir": str(data_dir), "epochs": 1, "seed": 0, "initial_lr": 0.001,
+        "data_dir": str(data_dir), "epochs": 1, "seed": 0,
         "out_checkpoint": str(cases / "ckpt"), "out_loss_csv": str(cases / "loss.csv"),
-        "stem_channels": 4, "growth_rate": 2, "layers_per_block": 1, "num_dense_blocks": 2,
-        "norm_enabled": True, "downsample_strides": [[1, 2, 2], [2, 2, 2]],
+        "stem_channels": 4, "growth_rate": 2, "layers_per_block": 1,
+        "downsample_strides": [[1, 2, 2], [2, 2, 2]],
     }))
     with replaced(config, mutated(data, json.loads(config.read_text()))):
         rejected = reject_message(functools.partial(read_json, build=_train_run), config)
@@ -198,8 +206,8 @@ def test_mutated_train_config(cases, data):
 def test_mutated_checkpoint_manifest(cases, data):
     base = cases / "ckpt_base"
     if not base.with_suffix(".raw").exists():
-        save_checkpoint(init_params(NetConfig(stem_channels=2, num_dense_blocks=1, layers_per_block=1,
-                                              growth_rate=2, downsample_strides=((1, 2, 2),))), base)
+        save_checkpoint(init_params(NetConfig(stem_channels=2, layers_per_block=1, growth_rate=2,
+                                              downsample_strides=((1, 2, 2),))), base)
     manifest = base.with_suffix(".json")
     with replaced(manifest, mutated(data, json.loads(manifest.read_text()))):
         try:

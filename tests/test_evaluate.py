@@ -1,11 +1,13 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lungsev.errors import InputError
 from lungsev.evaluate import (
+    JITTER,
     METRICS,
     SCATTER_HEADER,
     EvaluationSummary,
@@ -201,6 +203,16 @@ def test_too_few_cases_rejected():
         evaluate_reports(gt, pred)
 
 
+@pytest.mark.parametrize("side", ["gt", "pred"])
+def test_reports_made_at_different_thresholds_rejected(side):
+    gt, pred = random_cohort(17, 5)
+    reports = gt if side == "gt" else pred
+    reports["case_003"] = replace(reports["case_003"], threshold_hu=-600.0)
+    with pytest.raises(InputError, match=rf"^case_003: {side} report threshold_hu -600\.0 differs "
+                                         r"from -200\.0 in the gt report of case_000$"):
+        evaluate_reports(gt, pred)
+
+
 def test_unknown_positive_id_rejected():
     gt, pred = random_cohort(13, 5)
     with pytest.raises(InputError, match="nope"):
@@ -220,22 +232,22 @@ def test_too_few_positives_rejected():
 def test_scatter_rows_jitter_is_bounded_and_display_only():
     gt, pred = random_cohort(21, 15)
     summary = evaluate_reports(gt, pred)
-    rows = scatter_rows(summary, jitter_pct=0.2, seed=42)
+    rows = scatter_rows(summary, seed=42)
     assert len(rows) == 15 * len(METRICS)
     by_case = {(row.case_id, m): row for row in summary.cases for m in METRICS}
     for cid, metric, g, p, gj, pj in rows:
         case = by_case[(cid, metric)]
         assert g == case.gt[metric]
         assert p == case.pred[metric]
-        assert abs(gj - g) <= 0.2
-        assert abs(pj - p) <= 0.2
+        assert abs(gj - g) <= JITTER
+        assert abs(pj - p) <= JITTER
 
-    again = scatter_rows(summary, jitter_pct=0.2, seed=42)
+    again = scatter_rows(summary, seed=42)
     assert rows == again
-    other = scatter_rows(summary, jitter_pct=0.2, seed=43)
+    other = scatter_rows(summary, seed=43)
     assert rows != other
 
-    # changing the jitter knob never touches the statistics
+    # the jitter never touches the statistics
     summary2 = evaluate_reports(gt, pred)
     assert summary2.metrics["po"] == summary.metrics["po"]
 
@@ -247,16 +259,16 @@ def test_scatter_rows_draw_jitter_per_row_gt_first():
     expected = []
     for case in summary.cases:
         for metric in METRICS:
-            gt_j = case.gt[metric] + float(rng.uniform(-0.3, 0.3))
-            pred_j = case.pred[metric] + float(rng.uniform(-0.3, 0.3))
+            gt_j = case.gt[metric] + float(rng.uniform(-JITTER, JITTER))
+            pred_j = case.pred[metric] + float(rng.uniform(-JITTER, JITTER))
             expected.append((case.case_id, metric, case.gt[metric], case.pred[metric], gt_j, pred_j))
-    assert scatter_rows(summary, jitter_pct=0.3, seed=5) == expected
+    assert scatter_rows(summary, seed=5) == expected
 
 
 def test_scatter_csv_round_trip(tmp_path):
     gt, pred = random_cohort(23, 5)
     summary = evaluate_reports(gt, pred)
-    rows = scatter_rows(summary, jitter_pct=0.1, seed=0)
+    rows = scatter_rows(summary, seed=0)
     path = tmp_path / "scatter.csv"
     write_scatter_csv(rows, path)
     with open(path, newline="") as handle:
@@ -270,15 +282,6 @@ def test_scatter_csv_round_trip(tmp_path):
         assert raw[1] == row[1]
         assert float(raw[2]) == row[2]
         assert float(raw[5]) == row[5]
-
-
-def test_scatter_rejects_bad_jitter():
-    gt, pred = random_cohort(27, 4)
-    summary = evaluate_reports(gt, pred)
-    with pytest.raises(InputError):
-        scatter_rows(summary, jitter_pct=-0.1)
-    with pytest.raises(InputError):
-        scatter_rows(summary, jitter_pct=float("nan"))
 
 
 # ---------------------------------------------------------------------------

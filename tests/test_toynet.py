@@ -213,11 +213,9 @@ def test_softmax_channels_properties_and_gradients():
 def toy_config(**overrides):
     defaults = dict(
         stem_channels=4,
-        num_dense_blocks=2,
         layers_per_block=1,
         growth_rate=3,
         downsample_strides=((1, 2, 2), (2, 2, 2)),
-        norm_enabled=False,
         seed=0,
     )
     defaults.update(overrides)
@@ -225,7 +223,7 @@ def toy_config(**overrides):
 
 
 def test_dense_block_channel_arithmetic():
-    config = NetConfig(num_dense_blocks=1, downsample_strides=((1, 2, 2),), seed=1)
+    config = NetConfig(downsample_strides=((1, 2, 2),), seed=1)
     params = init_params(config)
     x = Tensor(np.random.default_rng(0).standard_normal((1, 8, 2, 4, 4)))
     out = dense_block(x, params, config, 1)
@@ -233,9 +231,7 @@ def test_dense_block_channel_arithmetic():
 
 
 def test_dense_block_zero_weights_concat_zeros():
-    config = NetConfig(
-        num_dense_blocks=1, downsample_strides=((1, 2, 2),), norm_enabled=False, seed=1
-    )
+    config = NetConfig(downsample_strides=((1, 2, 2),), seed=1)
     params = init_params(config)
     for name, t in params.items():
         if name.startswith("enc1.layer"):
@@ -247,13 +243,7 @@ def test_dense_block_zero_weights_concat_zeros():
 
 
 def test_dense_block_gradients():
-    config = NetConfig(
-        num_dense_blocks=1,
-        downsample_strides=((1, 2, 2),),
-        layers_per_block=2,
-        norm_enabled=False,
-        seed=2,
-    )
+    config = NetConfig(downsample_strides=((1, 2, 2),), layers_per_block=2, seed=2)
     params = init_params(config)
     rng = np.random.default_rng(8)
     x = Tensor(rng.standard_normal((1, 8, 2, 4, 4)), requires_grad=True, name="x")
@@ -297,21 +287,19 @@ def test_net_forward_rejects_indivisible_dims():
 
 def test_net_config_validation():
     with pytest.raises(InputError):
-        NetConfig(downsample_strides=((2, 2, 2), (1, 2, 2)), num_dense_blocks=2)
+        NetConfig(downsample_strides=((2, 2, 2), (1, 2, 2)))
     with pytest.raises(InputError):
-        NetConfig(downsample_strides=((1, 3, 3),), num_dense_blocks=1)
-    with pytest.raises(InputError):
-        NetConfig(num_dense_blocks=3)  # stride count mismatch
+        NetConfig(downsample_strides=((1, 3, 3),))
     assert NetConfig().cumulative_stride == (8, 32, 32)
 
 
 def test_net_config_names_the_field_it_rejects():
     with pytest.raises(InputError, match=r"^stem_channels: expected an integer >= 1, got 0$"):
         NetConfig(stem_channels=0)
-    with pytest.raises(InputError, match=r"^norm_enabled: "):
-        NetConfig(norm_enabled=1)
     with pytest.raises(InputError, match=r"^downsample_strides: "):
-        NetConfig(downsample_strides=((1, 2),), num_dense_blocks=1)
+        NetConfig(downsample_strides=((1, 2),))
+    with pytest.raises(InputError, match=r"^downsample_strides: expected at least one stride$"):
+        NetConfig(downsample_strides=())
 
 
 def test_conv_arguments_name_the_one_they_reject():
@@ -372,7 +360,7 @@ def test_end_to_end_loss_gradients():
 
 
 def test_tape_is_freed_without_cyclic_gc():
-    config = toy_config(norm_enabled=True, seed=5)
+    config = toy_config(seed=5)
     params = init_params(config)
     rng = np.random.default_rng(11)
     x = Tensor(rng.uniform(0.0, 1.0, (1, 1, 4, 8, 8)), requires_grad=True)
@@ -480,7 +468,7 @@ def test_optimizer_skips_nonfinite_gradients():
 
 def test_optimizer_descends_quadratic():
     w = Tensor(np.array([1.0]), requires_grad=True, name="w")
-    state = OptimizerState(lr=0.001)
+    state = OptimizerState()
     trace = []
     for _ in range(200):
         step_with(w, 2.0 * w.data, state)
@@ -528,7 +516,7 @@ def background_cases(n=10, dims=(4, 8, 8)):
 
 
 def test_train_rejects_small_datasets():
-    config = toy_config(norm_enabled=True)
+    config = toy_config()
     with pytest.raises(InputError):
         train(config, background_cases(9), epochs=1)
 
@@ -546,17 +534,15 @@ def test_train_rejects_a_case_whose_grids_disagree(mismatch):
         train(toy_config(), cases, epochs=1)
 
 
-@pytest.mark.parametrize(
-    "field, value", [("initial_lr", -5.0), ("initial_lr", float("nan")), ("epochs", 0)]
-)
+@pytest.mark.parametrize("field, value", [("epochs", 0)])
 def test_train_checks_its_own_arguments(field, value):
-    arguments = {"epochs": 1, "initial_lr": 0.001, field: value}
+    arguments = {"epochs": 1, field: value}
     with pytest.raises(InputError, match=f"^{field}: "):
         train(toy_config(), background_cases(10), **arguments)
 
 
 def test_train_background_case_converges_fast():
-    config = toy_config(norm_enabled=True, seed=5)
+    config = toy_config(seed=5)
     result = train(config, background_cases(10), epochs=6)
     within_50 = [row.train_loss for row in result.history if row.iteration <= 50]
     assert min(within_50) < 0.05
@@ -564,7 +550,7 @@ def test_train_background_case_converges_fast():
 
 
 def test_train_is_bit_deterministic():
-    config = toy_config(norm_enabled=True, seed=6)
+    config = toy_config(seed=6)
     cases = background_cases(10)
     r1 = train(config, cases, epochs=2)
     r2 = train(config, cases, epochs=2)
@@ -576,7 +562,7 @@ def test_train_is_bit_deterministic():
 
 
 def test_train_val_split_and_history_layout():
-    config = toy_config(norm_enabled=True, seed=7)
+    config = toy_config(seed=7)
     result = train(config, background_cases(12), epochs=3)
     assert len(result.val_indices) == 1
     per_epoch = (12 - 1)
@@ -591,7 +577,7 @@ def test_train_val_split_and_history_layout():
 
 
 def test_loss_csv_round_trip(tmp_path):
-    config = toy_config(norm_enabled=True, seed=8)
+    config = toy_config(seed=8)
     result = train(config, background_cases(10), epochs=2)
     path = tmp_path / "loss.csv"
     write_loss_csv(result.history, path)
@@ -637,8 +623,9 @@ def test_checkpoint_error_paths(tmp_path):
     with pytest.raises(HeaderError):
         load_checkpoint(tmp_path / "ckpt2")
     manifest = json.loads((tmp_path / "ckpt2.json").read_text())
-    first = manifest["tensors"][0]
+    first, second = manifest["tensors"][:2]
     for bad_entry in (
+        {"name": second["name"], "shape": first["shape"]},  # a name given twice
         {"shape": first["shape"]},
         {"name": first["name"]},
         {"name": first["name"], "shape": ["four"]},
