@@ -95,6 +95,8 @@ def cmd_quantify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _read_report_dir(directory: str) -> dict[str, SeverityReport]:
+    if Path(directory).exists() and not Path(directory).is_dir():
+        raise InputError(f"{directory}: not a directory")
     paths = sorted(Path(directory).glob("*.json"))
     if not paths:
         raise InputError(f"{directory}: no report JSON files")
@@ -103,10 +105,16 @@ def _read_report_dir(directory: str) -> dict[str, SeverityReport]:
 
 def _read_id_list(path: str) -> list[str]:
     text = Path(path).read_text(errors="backslashreplace")  # undecodable bytes name no case
-    ids = [line.strip() for line in text.splitlines() if line.strip()]
+    ids = {}
+    for number, line in enumerate(text.splitlines(), 1):
+        case_id = line.strip()
+        if case_id in ids:
+            raise InputError(f"{path}: line {number}: duplicate case id {case_id!r}")
+        if case_id:
+            ids[case_id] = None
     if not ids:
         raise InputError(f"{path}: the positive list is empty")
-    return ids
+    return list(ids)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -192,13 +200,16 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 REQUIRED_TRAIN_FIELDS = ("data_dir", "epochs", "out_checkpoint", "out_loss_csv", "seed")
 
-def _load_cases(data_dir: str, config: NetConfig) -> list[tuple[Volume, LabelMask, LabelMask]]:
-    """Each case under data_dir; a case whose three grids differ in dims or
-    spacing, or whose dims are not multiples of the network's cumulative
-    stride, stops the read with an error naming it."""
-    case_dirs = sorted(p for p in Path(data_dir).iterdir() if p.is_dir())
+def _load_cases(source, data_dir: str, config: NetConfig) -> list[tuple[Volume, LabelMask, LabelMask]]:
+    """Each case under data_dir, a field of the config file `source`; a case whose
+    three grids differ in dims or spacing, or whose dims are not multiples of the
+    network's cumulative stride, stops the read with an error naming it."""
+    try:
+        case_dirs = sorted(p for p in Path(data_dir).iterdir() if p.is_dir())
+    except OSError as exc:
+        raise InputError(f"{source}: data_dir: {exc}") from exc
     if not case_dirs:
-        raise InputError(f"no case directories in {data_dir}")
+        raise InputError(f"{source}: data_dir: no case directories in {data_dir}")
     stride = config.cumulative_stride
     cases = []
     for case_dir in case_dirs:
@@ -231,7 +242,7 @@ def _train_run(doc: dict) -> dict:
 
 def cmd_train_toy(args: argparse.Namespace) -> int:
     run = read_json(args.config, _train_run)
-    cases = _load_cases(run["data_dir"], run["config"])
+    cases = _load_cases(args.config, run["data_dir"], run["config"])
     checkpoint, loss_csv = _output(run["out_checkpoint"]), _output(run["out_loss_csv"])
     result = train(run["config"], cases, run["epochs"])
     save_checkpoint(result.params, checkpoint)

@@ -64,7 +64,10 @@ def read_json(path, build, error: type = InputError):
     decode or build raises `error` with a message that starts with the path."""
     try:
         with open(path) as file:
-            document = json.load(file)
+            try:
+                document = json.load(file)
+            except RecursionError:  # json.load's own recursion, on deep nesting
+                raise ValueError("ill-formed JSON: nested too deeply") from None
         if not isinstance(document, dict):
             raise TypeError(f"expected a JSON object, got {type(document).__name__}")
         return build(document)

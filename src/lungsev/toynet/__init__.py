@@ -1,16 +1,4 @@
-from .tensor import (
-    Tensor,
-    add,
-    concat,
-    div0,
-    leaky_relu,
-    mul,
-    neg,
-    softmax_channels,
-    sub,
-    take_channel,
-    tsum,
-)
+from .tensor import Tensor, concat, leaky_relu, softmax_channels, take_channel, tsum
 from .ops import channel_norm, conv3d, transpose_conv3d
 from .network import NetConfig, dense_block, init_params, net_forward
 from .loss import jaccard_loss
@@ -26,14 +14,9 @@ from .train import (
 
 __all__ = [
     "Tensor",
-    "add",
     "concat",
-    "div0",
     "leaky_relu",
-    "mul",
-    "neg",
     "softmax_channels",
-    "sub",
     "take_channel",
     "tsum",
     "channel_norm",

@@ -3,7 +3,7 @@
 import numpy as np
 
 from ..errors import InputError
-from .tensor import Tensor, add, div0, mul, neg, tsum
+from .tensor import Tensor, _accum, _result
 
 SMOOTHING = 1.0
 
@@ -13,7 +13,7 @@ def jaccard_loss(p: Tensor, target, lung) -> Tensor:
 
     p holds positive-class probabilities; target and lung are binary arrays
     of the same shape. Voxels outside the lung contribute nothing, so their
-    gradient is exactly zero.
+    gradient is exactly zero. The loss is one tape node.
     """
     y = np.asarray(target, dtype=np.float64)
     m = np.asarray(lung, dtype=np.float64)
@@ -28,13 +28,18 @@ def jaccard_loss(p: Tensor, target, lung) -> Tensor:
     if not (p.data.min() >= 0.0 and p.data.max() <= 1.0):  # NaN fails both
         raise InputError("jaccard_loss: probabilities must lie in [0,1]")
 
-    ym = Tensor(y * m)
-    mask = Tensor(m)
-    pm = mul(p, mask)
-    s_py = tsum(mul(pm, ym))
-    s_pp = tsum(mul(pm, pm))
-    s_yy = float((y * m).sum())
+    ym = y * m
+    pm = p.data * m
+    s_py = (pm * ym).sum()
+    s_pp = (pm * pm).sum()
+    num = s_py + SMOOTHING
+    den = (s_pp + -s_py) + (ym.sum() + SMOOTHING)
 
-    num = add(s_py, Tensor(SMOOTHING))
-    den = add(add(s_pp, neg(s_py)), Tensor(s_yy + SMOOTHING))
-    return add(neg(div0(num, den)), Tensor(1.0))
+    def back(g):
+        # <pm,pm> adds its gradient once per factor; the checkpoint bytes
+        # depend on this order of sums, so it is not folded into 2*g_den*pm
+        g_num = -g / den
+        g_den = g * num / (den * den)
+        _accum(p, (g_den * pm + g_den * pm + (g_num + -g_den) * ym) * m)
+
+    return _result(np.asarray(-(num / den) + 1.0), (p,), back)

@@ -94,14 +94,12 @@ def init_params(config: NetConfig) -> dict[str, Tensor]:
         transpose conv; a zero bias over the output channels."""
         bound = math.sqrt(1.0 / (c_in * math.prod(kernel)))
         shape = (c_in, c_out, *kernel) if transpose else (c_out, c_in, *kernel)
-        params[f"{name}.w"] = Tensor(
-            rng.uniform(-bound, bound, size=shape), requires_grad=True, name=f"{name}.w"
-        )
-        params[f"{name}.b"] = Tensor(np.zeros(c_out), requires_grad=True, name=f"{name}.b")
+        params[f"{name}.w"] = Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+        params[f"{name}.b"] = Tensor(np.zeros(c_out), requires_grad=True)
 
     def norm_p(name, c):
-        params[f"{name}.gamma"] = Tensor(np.ones(c), requires_grad=True, name=f"{name}.gamma")
-        params[f"{name}.beta"] = Tensor(np.zeros(c), requires_grad=True, name=f"{name}.beta")
+        params[f"{name}.gamma"] = Tensor(np.ones(c), requires_grad=True)
+        params[f"{name}.beta"] = Tensor(np.zeros(c), requires_grad=True)
 
     ch = config.encoder_channels()
     conv_p("stem", IN_CHANNELS, ch[0], STEM_KERNEL)

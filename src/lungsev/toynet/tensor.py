@@ -20,19 +20,14 @@ LEAKY_SLOPE = 0.01
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, name: str = ""):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.name = name
         self._parents = ()
         self._backward = None
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -81,54 +76,6 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g
-
-
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.shape != b.data.shape:
-        raise InputError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
-
-    def back(g):
-        _accum(a, g)
-        _accum(b, g)
-
-    return _result(a.data + b.data, (a, b), back)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, neg(b))
-
-
-def neg(a: Tensor) -> Tensor:
-    def back(g):
-        _accum(a, -g)
-
-    return _result(-a.data, (a,), back)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "mul")
-
-    def back(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-
-    return _result(a.data * b.data, (a, b), back)
-
-
-def div0(a: Tensor, b: Tensor) -> Tensor:
-    """Division of two scalar (0-d or size-1) tensors."""
-    if a.data.size != 1 or b.data.size != 1:
-        raise InputError("div0 operates on scalar tensors")
-
-    def back(g):
-        _accum(a, g / b.data)
-        _accum(b, -g * a.data / (b.data * b.data))
-
-    return _result(a.data / b.data, (a, b), back)
 
 
 def tsum(a: Tensor) -> Tensor:

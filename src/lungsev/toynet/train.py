@@ -74,9 +74,7 @@ def _loss_for(case, params, config, augment=None) -> Tensor:
 
 
 def _clone_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
-    return {
-        name: Tensor(t.data.copy(), requires_grad=True, name=t.name) for name, t in params.items()
-    }
+    return {name: Tensor(t.data.copy(), requires_grad=True) for name, t in params.items()}
 
 
 def train(
@@ -177,7 +175,7 @@ def load_checkpoint(path) -> dict[str, Tensor]:
             if offset + nbytes > len(blob):
                 raise HeaderError(f"payload {payload_path} too short for tensor {name}")
             arr = np.frombuffer(blob[offset : offset + nbytes], dtype="<f8").reshape(shape)
-            params[name] = Tensor(arr.copy(), requires_grad=True, name=name)
+            params[name] = Tensor(arr.copy(), requires_grad=True)
             offset += nbytes
         if offset != len(blob):
             raise HeaderError(f"payload {payload_path} has trailing bytes")

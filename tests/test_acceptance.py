@@ -28,26 +28,22 @@ from lungsev.stats import (
 from lungsev.toynet import (
     NetConfig,
     Tensor,
-    add,
     channel_norm,
     concat,
     conv3d,
-    div0,
     init_params,
     jaccard_loss,
     leaky_relu,
     load_checkpoint,
-    mul,
     net_forward,
-    neg,
     save_checkpoint,
     softmax_channels,
-    sub,
     take_channel,
     train,
     transpose_conv3d,
     tsum,
 )
+from lungsev.toynet.tensor import _accum, _result
 from lungsev.volume import (
     AIR_HU,
     LOBE_LABELS,
@@ -314,26 +310,20 @@ def test_criterion_05_gradient_checks():
     rng = np.random.default_rng(5)
 
     def proj_loss(out, proj):
-        return tsum(mul(out, Tensor(proj)))
+        """<out, proj> as one tape node, whose gradient is proj."""
+        return _result(np.asarray((out.data * proj).sum()), (out,), lambda g: _accum(out, g * proj))
 
     a = Tensor(rng.standard_normal((2, 3, 2, 2, 2)), requires_grad=True)
     b = Tensor(rng.standard_normal((2, 3, 2, 2, 2)), requires_grad=True)
     pr = rng.standard_normal((2, 3, 2, 2, 2))
-    fd_check(lambda: proj_loss(add(a, b), pr), [a, b])
-    fd_check(lambda: proj_loss(sub(a, b), pr), [a, b])
-    fd_check(lambda: proj_loss(neg(a), pr), [a])
-    fd_check(lambda: proj_loss(mul(a, b), pr), [a, b])
-    fd_check(lambda: proj_loss(leaky_relu(add(a, Tensor(np.full(a.data.shape, 0.31)))), pr), [a])
+    shifted = Tensor(a.data + 0.31, requires_grad=True)
+    fd_check(lambda: proj_loss(leaky_relu(shifted), pr), [shifted])
     fd_check(lambda: tsum(a), [a])
     pr2 = rng.standard_normal((2, 6, 2, 2, 2))
     fd_check(lambda: proj_loss(concat([a, b], axis=1), pr2), [a, b])
     pr3 = rng.standard_normal((2, 1, 2, 2, 2))
     fd_check(lambda: proj_loss(take_channel(a, 1), pr3), [a])
     fd_check(lambda: proj_loss(softmax_channels(a), pr), [a])
-
-    s1 = Tensor(np.array(1.7), requires_grad=True)
-    s2 = Tensor(np.array(2.3), requires_grad=True)
-    fd_check(lambda: div0(s1, s2), [s1, s2])
 
     x = Tensor(rng.standard_normal((1, 2, 3, 6, 6)), requires_grad=True)
     w = Tensor(rng.standard_normal((3, 2, 1, 3, 3)) * 0.3, requires_grad=True)

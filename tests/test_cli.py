@@ -345,6 +345,30 @@ def test_evaluate_positive_list_that_is_not_text_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_evaluate_positive_list_with_a_repeated_id_exits_2(tmp_path, capsys):
+    gt_dir, pred_dir = build_report_dirs(tmp_path)
+    listing = tmp_path / "positives.txt"
+    listing.write_text("case_000\n\ncase_001\n case_000 \ncase_002\n")  # the blank line counts
+    out = tmp_path / "s.json"
+    code = main(["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir),
+                 "--out", str(out), "--positive-list", str(listing)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {listing}: line 4: duplicate case id 'case_000'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--gt", "--pred"])
+def test_evaluate_report_dir_that_is_a_file_exits_2(flag, tmp_path, capsys):
+    gt_dir, pred_dir = build_report_dirs(tmp_path, n_cases=3)
+    dirs = {"--gt": gt_dir, "--pred": pred_dir}
+    dirs[flag] = dirs[flag] / "case_000.json"
+    out = tmp_path / "s.json"
+    code = main(["evaluate", "--gt", str(dirs["--gt"]), "--pred", str(dirs["--pred"]), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {dirs[flag]}: not a directory\n"
+    assert not out.exists()
+
+
 def test_evaluate_empty_dir_exits_2(tmp_path):
     gt_dir = tmp_path / "gt"
     gt_dir.mkdir()
@@ -620,6 +644,23 @@ def test_train_toy_wrongly_typed_field_names_it(field, value, tmp_path, capsys):
 
 def test_train_toy_unreadable_config_exits_2(tmp_path):
     assert main(["train-toy", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize("kind", ["missing", "file", "empty"])
+def test_train_toy_names_the_config_for_a_bad_data_dir(kind, tmp_path, capsys):
+    data_dir = tmp_path / "cases"
+    if kind == "file":
+        data_dir.write_text("")
+    elif kind == "empty":
+        data_dir.mkdir()
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(make_train_config(tmp_path, data_dir)))
+    assert main(["train-toy", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config_path}: data_dir: ")
+    assert str(data_dir) in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "loss.csv").exists()
 
 
 def test_train_toy_names_the_case_the_network_cannot_take(tmp_path, capsys):

@@ -3,7 +3,8 @@
 Each example mutates one valid document (grid header, severity report,
 phantom spec, train config, checkpoint manifest) at one place: it drops a
 key, changes a type, inserts NaN or an infinity, negates a number, makes a
-list too long or too short, or nests a value one level too deep. A document
+list too long or too short, nests a value one level too deep, or puts a
+value nested deeper than the JSON decoder can follow in its place. A document
 that its reader rejects on its own must make the command exit 2 with the
 file's path in the one-line message; one that it accepts must be used as
 usual, except that `evaluate` refuses a readable report quantified at a
@@ -32,7 +33,13 @@ from lungsev.volume import read_mask, read_volume
 
 EXAMPLES = settings(max_examples=40, deadline=None)
 
-MUTATIONS = st.sampled_from(["drop", "negate", "lengthen", "shorten", "in_list", "in_object"]) | st.sampled_from(
+# A value nested deeper than json.load can recurse; json.dumps cannot write
+# one, so a placeholder string stands for it until the text is written.
+DEEP = "[" * 100000 + "]" * 100000
+DEEP_PLACEHOLDER = "\x00deep"
+
+MUTATIONS = st.sampled_from(["drop", "negate", "lengthen", "shorten", "in_list", "in_object",
+                             "deep"]) | st.sampled_from(
     ["text", 7, 2.5, True, None, [], {}, math.nan, math.inf, -math.inf]
 ).map(lambda value: ("replace", value))
 
@@ -56,6 +63,8 @@ def _changed(value, change):
         return [value]
     if change == "in_object":
         return {"value": value}
+    if change == "deep":
+        return DEEP_PLACEHOLDER
     return change[1]
 
 
@@ -78,7 +87,7 @@ def mutated(data, doc):
 def replaced(path, doc):
     """Hold `doc` as the JSON text of `path`, then put the original text back."""
     original = path.read_text()
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc).replace(json.dumps(DEEP_PLACEHOLDER), DEEP))
     try:
         yield
     finally:
@@ -216,3 +225,31 @@ def test_mutated_checkpoint_manifest(cases, data):
             assert str(exc).startswith(f"{manifest}: ")
         else:  # a manifest that still describes the payload, e.g. without a size-1 axis
             assert sum(t.data.size for t in params.values()) * 8 == base.with_suffix(".raw").stat().st_size
+
+
+@pytest.mark.parametrize("kind", ["grid_header", "report", "phantom_spec", "train_config", "checkpoint_manifest"])
+def test_deeply_nested_document_exits_2(cases, kind, tmp_path):
+    """A document nested deeper than the JSON decoder can follow is ill-formed
+    JSON, not a broken invariant."""
+    case_dir = cases / "case_0"
+    path, argv = {
+        "grid_header": (case_dir / "lobes.json", [
+            "quantify", "--volume", case_dir / "volume", "--lobes", case_dir / "lobes",
+            "--abnorm", case_dir / "abnorm", "--out", tmp_path / "report.json"]),
+        "report": (cases / "pred" / "case_1.json", [
+            "evaluate", "--gt", cases / "gt", "--pred", cases / "pred", "--out", tmp_path / "s.json"]),
+        "phantom_spec": (tmp_path / "spec.json", [
+            "phantom", "--count", "1", "--spec", tmp_path / "spec.json", "--out", tmp_path / "phantoms"]),
+        "train_config": (tmp_path / "train.json", ["train-toy", "--config", tmp_path / "train.json"]),
+        "checkpoint_manifest": (tmp_path / "ckpt.json", None),  # no command reads a checkpoint
+    }[kind]
+    if kind == "checkpoint_manifest":
+        save_checkpoint(init_params(NetConfig(stem_channels=2, layers_per_block=1, growth_rate=2,
+                                              downsample_strides=((1, 2, 2),))), tmp_path / "ckpt")
+    path.touch()
+    message = f"{path}: ill-formed JSON: nested too deeply"
+    with replaced(path, DEEP_PLACEHOLDER):
+        if argv is None:
+            assert reject_message(load_checkpoint, tmp_path / "ckpt") == message
+        else:
+            assert run(argv) == (2, f"error: {message}\n")

@@ -20,7 +20,6 @@ from lungsev.toynet import (
     init_params,
     jaccard_loss,
     load_checkpoint,
-    mul,
     net_forward,
     optimizer_step,
     save_checkpoint,
@@ -28,16 +27,17 @@ from lungsev.toynet import (
     take_channel,
     train,
     transpose_conv3d,
-    tsum,
     write_loss_csv,
 )
 from lungsev.toynet.optim import FINAL_LR
+from lungsev.toynet.tensor import _accum, _result
 from lungsev.toynet.train import _prepare, sample_augment
 from lungsev.volume import LabelMask, Volume, clip_normalize
 
 
 def proj_loss(out: Tensor, proj: np.ndarray) -> Tensor:
-    return tsum(mul(out, Tensor(proj)))
+    """<out, proj> as one tape node, whose gradient is proj."""
+    return _result(np.asarray((out.data * proj).sum()), (out,), lambda g: _accum(out, g * proj))
 
 
 def fd_check(build_loss, tensors, h=1e-5, tol=1e-6, samples=4, seed=0):
@@ -48,7 +48,7 @@ def fd_check(build_loss, tensors, h=1e-5, tol=1e-6, samples=4, seed=0):
     loss.backward()
     analytic = {id(t): (np.zeros_like(t.data) if t.grad is None else t.grad.copy()) for t in tensors}
     rng = np.random.default_rng(seed)
-    for t in tensors:
+    for k, t in enumerate(tensors):
         flat = t.data.reshape(-1)
         idxs = rng.choice(flat.size, size=min(samples, flat.size), replace=False)
         for i in idxs:
@@ -62,7 +62,7 @@ def fd_check(build_loss, tensors, h=1e-5, tol=1e-6, samples=4, seed=0):
             ana = float(analytic[id(t)].reshape(-1)[i])
             denom = max(1.0, abs(num), abs(ana))
             assert abs(num - ana) <= tol * denom, (
-                f"{t.name or 'tensor'}[{i}]: numeric {num} vs analytic {ana}"
+                f"tensor {k} [{i}]: numeric {num} vs analytic {ana}"
             )
 
 
@@ -90,9 +90,9 @@ def test_conv_ones_kernel_window_sum():
 
 def test_conv_gradients_match_finite_differences():
     rng = np.random.default_rng(1)
-    x = Tensor(rng.standard_normal((2, 2, 3, 6, 6)), requires_grad=True, name="x")
-    w = Tensor(0.3 * rng.standard_normal((3, 2, 1, 3, 3)), requires_grad=True, name="w")
-    b = Tensor(rng.standard_normal(3), requires_grad=True, name="b")
+    x = Tensor(rng.standard_normal((2, 2, 3, 6, 6)), requires_grad=True)
+    w = Tensor(0.3 * rng.standard_normal((3, 2, 1, 3, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(3), requires_grad=True)
     proj = rng.standard_normal((2, 3, 3, 6, 6))
 
     fd_check(
@@ -103,9 +103,9 @@ def test_conv_gradients_match_finite_differences():
 
 def test_strided_conv_gradients():
     rng = np.random.default_rng(2)
-    x = Tensor(rng.standard_normal((1, 3, 4, 6, 6)), requires_grad=True, name="x")
-    w = Tensor(0.3 * rng.standard_normal((4, 3, 2, 2, 2)), requires_grad=True, name="w")
-    b = Tensor(rng.standard_normal(4), requires_grad=True, name="b")
+    x = Tensor(rng.standard_normal((1, 3, 4, 6, 6)), requires_grad=True)
+    w = Tensor(0.3 * rng.standard_normal((4, 3, 2, 2, 2)), requires_grad=True)
+    b = Tensor(rng.standard_normal(4), requires_grad=True)
     proj = rng.standard_normal((1, 4, 2, 3, 3))
 
     fd_check(
@@ -155,9 +155,9 @@ def test_conv_tconv_adjoint_identity():
 
 def test_tconv_gradients_match_finite_differences():
     rng = np.random.default_rng(4)
-    x = Tensor(rng.standard_normal((1, 4, 2, 3, 3)), requires_grad=True, name="x")
-    w = Tensor(0.3 * rng.standard_normal((4, 2, 2, 2, 2)), requires_grad=True, name="w")
-    b = Tensor(rng.standard_normal(2), requires_grad=True, name="b")
+    x = Tensor(rng.standard_normal((1, 4, 2, 3, 3)), requires_grad=True)
+    w = Tensor(0.3 * rng.standard_normal((4, 2, 2, 2, 2)), requires_grad=True)
+    b = Tensor(rng.standard_normal(2), requires_grad=True)
     proj = rng.standard_normal((1, 2, 4, 6, 6))
 
     fd_check(
@@ -182,9 +182,9 @@ def test_channel_norm_standardizes():
 
 def test_channel_norm_gradients():
     rng = np.random.default_rng(6)
-    x = Tensor(rng.standard_normal((2, 3, 2, 3, 3)), requires_grad=True, name="x")
-    gamma = Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True, name="gamma")
-    beta = Tensor(rng.standard_normal(3), requires_grad=True, name="beta")
+    x = Tensor(rng.standard_normal((2, 3, 2, 3, 3)), requires_grad=True)
+    gamma = Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True)
+    beta = Tensor(rng.standard_normal(3), requires_grad=True)
     proj = rng.standard_normal((2, 3, 2, 3, 3))
 
     fd_check(
@@ -196,7 +196,7 @@ def test_channel_norm_gradients():
 
 def test_softmax_channels_properties_and_gradients():
     rng = np.random.default_rng(7)
-    x = Tensor(3.0 * rng.standard_normal((2, 2, 2, 3, 3)), requires_grad=True, name="logits")
+    x = Tensor(3.0 * rng.standard_normal((2, 2, 2, 3, 3)), requires_grad=True)
     out = softmax_channels(x)
     sums = out.data.sum(axis=1)
     assert np.all(np.abs(sums - 1.0) <= 1e-9)
@@ -246,7 +246,7 @@ def test_dense_block_gradients():
     config = NetConfig(downsample_strides=((1, 2, 2),), layers_per_block=2, seed=2)
     params = init_params(config)
     rng = np.random.default_rng(8)
-    x = Tensor(rng.standard_normal((1, 8, 2, 4, 4)), requires_grad=True, name="x")
+    x = Tensor(rng.standard_normal((1, 8, 2, 4, 4)), requires_grad=True)
     proj = rng.standard_normal((1, 16, 2, 4, 4))
     check = [x] + [params[n] for n in ("enc1.layer1.w", "enc1.layer2.w", "enc1.layer2.b")]
 
@@ -335,7 +335,7 @@ def test_end_to_end_loss_gradients():
     config = toy_config(seed=4)
     params = init_params(config)
     rng = np.random.default_rng(9)
-    x = Tensor(rng.uniform(0.0, 1.0, (1, 1, 4, 16, 16)), requires_grad=True, name="input")
+    x = Tensor(rng.uniform(0.0, 1.0, (1, 1, 4, 16, 16)), requires_grad=True)
     lung = (rng.random((1, 1, 4, 16, 16)) < 0.6).astype(float)
     target = ((rng.random((1, 1, 4, 16, 16)) < 0.3) & (lung > 0)).astype(float)
 
@@ -413,7 +413,7 @@ def test_jaccard_range_and_masking():
 
 def test_jaccard_gradients_match_finite_differences():
     rng = np.random.default_rng(12)
-    p = Tensor(rng.uniform(0.05, 0.95, (1, 1, 6, 6, 6)), requires_grad=True, name="p")
+    p = Tensor(rng.uniform(0.05, 0.95, (1, 1, 6, 6, 6)), requires_grad=True)
     lung = (rng.random((1, 1, 6, 6, 6)) < 0.6).astype(float)
     y = ((rng.random((1, 1, 6, 6, 6)) < 0.3) & (lung > 0)).astype(float)
     fd_check(lambda: jaccard_loss(p, y, lung), [p], tol=1e-7, samples=8)
@@ -444,7 +444,7 @@ def step_with(w: Tensor, grad, state: OptimizerState) -> bool:
 
 
 def test_optimizer_zero_gradient_keeps_params():
-    w = Tensor(np.array([1.0, -2.0]), requires_grad=True, name="w")
+    w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     state = OptimizerState()
     for grad in (np.zeros(2), None):  # no gradient counts as zeros
         assert step_with(w, grad, state)
@@ -457,7 +457,7 @@ def test_optimizer_zero_gradient_keeps_params():
 
 
 def test_optimizer_skips_nonfinite_gradients():
-    w = Tensor(np.array([1.0]), requires_grad=True, name="w")
+    w = Tensor(np.array([1.0]), requires_grad=True)
     state = OptimizerState()
     ok = step_with(w, np.array([np.nan]), state)
     assert not ok
@@ -467,7 +467,7 @@ def test_optimizer_skips_nonfinite_gradients():
 
 
 def test_optimizer_descends_quadratic():
-    w = Tensor(np.array([1.0]), requires_grad=True, name="w")
+    w = Tensor(np.array([1.0]), requires_grad=True)
     state = OptimizerState()
     trace = []
     for _ in range(200):
