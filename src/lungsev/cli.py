@@ -95,23 +95,27 @@ def cmd_quantify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _read_report_dir(directory: str) -> dict[str, SeverityReport]:
-    if Path(directory).exists() and not Path(directory).is_dir():
-        raise InputError(f"{directory}: not a directory")
-    paths = sorted(Path(directory).glob("*.json"))
+    path = Path(directory)
+    if not path.is_dir():
+        raise InputError(f"{directory}: {'not a directory' if path.exists() else 'no such directory'}")
+    paths = sorted(path.glob("*.json"))
     if not paths:
         raise InputError(f"{directory}: no report JSON files")
     return {p.stem: read_json(p, SeverityReport.from_json_dict) for p in paths}
 
 
-def _read_id_list(path: str) -> list[str]:
+def _read_id_list(path: str, known: dict[str, SeverityReport]) -> list[str]:
     text = Path(path).read_text(errors="backslashreplace")  # undecodable bytes name no case
     ids = {}
     for number, line in enumerate(text.splitlines(), 1):
         case_id = line.strip()
+        if not case_id:
+            continue
         if case_id in ids:
             raise InputError(f"{path}: line {number}: duplicate case id {case_id!r}")
-        if case_id:
-            ids[case_id] = None
+        if case_id not in known:
+            raise InputError(f"{path}: line {number}: unknown case id {case_id!r}")
+        ids[case_id] = None
     if not ids:
         raise InputError(f"{path}: the positive list is empty")
     return list(ids)
@@ -120,7 +124,7 @@ def _read_id_list(path: str) -> list[str]:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     gt = _read_report_dir(args.gt)
     pred = _read_report_dir(args.pred)
-    positives = _read_id_list(args.positive_list) if args.positive_list else None
+    positives = _read_id_list(args.positive_list, gt) if args.positive_list else None
     summary = evaluate_reports(gt, pred, positives)
 
     out = _output(Path(args.out))

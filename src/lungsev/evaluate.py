@@ -166,7 +166,11 @@ def evaluate_reports(
     if positive_ids is None:
         positive = set(case_ids)
     else:
-        positive = set(positive_ids)
+        positive = set()
+        for cid in positive_ids:
+            if cid in positive:
+                raise InputError(f"positive_ids: duplicate case id {cid!r}")
+            positive.add(cid)
         unknown = sorted(positive - set(case_ids))
         if unknown:
             raise InputError("positive list names unknown cases: " + ", ".join(unknown))

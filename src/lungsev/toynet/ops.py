@@ -1,9 +1,15 @@
 """Volumetric convolution ops for the autodiff tape.
 
-Convolution is cross-correlation via windowed matmul (im2col); its input
-gradient is a scatter-add over the same windows. Transpose convolution is
-implemented as exactly that scatter-add, which makes the adjoint identity
-<conv(x), y> == <x, tconv(y)> hold to rounding error with shared weights.
+Both conv ops run on one kernel, `_correlate`: the strided sliding windows of
+a grid, flattened (im2col) and multiplied by the weights in one matmul. Its
+adjoint, `_scatter`, is that same correlation at unit stride over a
+zero-inserted grid, with the weights' channels swapped and taps flipped.
+conv3d's forward is a correlation and its input gradient a scatter;
+transpose_conv3d is the reverse, so the adjoint identity
+<conv(x), y> == <x, tconv(y)> holds to rounding error with shared weights.
+Both weight gradients contract one side's activation with the windows of the
+other's grid (`_weight_grad`), so a backward closure keeps the op's inputs and
+no im2col copy.
 
 Weight layouts:
     conv3d            w: (C_out, C_in, kz, ky, kx)
@@ -43,45 +49,42 @@ def _pad_spatial(x, pad):
     return np.pad(x, ((0, 0), (0, 0), (pz, pz), (py, py), (px, px)))
 
 
-def _conv_cols(x, kernel, stride, pad):
-    """im2col: padded sliding windows flattened to (B, n_out_voxels, Ci*K)."""
-    kz, ky, kx = kernel
-    tz, ty, tx = stride
-    xp = _pad_spatial(x, pad)
-    if xp.shape[2] < kz or xp.shape[3] < ky or xp.shape[4] < kx:
-        raise InputError(f"kernel {kernel} larger than padded input {xp.shape[2:]}")
-    win = sliding_window_view(xp, (kz, ky, kx), axis=(2, 3, 4))[:, :, ::tz, ::ty, ::tx]
-    b, ci, zo, yo, xo = win.shape[:5]
-    cols = win.transpose(0, 2, 3, 4, 1, 5, 6, 7).reshape(b, zo * yo * xo, ci * kz * ky * kx)
-    return cols, (zo, yo, xo), xp.shape
-
-
-def _scatter_windows(dcols, xp_shape, out_dims, kernel, stride):
-    """col2im: accumulate per-window gradients back onto the padded grid."""
-    b = xp_shape[0]
-    ci = xp_shape[1]
-    zo, yo, xo = out_dims
-    kz, ky, kx = kernel
-    tz, ty, tx = stride
-    dxp = np.zeros(xp_shape)
-    dc = dcols.reshape(b, zo, yo, xo, ci, kz, ky, kx).transpose(0, 4, 1, 2, 3, 5, 6, 7)
-    for dz in range(kz):
-        for dy in range(ky):
-            for dx in range(kx):
-                dxp[
-                    :,
-                    :,
-                    dz : dz + (zo - 1) * tz + 1 : tz,
-                    dy : dy + (yo - 1) * ty + 1 : ty,
-                    dx : dx + (xo - 1) * tx + 1 : tx,
-                ] += dc[:, :, :, :, :, dz, dy, dx]
-    return dxp
-
-
 def _unpad(dxp, pad, dims):
     pz, py, px = pad
     z, y, x = dims
     return dxp[:, :, pz : pz + z, py : py + y, px : px + x]
+
+
+def _correlate(xp, w, stride):
+    """Cross-correlate grid xp (B, Ci, ...) with w (Co, Ci, kz, ky, kx): im2col and one matmul."""
+    co, kernel = w.shape[0], w.shape[2:]
+    if any(n < k for n, k in zip(xp.shape[2:], kernel)):
+        raise InputError(f"kernel {kernel} larger than padded input {xp.shape[2:]}")
+    tz, ty, tx = stride
+    win = sliding_window_view(xp, kernel, axis=(2, 3, 4))[:, :, ::tz, ::ty, ::tx]
+    b, _, zo, yo, xo = win.shape[:5]
+    cols = win.transpose(0, 2, 3, 4, 1, 5, 6, 7).reshape(b, zo * yo * xo, w[0].size)
+    out = cols @ w.reshape(co, -1).T
+    return out.transpose(0, 2, 1).reshape(b, co, zo, yo, xo)
+
+
+def _scatter(x, w, stride, out_dims):
+    """Adjoint of `_correlate(., w, stride)`: x (B, Co, ...) spread over out_dims voxels.
+
+    x lands on every stride-th voxel of a zero grid, from offset k - 1, and the
+    grid is correlated at unit stride with w's channels swapped and taps flipped.
+    """
+    kernel = w.shape[2:]
+    grid = np.zeros((*x.shape[:2], *(n + k - 1 for n, k in zip(out_dims, kernel))), x.dtype)
+    grid[(..., *(slice(k - 1, k + (n - 1) * s, s) for n, k, s in zip(x.shape[2:], kernel, stride)))] = x
+    return _correlate(grid, w.swapaxes(0, 1)[:, :, ::-1, ::-1, ::-1], (1, 1, 1))
+
+
+def _weight_grad(a, grid, kernel, stride):
+    """d<a, _correlate(grid, w, stride)>/dw: a (B, Co, ...) against the windows of grid (B, Ci, ...)."""
+    tz, ty, tx = stride
+    win = sliding_window_view(grid, kernel, axis=(2, 3, 4))[:, :, ::tz, ::ty, ::tx]
+    return np.tensordot(a, win, axes=([0, 2, 3, 4], [0, 2, 3, 4]))
 
 
 def conv3d(x: Tensor, w: Tensor, bias: Tensor, stride=(1, 1, 1), padding="same") -> Tensor:
@@ -96,22 +99,18 @@ def conv3d(x: Tensor, w: Tensor, bias: Tensor, stride=(1, 1, 1), padding="same")
     kernel = (kz, ky, kx)
     pad = _resolve_padding(padding, kernel, stride)
 
-    cols, out_dims, xp_shape = _conv_cols(x.data, kernel, stride, pad)
-    b = x.data.shape[0]
-    out = cols @ w.data.reshape(co, -1).T
-    out = out.transpose(0, 2, 1).reshape(b, co, *out_dims)
+    out = _correlate(_pad_spatial(x.data, pad), w.data, stride)
     out = out + bias.data.reshape(1, co, 1, 1, 1)
 
     def back(g):
-        gn = g.transpose(0, 2, 3, 4, 1).reshape(b, -1, co)
         if w.requires_grad:
-            _accum(w, np.einsum("bnc,bnk->ck", gn, cols).reshape(w.data.shape))
+            _accum(w, _weight_grad(g, _pad_spatial(x.data, pad), kernel, stride))
         if bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3, 4)))
         if x.requires_grad:
-            dcols = gn @ w.data.reshape(co, -1)
-            dxp = _scatter_windows(dcols, xp_shape, out_dims, kernel, stride)
-            _accum(x, _unpad(dxp, pad, x.data.shape[2:]))
+            dims = x.data.shape[2:]
+            dxp = _scatter(g, w.data, stride, tuple(n + 2 * p for n, p in zip(dims, pad)))
+            _accum(x, _unpad(dxp, pad, dims))
 
     return _result(out, (x, w, bias), back)
 
@@ -131,27 +130,17 @@ def transpose_conv3d(x: Tensor, w: Tensor, bias: Tensor, stride) -> Tensor:
     stride = checked("stride", stride, _STRIDE)
     kernel = (kz, ky, kx)
 
-    b, _, z, y, xdim = x.data.shape
-    out_dims = tuple((n - 1) * s + k for n, s, k in zip((z, y, xdim), stride, kernel))
-    xn = x.data.transpose(0, 2, 3, 4, 1).reshape(b, -1, cx)
-    cols = xn @ w.data.reshape(cx, -1)
-    out = _scatter_windows(cols, (b, co, *out_dims), (z, y, xdim), kernel, stride)
+    out_dims = tuple((n - 1) * s + k for n, s, k in zip(x.data.shape[2:], stride, kernel))
+    out = _scatter(x.data, w.data, stride, out_dims)
     out = out + bias.data.reshape(1, co, 1, 1, 1)
 
     def back(g):
-        gwin = sliding_window_view(g, kernel, axis=(2, 3, 4))[
-            :, :, :: stride[0], :: stride[1], :: stride[2]
-        ]
         if w.requires_grad:
-            _accum(w, np.tensordot(x.data, gwin, axes=([0, 2, 3, 4], [0, 2, 3, 4])))
+            _accum(w, _weight_grad(x.data, g, kernel, stride))
         if bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3, 4)))
         if x.requires_grad:
-            gcols, _, _ = _conv_cols(g, kernel, stride, (0, 0, 0))
-            _accum(
-                x,
-                (gcols @ w.data.reshape(cx, -1).T).transpose(0, 2, 1).reshape(x.data.shape),
-            )
+            _accum(x, _correlate(g, w.data, stride))
 
     return _result(out, (x, w, bias), back)
 

@@ -340,9 +340,7 @@ def test_evaluate_positive_list_that_is_not_text_exits_2(tmp_path, capsys):
     code = main(["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir),
                  "--out", str(tmp_path / "s.json"), "--positive-list", str(listing)])
     assert code == 2
-    err = capsys.readouterr().err
-    assert "positive list names unknown cases: \\xff\\xfe" in err
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == f"error: {listing}: line 2: unknown case id '\\\\xff\\\\xfe'\n"
 
 
 def test_evaluate_positive_list_with_a_repeated_id_exits_2(tmp_path, capsys):
@@ -357,16 +355,29 @@ def test_evaluate_positive_list_with_a_repeated_id_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_evaluate_positive_list_naming_an_unknown_case_exits_2(tmp_path, capsys):
+    gt_dir, pred_dir = build_report_dirs(tmp_path)
+    listing = tmp_path / "positives.txt"
+    listing.write_text("case_000\ncase_001\n\ncase_002\n0\n")  # the blank line counts
+    out = tmp_path / "s.json"
+    code = main(["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir),
+                 "--out", str(out), "--positive-list", str(listing)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {listing}: line 5: unknown case id '0'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--gt", "--pred"])
 def test_evaluate_report_dir_that_is_a_file_exits_2(flag, tmp_path, capsys):
     gt_dir, pred_dir = build_report_dirs(tmp_path, n_cases=3)
-    dirs = {"--gt": gt_dir, "--pred": pred_dir}
-    dirs[flag] = dirs[flag] / "case_000.json"
     out = tmp_path / "s.json"
-    code = main(["evaluate", "--gt", str(dirs["--gt"]), "--pred", str(dirs["--pred"]), "--out", str(out)])
-    assert code == 2
-    assert capsys.readouterr().err == f"error: {dirs[flag]}: not a directory\n"
-    assert not out.exists()
+    for bad, reason in (("case_000.json", "not a directory"), ("no_such_dir", "no such directory")):
+        dirs = {"--gt": gt_dir, "--pred": pred_dir}
+        dirs[flag] = dirs[flag] / bad
+        code = main(["evaluate", "--gt", str(dirs["--gt"]), "--pred", str(dirs["--pred"]), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {dirs[flag]}: {reason}\n"
+        assert not out.exists()
 
 
 def test_evaluate_empty_dir_exits_2(tmp_path):

@@ -219,6 +219,12 @@ def test_unknown_positive_id_rejected():
         evaluate_reports(gt, pred, positive_ids=["nope"])
 
 
+def test_repeated_positive_id_rejected():
+    gt, pred = random_cohort(13, 5)
+    with pytest.raises(InputError, match=r"^positive_ids: duplicate case id 'case_000'$"):
+        evaluate_reports(gt, pred, positive_ids=["case_000", "case_000", "case_001", "case_002"])
+
+
 def test_too_few_positives_rejected():
     gt, pred = random_cohort(15, 8)
     with pytest.raises(InputError, match="positive"):

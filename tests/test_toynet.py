@@ -166,6 +166,80 @@ def test_tconv_gradients_match_finite_differences():
     )
 
 
+def _taps(kernel, dims, stride):
+    """Each kernel tap with the strided slice of the larger grid it meets (dims: the smaller grid)."""
+    for tap in np.ndindex(*kernel):
+        yield (..., *tap), (..., *(slice(t, t + (n - 1) * s + 1, s) for t, n, s in zip(tap, dims, stride)))
+
+
+def reference_conv(x, w, b, g, stride, pad):
+    """conv3d's output and its x, w, bias gradients for output gradient g, one tap at a time."""
+    xp = np.pad(x, ((0, 0), (0, 0), *((p, p) for p in pad)))
+    y, dxp, dw = np.zeros(g.shape) + b.reshape(1, -1, 1, 1, 1), np.zeros(xp.shape), np.zeros(w.shape)
+    for tap, window in _taps(w.shape[2:], g.shape[2:], stride):
+        y += np.einsum("bizyx,oi->bozyx", xp[window], w[tap])
+        dxp[window] += np.einsum("bozyx,oi->bizyx", g, w[tap])
+        dw[tap] = np.einsum("bozyx,bizyx->oi", g, xp[window])
+    dx = dxp[(..., *(slice(p, p + n) for p, n in zip(pad, x.shape[2:])))]
+    return y, dx, dw, g.sum(axis=(0, 2, 3, 4))
+
+
+def reference_tconv(x, w, b, g, stride):
+    """transpose_conv3d's output and its x, w, bias gradients for output gradient g, one tap at a time."""
+    y, dx, dw = np.zeros(g.shape) + b.reshape(1, -1, 1, 1, 1), np.zeros(x.shape), np.zeros(w.shape)
+    for tap, window in _taps(w.shape[2:], x.shape[2:], stride):
+        y[window] += np.einsum("bizyx,io->bozyx", x, w[tap])
+        dx += np.einsum("bozyx,io->bizyx", g[window], w[tap])
+        dw[tap] = np.einsum("bizyx,bozyx->io", x, g[window])
+    return y, dx, dw, g.sum(axis=(0, 2, 3, 4))
+
+
+@pytest.mark.parametrize(
+    "kernel, stride, padding, dims",
+    [
+        ((1, 3, 3), (1, 1, 1), "same", (3, 6, 5)),
+        ((3, 3, 3), (1, 1, 1), "same", (4, 5, 6)),
+        ((1, 2, 2), (1, 2, 2), (0, 0, 0), (3, 6, 4)),
+        ((2, 2, 2), (2, 2, 2), (0, 0, 0), (4, 6, 4)),
+        ((1, 3, 3), (1, 2, 2), (0, 1, 1), (3, 7, 6)),  # y's windows fit exactly, x's leave one voxel over
+    ],
+    ids=["same_133", "same_333", "kernel_is_stride_122", "kernel_is_stride_222", "strided_remainder"],
+)
+def test_conv_ops_match_a_per_tap_reference(kernel, stride, padding, dims):
+    rng = np.random.default_rng(5)
+    pad = tuple(k // 2 for k in kernel) if padding == "same" else padding
+    for op, ref, w_shape in (
+        (lambda x, w, b: conv3d(x, w, b, stride, padding), lambda *a: reference_conv(*a, stride, pad),
+         (4, 3, *kernel)),
+        (lambda x, w, b: transpose_conv3d(x, w, b, stride), lambda *a: reference_tconv(*a, stride),
+         (3, 4, *kernel)),
+    ):
+        x = Tensor(rng.standard_normal((2, 3, *dims)), requires_grad=True)
+        w = Tensor(rng.standard_normal(w_shape), requires_grad=True)
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+        y = op(x, w, b)
+        g = rng.standard_normal(y.data.shape)
+        proj_loss(y, g).backward()
+        for got, want in zip((y.data, x.grad, w.grad, b.grad), ref(x.data, w.data, b.data, g)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_conv_backward_keeps_no_copy_larger_than_its_operands():
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.standard_normal((1, 4, 4, 8, 8)), requires_grad=True)
+    b = Tensor(np.zeros(4), requires_grad=True)
+    for op, w in (
+        (lambda w: conv3d(x, w, b, (1, 1, 1), "same"), rng.standard_normal((4, 4, 3, 3, 3))),
+        (lambda w: transpose_conv3d(x, w, b, (2, 2, 2)), rng.standard_normal((4, 4, 2, 2, 2))),
+    ):
+        w = Tensor(w, requires_grad=True)
+        out = op(w)
+        kept = [cell.cell_contents for cell in out._backward.__closure__]
+        arrays = [v.data if isinstance(v, Tensor) else v for v in kept if isinstance(v, (Tensor, np.ndarray))]
+        assert max(a.nbytes for a in arrays) <= max(t.data.nbytes for t in (x, w, b, out))
+
+
 # ---------------------------------------------------------------------------
 # Normalization, softmax
 # ---------------------------------------------------------------------------
