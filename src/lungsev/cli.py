@@ -22,6 +22,7 @@ from .evaluate import evaluate_reports, scatter_rows, write_scatter_csv
 from .severity import DEFAULT_THRESHOLD_HU, SeverityReport, compute_report
 from .toynet import NetConfig, save_checkpoint, train, write_loss_csv
 from .toynet.network import NET_FIELDS
+from .toynet.train import MIN_TRAIN_CASES
 from .volume import (
     AIR_HU,
     LabelMask,
@@ -207,13 +208,12 @@ REQUIRED_TRAIN_FIELDS = ("data_dir", "epochs", "out_checkpoint", "out_loss_csv",
 def _load_cases(source, data_dir: str, config: NetConfig) -> list[tuple[Volume, LabelMask, LabelMask]]:
     """Each case under data_dir, a field of the config file `source`; a case whose
     three grids differ in dims or spacing, or whose dims are not multiples of the
-    network's cumulative stride, stops the read with an error naming it."""
+    network's cumulative stride, stops the read with an error naming it, and so
+    do fewer than MIN_TRAIN_CASES cases."""
     try:
         case_dirs = sorted(p for p in Path(data_dir).iterdir() if p.is_dir())
     except OSError as exc:
         raise InputError(f"{source}: data_dir: {exc}") from exc
-    if not case_dirs:
-        raise InputError(f"{source}: data_dir: no case directories in {data_dir}")
     stride = config.cumulative_stride
     cases = []
     for case_dir in case_dirs:
@@ -228,6 +228,9 @@ def _load_cases(source, data_dir: str, config: NetConfig) -> list[tuple[Volume, 
         check_same_geometry(
             (case_dir / "volume", volume), (case_dir / "lobes", lobes), (case_dir / "abnorm", abnorm))
         cases.append((volume, lobes, abnorm))
+    if len(cases) < MIN_TRAIN_CASES:
+        raise InputError(
+            f"{source}: data_dir: need at least {MIN_TRAIN_CASES} case directories in {data_dir}, got {len(cases)}")
     return cases
 
 

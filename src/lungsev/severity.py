@@ -119,9 +119,13 @@ def lobe_score(fraction: float) -> int:
 
 
 def _check_raw_hu(v: Volume) -> None:
-    # A NaN or infinite voxel would silently drop out of the counts. A volume
-    # whose every value sits in [0,1] is almost certainly the normalized
-    # training tensor, on which an HU threshold is meaningless.
+    # A NaN or infinite voxel would silently drop out of the counts. An
+    # unsigned grid (a label mask given as the volume) cannot hold the
+    # negative HU of lung, and a volume whose every value sits in [0,1] is
+    # almost certainly the normalized training tensor; an HU threshold is
+    # meaningless on either.
+    if v.data.dtype.kind == "u":
+        raise InputError(f"volume dtype {v.data.dtype} is unsigned; high-opacity thresholding needs raw HU")
     lo = float(v.data.min())
     hi = float(v.data.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):

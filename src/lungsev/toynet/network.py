@@ -133,8 +133,7 @@ def dense_block(x: Tensor, params: dict, config: NetConfig, index: int) -> Tenso
         h = feats[0] if len(feats) == 1 else concat(feats, axis=1)
         h = _norm(h, params, f"enc{index}.layer{j}.norm")
         h = leaky_relu(h)
-        h = conv3d(h, params[f"enc{index}.layer{j}.w"], params[f"enc{index}.layer{j}.b"],
-                   stride=(1, 1, 1), padding="same")
+        h = conv3d(h, params[f"enc{index}.layer{j}.w"], params[f"enc{index}.layer{j}.b"])
         feats.append(h)
     return concat(feats, axis=1)
 
@@ -153,23 +152,22 @@ def net_forward(x: Tensor, params: dict, config: NetConfig) -> Tensor:
             f"cumulative stride {cum}"
         )
 
-    h = conv3d(x, params["stem.w"], params["stem.b"], stride=(1, 1, 1), padding="same")
+    h = conv3d(x, params["stem.w"], params["stem.b"])
     h = _norm(h, params, "stem.norm")
     h = leaky_relu(h)
 
     skips = []
     for k, stride in enumerate(config.downsample_strides, 1):
         skips.append(h)
-        h = conv3d(h, params[f"enc{k}.down.w"], params[f"enc{k}.down.b"],
-                   stride=stride, padding=(0, 0, 0))
+        h = conv3d(h, params[f"enc{k}.down.w"], params[f"enc{k}.down.b"], stride)
         h = dense_block(h, params, config, k)
 
     for k, stride in reversed(list(enumerate(config.downsample_strides, 1))):
-        h = transpose_conv3d(h, params[f"dec{k}.up.w"], params[f"dec{k}.up.b"], stride=stride)
+        h = transpose_conv3d(h, params[f"dec{k}.up.w"], params[f"dec{k}.up.b"], stride)
         h = concat([h, skips[k - 1]], axis=1)
         h = _norm(h, params, f"dec{k}.norm")
         h = leaky_relu(h)
-        h = conv3d(h, params[f"dec{k}.w"], params[f"dec{k}.b"], stride=(1, 1, 1), padding="same")
+        h = conv3d(h, params[f"dec{k}.w"], params[f"dec{k}.b"])
 
-    logits = conv3d(h, params["head.w"], params["head.b"], stride=(1, 1, 1), padding=(0, 0, 0))
+    logits = conv3d(h, params["head.w"], params["head.b"])
     return softmax_channels(logits)

@@ -1,15 +1,19 @@
 """Volumetric convolution ops for the autodiff tape.
 
-Both conv ops run on one kernel, `_correlate`: the strided sliding windows of
-a grid, flattened (im2col) and multiplied by the weights in one matmul. Its
-adjoint, `_scatter`, is that same correlation at unit stride over a
-zero-inserted grid, with the weights' channels swapped and taps flipped.
-conv3d's forward is a correlation and its input gradient a scatter;
-transpose_conv3d is the reverse, so the adjoint identity
-<conv(x), y> == <x, tconv(y)> holds to rounding error with shared weights.
-Both weight gradients contract one side's activation with the windows of the
-other's grid (`_weight_grad`), so a backward closure keeps the op's inputs and
-no im2col copy.
+One shape rule is the contract of both ops. Per axis, with kernel k and
+stride s (k >= s, k - s even), conv3d pads each side of its input with
+(k - s) / 2 zeros and maps n voxels to n / s; transpose_conv3d maps n voxels
+back to n * s. With the same weights the two ops are exact adjoints,
+<conv(x), y> == <x, tconv(y)>, so each op's input gradient is the other op's
+forward.
+
+Both run on one kernel, `_correlate`: the strided sliding windows of a grid,
+flattened (im2col) and multiplied by the weights in one matmul. Its adjoint,
+`_scatter`, is that same correlation at unit stride over a zero-inserted
+grid, with the weights' channels swapped and taps flipped, offset so that it
+yields exactly the unpadded voxels. Both weight gradients contract one side's
+activation with the windows of the other's padded grid (`_weight_grad`), so a
+backward closure keeps the op's inputs and no im2col copy.
 
 Weight layouts:
     conv3d            w: (C_out, C_in, kz, ky, kx)
@@ -27,39 +31,32 @@ from .tensor import Tensor, _accum, _result
 
 NORM_EPS = 1e-5
 
-# What conv3d and transpose_conv3d accept as a stride and as explicit padding.
+# What conv3d and transpose_conv3d accept as a stride.
 _STRIDE = entries(at_least(1), 3)
-_PADDING = entries(at_least(0), 3)
 
 
-def _resolve_padding(padding, kernel, stride):
-    if padding == "same":
-        if stride != (1, 1, 1):
-            raise InputError("'same' padding requires unit stride")
-        if any(k % 2 == 0 for k in kernel):
-            raise InputError(f"'same' padding requires odd kernels, got {kernel}")
-        return tuple(k // 2 for k in kernel)
-    return checked("padding", padding, _PADDING)
+def _conv_args(op, x, w, bias, stride, in_axis):
+    """The checked stride and the per-side pad (k - s) / 2 of a conv op whose
+    weights w hold the input's channels on in_axis (0 or 1) and the output's on the other."""
+    if x.ndim != 5 or w.ndim != 5 or x.size == 0:
+        raise InputError(f"{op} expects nonempty 5-d tensors, got {x.shape} and {w.shape}")
+    if x.shape[1] != w.shape[in_axis]:
+        raise InputError(f"{op}: input has {x.shape[1]} channels, weights expect {w.shape[in_axis]}")
+    if bias.shape != (w.shape[1 - in_axis],):
+        raise InputError(f"{op}: bias shape {bias.shape} != ({w.shape[1 - in_axis]},)")
+    stride, kernel = checked("stride", stride, _STRIDE), w.shape[2:]
+    if any(k < s or (k - s) % 2 for k, s in zip(kernel, stride)):
+        raise InputError(f"{op}: kernel {kernel} does not fit stride {stride}; need k >= s, k - s even")
+    return stride, tuple((k - s) // 2 for k, s in zip(kernel, stride))
 
 
-def _pad_spatial(x, pad):
-    pz, py, px = pad
-    if pz == py == px == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (pz, pz), (py, py), (px, px)))
-
-
-def _unpad(dxp, pad, dims):
-    pz, py, px = pad
-    z, y, x = dims
-    return dxp[:, :, pz : pz + z, py : py + y, px : px + x]
+def _pad(x, pad):
+    return np.pad(x, ((0, 0), (0, 0), *((p, p) for p in pad))) if any(pad) else x
 
 
 def _correlate(xp, w, stride):
     """Cross-correlate grid xp (B, Ci, ...) with w (Co, Ci, kz, ky, kx): im2col and one matmul."""
     co, kernel = w.shape[0], w.shape[2:]
-    if any(n < k for n, k in zip(xp.shape[2:], kernel)):
-        raise InputError(f"kernel {kernel} larger than padded input {xp.shape[2:]}")
     tz, ty, tx = stride
     win = sliding_window_view(xp, kernel, axis=(2, 3, 4))[:, :, ::tz, ::ty, ::tx]
     b, _, zo, yo, xo = win.shape[:5]
@@ -68,15 +65,16 @@ def _correlate(xp, w, stride):
     return out.transpose(0, 2, 1).reshape(b, co, zo, yo, xo)
 
 
-def _scatter(x, w, stride, out_dims):
-    """Adjoint of `_correlate(., w, stride)`: x (B, Co, ...) spread over out_dims voxels.
+def _scatter(x, w, stride, pad):
+    """Adjoint of `_correlate(_pad(., pad), w, stride)`: x (B, Co, n...) spread over n * s voxels.
 
-    x lands on every stride-th voxel of a zero grid, from offset k - 1, and the
-    grid is correlated at unit stride with w's channels swapped and taps flipped.
+    x lands on every stride-th voxel of a zero grid of n * s + k - 1 voxels,
+    from offset k - 1 - pad, and the grid is correlated at unit stride with w's
+    channels swapped and taps flipped.
     """
-    kernel = w.shape[2:]
-    grid = np.zeros((*x.shape[:2], *(n + k - 1 for n, k in zip(out_dims, kernel))), x.dtype)
-    grid[(..., *(slice(k - 1, k + (n - 1) * s, s) for n, k, s in zip(x.shape[2:], kernel, stride)))] = x
+    axes = list(zip(x.shape[2:], w.shape[2:], stride, pad))
+    grid = np.zeros((*x.shape[:2], *(n * s + k - 1 for n, k, s, _ in axes)), x.dtype)
+    grid[(..., *(slice(k - 1 - p, k - p + (n - 1) * s, s) for n, k, s, p in axes))] = x
     return _correlate(grid, w.swapaxes(0, 1)[:, :, ::-1, ::-1, ::-1], (1, 1, 1))
 
 
@@ -87,60 +85,37 @@ def _weight_grad(a, grid, kernel, stride):
     return np.tensordot(a, win, axes=([0, 2, 3, 4], [0, 2, 3, 4]))
 
 
-def conv3d(x: Tensor, w: Tensor, bias: Tensor, stride=(1, 1, 1), padding="same") -> Tensor:
-    if x.data.ndim != 5 or w.data.ndim != 5:
-        raise InputError(f"conv3d expects 5-d tensors, got {x.data.shape} and {w.data.shape}")
-    co, ci, kz, ky, kx = w.data.shape
-    if x.data.shape[1] != ci:
-        raise InputError(f"conv3d: input has {x.data.shape[1]} channels, weights expect {ci}")
-    if bias.data.shape != (co,):
-        raise InputError(f"conv3d: bias shape {bias.data.shape} != ({co},)")
-    stride = checked("stride", stride, _STRIDE)
-    kernel = (kz, ky, kx)
-    pad = _resolve_padding(padding, kernel, stride)
-
-    out = _correlate(_pad_spatial(x.data, pad), w.data, stride)
-    out = out + bias.data.reshape(1, co, 1, 1, 1)
+def conv3d(x: Tensor, w: Tensor, bias: Tensor, stride=(1, 1, 1)) -> Tensor:
+    stride, pad = _conv_args("conv3d", x.data, w.data, bias.data, stride, 1)
+    if any(n % s for n, s in zip(x.data.shape[2:], stride)):
+        raise InputError(f"conv3d: input dims {x.data.shape[2:]} are not multiples of stride {stride}")
+    kernel = w.data.shape[2:]
+    out = _correlate(_pad(x.data, pad), w.data, stride) + bias.data.reshape(1, -1, 1, 1, 1)
 
     def back(g):
         if w.requires_grad:
-            _accum(w, _weight_grad(g, _pad_spatial(x.data, pad), kernel, stride))
+            _accum(w, _weight_grad(g, _pad(x.data, pad), kernel, stride))
         if bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3, 4)))
         if x.requires_grad:
-            dims = x.data.shape[2:]
-            dxp = _scatter(g, w.data, stride, tuple(n + 2 * p for n, p in zip(dims, pad)))
-            _accum(x, _unpad(dxp, pad, dims))
+            _accum(x, _scatter(g, w.data, stride, pad))
 
     return _result(out, (x, w, bias), back)
 
 
 def transpose_conv3d(x: Tensor, w: Tensor, bias: Tensor, stride) -> Tensor:
-    if x.data.ndim != 5 or w.data.ndim != 5:
-        raise InputError(
-            f"transpose_conv3d expects 5-d tensors, got {x.data.shape} and {w.data.shape}"
-        )
-    cx, co, kz, ky, kx = w.data.shape
-    if x.data.shape[1] != cx:
-        raise InputError(
-            f"transpose_conv3d: input has {x.data.shape[1]} channels, weights expect {cx}"
-        )
-    if bias.data.shape != (co,):
-        raise InputError(f"transpose_conv3d: bias shape {bias.data.shape} != ({co},)")
-    stride = checked("stride", stride, _STRIDE)
-    kernel = (kz, ky, kx)
-
-    out_dims = tuple((n - 1) * s + k for n, s, k in zip(x.data.shape[2:], stride, kernel))
-    out = _scatter(x.data, w.data, stride, out_dims)
-    out = out + bias.data.reshape(1, co, 1, 1, 1)
+    stride, pad = _conv_args("transpose_conv3d", x.data, w.data, bias.data, stride, 0)
+    kernel = w.data.shape[2:]
+    out = _scatter(x.data, w.data, stride, pad) + bias.data.reshape(1, -1, 1, 1, 1)
 
     def back(g):
+        gp = _pad(g, pad)
         if w.requires_grad:
-            _accum(w, _weight_grad(x.data, g, kernel, stride))
+            _accum(w, _weight_grad(x.data, gp, kernel, stride))
         if bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3, 4)))
         if x.requires_grad:
-            _accum(x, _correlate(g, w.data, stride))
+            _accum(x, _correlate(gp, w.data, stride))
 
     return _result(out, (x, w, bias), back)
 

@@ -22,6 +22,7 @@ from .optim import OptimizerState, optimizer_step
 from .tensor import Tensor, take_channel
 
 VALIDATION_FRACTION = 0.1
+MIN_TRAIN_CASES = 10  # the fewest cases whose 10% validation split is nonempty
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,8 @@ def train(
     """Train on (volume, lobes, abnorm) cases, the grids compute_report takes;
     each case's three grids must share dims and spacing."""
     n = len(cases)
-    if n < 10:
-        raise InputError(f"need at least 10 cases for a nonempty 10% split, got {n}")
+    if n < MIN_TRAIN_CASES:
+        raise InputError(f"need at least {MIN_TRAIN_CASES} cases for a nonempty 10% split, got {n}")
     epochs = checked("epochs", epochs, at_least(1))
     for i, (volume, lobes, abnorm) in enumerate(cases):
         check_same_geometry(

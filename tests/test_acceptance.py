@@ -329,9 +329,10 @@ def test_criterion_05_gradient_checks():
     w = Tensor(rng.standard_normal((3, 2, 1, 3, 3)) * 0.3, requires_grad=True)
     bias = Tensor(rng.standard_normal(3) * 0.1, requires_grad=True)
     prc = rng.standard_normal((1, 3, 3, 6, 6))
-    fd_check(lambda: proj_loss(conv3d(x, w, bias, (1, 1, 1), "same"), prc), [x, w, bias])
+    fd_check(lambda: proj_loss(conv3d(x, w, bias), prc), [x, w, bias])
     prs = rng.standard_normal((1, 3, 3, 3, 3))
-    fd_check(lambda: proj_loss(conv3d(x, w, bias, (1, 2, 2), (0, 1, 1)), prs), [x, w, bias])
+    w4 = Tensor(np.pad(w.data, ((0, 0), (0, 0), (0, 0), (0, 1), (0, 1))), requires_grad=True)  # kernel (1,4,4): pad 1
+    fd_check(lambda: proj_loss(conv3d(x, w4, bias, (1, 2, 2)), prs), [x, w4, bias])
 
     xt = Tensor(rng.standard_normal((1, 2, 2, 3, 3)), requires_grad=True)
     wt = Tensor(rng.standard_normal((2, 3, 2, 2, 2)) * 0.3, requires_grad=True)

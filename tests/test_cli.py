@@ -674,6 +674,21 @@ def test_train_toy_names_the_config_for_a_bad_data_dir(kind, tmp_path, capsys):
     assert not (tmp_path / "loss.csv").exists()
 
 
+def test_train_toy_with_too_few_cases_names_its_config_and_writes_nothing(tmp_path, capsys):
+    data_dir = tmp_path / "cases"
+    assert main(["phantom", "--count", "3", "--dims", "8,16,16", "--out", str(data_dir)]) == 0
+    config = make_train_config(tmp_path, data_dir)
+    config["out_checkpoint"] = str(tmp_path / "out" / "ckpt")
+    config["out_loss_csv"] = str(tmp_path / "out" / "loss.csv")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["train-toy", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {config_path}: data_dir: need at least 10 case directories in {data_dir}, got 3\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_toy_names_the_case_the_network_cannot_take(tmp_path, capsys):
     data_dir = tmp_path / "cases"
     write_phantom_case(data_dir, "case_000", seed=1, dims=(8, 16, 16))

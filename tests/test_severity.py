@@ -187,6 +187,14 @@ def test_pho_rejects_normalized_volume():
         compute_report(normalized, lobes, abn)
 
 
+def test_report_rejects_an_unsigned_volume():
+    lobes = lobes_mask(np.full((3, 3, 3), 2))
+    abn = abn_mask(np.ones((3, 3, 3)))
+    labels = Volume(lobes.data.copy(), SPACING)  # a label grid given as the volume: every voxel 2 "HU"
+    with pytest.raises(InputError, match=r"^volume dtype uint8 is unsigned; high-opacity thresholding needs raw HU$"):
+        compute_report(labels, lobes, abn)
+
+
 # ---------------------------------------------------------------------------
 # Lobe score binning
 # ---------------------------------------------------------------------------

@@ -75,14 +75,14 @@ def test_conv_identity_kernel():
     x = Tensor(rng.standard_normal((1, 1, 3, 5, 5)))
     w = np.zeros((1, 1, 3, 3, 3))
     w[0, 0, 1, 1, 1] = 1.0
-    out = conv3d(x, Tensor(w), Tensor(np.zeros(1)), stride=(1, 1, 1), padding="same")
+    out = conv3d(x, Tensor(w), Tensor(np.zeros(1)))
     assert np.array_equal(out.data, x.data)
 
 
 def test_conv_ones_kernel_window_sum():
     x = Tensor(np.ones((1, 1, 2, 5, 5)))
     w = Tensor(np.ones((1, 1, 1, 3, 3)))
-    out = conv3d(x, w, Tensor(np.zeros(1)), stride=(1, 1, 1), padding="same")
+    out = conv3d(x, w, Tensor(np.zeros(1)))
     assert out.data.shape == (1, 1, 2, 5, 5)
     assert out.data[0, 0, 1, 2, 2] == 9.0
     assert out.data[0, 0, 0, 0, 0] == 4.0  # corner sees a 2x2 window
@@ -96,7 +96,7 @@ def test_conv_gradients_match_finite_differences():
     proj = rng.standard_normal((2, 3, 3, 6, 6))
 
     fd_check(
-        lambda: proj_loss(conv3d(x, w, b, stride=(1, 1, 1), padding="same"), proj),
+        lambda: proj_loss(conv3d(x, w, b), proj),
         [x, w, b],
     )
 
@@ -109,7 +109,7 @@ def test_strided_conv_gradients():
     proj = rng.standard_normal((1, 4, 2, 3, 3))
 
     fd_check(
-        lambda: proj_loss(conv3d(x, w, b, stride=(2, 2, 2), padding=(0, 0, 0)), proj),
+        lambda: proj_loss(conv3d(x, w, b, stride=(2, 2, 2)), proj),
         [x, w, b],
     )
 
@@ -120,7 +120,7 @@ def test_conv_shape_errors():
     with pytest.raises(InputError):
         conv3d(x, w, Tensor(np.zeros(3)))
     with pytest.raises(InputError):
-        conv3d(x, Tensor(np.zeros((3, 2, 2, 3, 3))), Tensor(np.zeros(3)), padding="same")
+        conv3d(x, Tensor(np.zeros((3, 2, 2, 3, 3))), Tensor(np.zeros(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,7 @@ def test_conv_tconv_adjoint_identity():
         w = Tensor(rng.standard_normal((4, 3, *kernel)))
         zero4 = Tensor(np.zeros(4))
         zero3 = Tensor(np.zeros(3))
-        cx = conv3d(x, w, zero4, stride=stride, padding=(0, 0, 0))
+        cx = conv3d(x, w, zero4, stride=stride)
         y = Tensor(rng.standard_normal(cx.data.shape))
         ty = transpose_conv3d(y, w, zero3, stride=stride)
         lhs = float((cx.data * y.data).sum())
@@ -184,34 +184,35 @@ def reference_conv(x, w, b, g, stride, pad):
     return y, dx, dw, g.sum(axis=(0, 2, 3, 4))
 
 
-def reference_tconv(x, w, b, g, stride):
+def reference_tconv(x, w, b, g, stride, pad):
     """transpose_conv3d's output and its x, w, bias gradients for output gradient g, one tap at a time."""
-    y, dx, dw = np.zeros(g.shape) + b.reshape(1, -1, 1, 1, 1), np.zeros(x.shape), np.zeros(w.shape)
+    gp = np.pad(g, ((0, 0), (0, 0), *((p, p) for p in pad)))
+    yp, dx, dw = np.zeros(gp.shape), np.zeros(x.shape), np.zeros(w.shape)
     for tap, window in _taps(w.shape[2:], x.shape[2:], stride):
-        y[window] += np.einsum("bizyx,io->bozyx", x, w[tap])
-        dx += np.einsum("bozyx,io->bizyx", g[window], w[tap])
-        dw[tap] = np.einsum("bizyx,bozyx->io", x, g[window])
+        yp[window] += np.einsum("bizyx,io->bozyx", x, w[tap])
+        dx += np.einsum("bozyx,io->bizyx", gp[window], w[tap])
+        dw[tap] = np.einsum("bizyx,bozyx->io", x, gp[window])
+    y = yp[(..., *(slice(p, p + n) for p, n in zip(pad, g.shape[2:])))] + b.reshape(1, -1, 1, 1, 1)
     return y, dx, dw, g.sum(axis=(0, 2, 3, 4))
 
 
 @pytest.mark.parametrize(
-    "kernel, stride, padding, dims",
+    "kernel, stride, dims",
     [
-        ((1, 3, 3), (1, 1, 1), "same", (3, 6, 5)),
-        ((3, 3, 3), (1, 1, 1), "same", (4, 5, 6)),
-        ((1, 2, 2), (1, 2, 2), (0, 0, 0), (3, 6, 4)),
-        ((2, 2, 2), (2, 2, 2), (0, 0, 0), (4, 6, 4)),
-        ((1, 3, 3), (1, 2, 2), (0, 1, 1), (3, 7, 6)),  # y's windows fit exactly, x's leave one voxel over
+        ((1, 3, 3), (1, 1, 1), (3, 6, 5)),
+        ((3, 3, 3), (1, 1, 1), (4, 5, 6)),
+        ((1, 2, 2), (1, 2, 2), (3, 6, 4)),
+        ((2, 2, 2), (2, 2, 2), (4, 6, 4)),
+        ((1, 4, 4), (1, 2, 2), (3, 6, 4)),  # padded by one voxel in-plane
     ],
-    ids=["same_133", "same_333", "kernel_is_stride_122", "kernel_is_stride_222", "strided_remainder"],
+    ids=["same_133", "same_333", "kernel_is_stride_122", "kernel_is_stride_222", "strided_padded_144"],
 )
-def test_conv_ops_match_a_per_tap_reference(kernel, stride, padding, dims):
+def test_conv_ops_match_a_per_tap_reference(kernel, stride, dims):
     rng = np.random.default_rng(5)
-    pad = tuple(k // 2 for k in kernel) if padding == "same" else padding
+    pad = tuple((k - s) // 2 for k, s in zip(kernel, stride))
     for op, ref, w_shape in (
-        (lambda x, w, b: conv3d(x, w, b, stride, padding), lambda *a: reference_conv(*a, stride, pad),
-         (4, 3, *kernel)),
-        (lambda x, w, b: transpose_conv3d(x, w, b, stride), lambda *a: reference_tconv(*a, stride),
+        (lambda x, w, b: conv3d(x, w, b, stride), lambda *a: reference_conv(*a, stride, pad), (4, 3, *kernel)),
+        (lambda x, w, b: transpose_conv3d(x, w, b, stride), lambda *a: reference_tconv(*a, stride, pad),
          (3, 4, *kernel)),
     ):
         x = Tensor(rng.standard_normal((2, 3, *dims)), requires_grad=True)
@@ -230,7 +231,7 @@ def test_conv_backward_keeps_no_copy_larger_than_its_operands():
     x = Tensor(rng.standard_normal((1, 4, 4, 8, 8)), requires_grad=True)
     b = Tensor(np.zeros(4), requires_grad=True)
     for op, w in (
-        (lambda w: conv3d(x, w, b, (1, 1, 1), "same"), rng.standard_normal((4, 4, 3, 3, 3))),
+        (lambda w: conv3d(x, w, b), rng.standard_normal((4, 4, 3, 3, 3))),
         (lambda w: transpose_conv3d(x, w, b, (2, 2, 2)), rng.standard_normal((4, 4, 2, 2, 2))),
     ):
         w = Tensor(w, requires_grad=True)
@@ -380,9 +381,15 @@ def test_conv_arguments_name_the_one_they_reject():
     x = Tensor(np.zeros((1, 1, 4, 4, 4)))
     w, b = Tensor(np.zeros((1, 1, 1, 1, 1))), Tensor(np.zeros(1))
     with pytest.raises(InputError, match=r"^stride: expected an integer >= 1, got 0$"):
-        conv3d(x, w, b, stride=(0, 1, 1), padding=(0, 0, 0))
-    with pytest.raises(InputError, match=r"^padding: expected an integer >= 0, got -1$"):
-        conv3d(x, w, b, padding=(-1, 0, 0))
+        conv3d(x, w, b, stride=(0, 1, 1))
+    with pytest.raises(InputError, match=r"^transpose_conv3d: kernel \(1, 1, 2\) does not fit stride \(1, 1, 1\); "):
+        transpose_conv3d(x, Tensor(np.zeros((1, 1, 1, 1, 2))), b, stride=(1, 1, 1))
+    with pytest.raises(InputError, match=r"^conv3d: kernel \(1, 1, 1\) does not fit stride \(1, 1, 2\); "):
+        conv3d(x, w, b, stride=(1, 1, 2))
+    with pytest.raises(InputError, match=r"^conv3d expects nonempty 5-d tensors, got \(1, 1, 0, 4, 4\) and "):
+        conv3d(Tensor(np.zeros((1, 1, 0, 4, 4))), w, b)
+    with pytest.raises(InputError, match=r"^conv3d: input dims \(4, 4, 4\) are not multiples of stride \(1, 3, 3\)$"):
+        conv3d(x, Tensor(np.zeros((1, 1, 1, 3, 3))), b, stride=(1, 3, 3))
     with pytest.raises(InputError, match=r"^stride: expected 3 entries, got 2$"):
         transpose_conv3d(x, w, b, stride=(2, 2))
 
