@@ -11,18 +11,15 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from . import phantom as phantom_mod
+# phantom, evaluate and toynet are imported inside the commands that run
+# them, so that a quantify or preprocess process does not load them.
 from .errors import InputError, LungSevError, at_least, entries, exactly, finite, nonnegative
 from .errors import only_fields, read_field, read_json
-from .evaluate import evaluate_reports, scatter_rows, write_scatter_csv
 from .severity import DEFAULT_THRESHOLD_HU, SeverityReport, compute_report
-from .toynet import NetConfig, save_checkpoint, train, write_loss_csv
-from .toynet.network import NET_FIELDS
-from .toynet.train import MIN_TRAIN_CASES
 from .volume import (
     AIR_HU,
     LabelMask,
@@ -31,12 +28,17 @@ from .volume import (
     clip_normalize,
     crop_box,
     lung_center,
+    open_mask,
+    open_volume,
     read_mask,
     read_volume,
     resample,
     resample_mask,
     write_volume,
 )
+
+if TYPE_CHECKING:
+    from .toynet import NetConfig
 
 log = logging.getLogger("lungsev.cli")
 
@@ -72,10 +74,12 @@ def _output(path):
 # ---------------------------------------------------------------------------
 
 def cmd_quantify(args: argparse.Namespace) -> int:
+    """Check the three headers and their geometry, then count the payloads
+    z-slab by z-slab; no grid is held whole."""
     t0 = time.perf_counter()
-    volume = read_volume(args.volume)
-    lobes = read_mask(args.lobes)
-    abnorm = read_mask(args.abnorm, allowed_labels=(1,))
+    volume = open_volume(args.volume)
+    lobes = open_mask(args.lobes)
+    abnorm = open_mask(args.abnorm, allowed_labels=(1,))
     check_same_geometry((args.volume, volume), (args.lobes, lobes), (args.abnorm, abnorm))
     report = compute_report(volume, lobes, abnorm, threshold=args.threshold_hu)
     elapsed = time.perf_counter() - t0
@@ -105,6 +109,15 @@ def _read_report_dir(directory: str) -> dict[str, SeverityReport]:
     return {p.stem: read_json(p, SeverityReport.from_json_dict) for p in paths}
 
 
+# An error quotes at most this many characters of a line it refuses.
+QUOTE_CHARS = 60
+
+
+def _quoted(text: str) -> str:
+    """repr of `text`, or of its first QUOTE_CHARS characters followed by ..."""
+    return repr(text) if len(text) <= QUOTE_CHARS else repr(text[:QUOTE_CHARS]) + "..."
+
+
 def _read_id_list(path: str, known: dict[str, SeverityReport]) -> list[str]:
     text = Path(path).read_text(errors="backslashreplace")  # undecodable bytes name no case
     ids = {}
@@ -113,9 +126,9 @@ def _read_id_list(path: str, known: dict[str, SeverityReport]) -> list[str]:
         if not case_id:
             continue
         if case_id in ids:
-            raise InputError(f"{path}: line {number}: duplicate case id {case_id!r}")
+            raise InputError(f"{path}: line {number}: duplicate case id {_quoted(case_id)}")
         if case_id not in known:
-            raise InputError(f"{path}: line {number}: unknown case id {case_id!r}")
+            raise InputError(f"{path}: line {number}: unknown case id {_quoted(case_id)}")
         ids[case_id] = None
     if not ids:
         raise InputError(f"{path}: the positive list is empty")
@@ -123,6 +136,8 @@ def _read_id_list(path: str, known: dict[str, SeverityReport]) -> list[str]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .evaluate import evaluate_reports, scatter_rows, write_scatter_csv
+
     gt = _read_report_dir(args.gt)
     pred = _read_report_dir(args.pred)
     positives = _read_id_list(args.positive_list, gt) if args.positive_list else None
@@ -142,6 +157,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_phantom(args: argparse.Namespace) -> int:
+    from . import phantom as phantom_mod
+
     given = {"dims": args.dims, "noise_sigma_hu": args.noise_sigma}
     given = {key: value for key, value in given.items() if value is not None}  # random_spec has the defaults
     if args.spec and given:
@@ -181,14 +198,16 @@ WINDOWED_AIR = float(_windowed_float32(Volume(np.full((1, 1, 1), AIR_HU), RESAMP
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
-    """Resample, window, then crop. Each full-size grid is dropped as soon as
-    the next step has its result, so the peak stays near the two inputs and
-    the output box."""
-    volume = read_volume(args.volume)
+    """Resample, window, then crop. The two headers and their geometry are
+    checked first; the lobe mask is read, reduced to its centre and dropped
+    before the volume is read, and each full-size grid is dropped as soon as
+    the next step has its result, so the peak stays near one input and the
+    output box."""
+    check_same_geometry((args.volume, open_volume(args.volume)), (args.lobes, open_mask(args.lobes)))
     lobes = read_mask(args.lobes)
-    check_same_geometry((args.volume, volume), (args.lobes, lobes))
     center = lung_center(resample_mask(lobes, RESAMPLE_SPACING_MM))
     del lobes
+    volume = read_volume(args.volume)
     v_res = resample(volume, RESAMPLE_SPACING_MM)
     del volume
     image = _windowed_float32(v_res)
@@ -210,6 +229,8 @@ def _load_cases(source, data_dir: str, config: NetConfig) -> list[tuple[Volume, 
     three grids differ in dims or spacing, or whose dims are not multiples of the
     network's cumulative stride, stops the read with an error naming it, and so
     do fewer than MIN_TRAIN_CASES cases."""
+    from .toynet.train import MIN_TRAIN_CASES
+
     try:
         case_dirs = sorted(p for p in Path(data_dir).iterdir() if p.is_dir())
     except OSError as exc:
@@ -236,6 +257,9 @@ def _load_cases(source, data_dir: str, config: NetConfig) -> list[tuple[Volume, 
 
 def _train_run(doc: dict) -> dict:
     """The checked train-toy config: a NetConfig plus the run's other settings."""
+    from .toynet import NetConfig
+    from .toynet.network import NET_FIELDS
+
     missing = [field for field in REQUIRED_TRAIN_FIELDS if field not in doc]
     if missing:
         raise InputError("missing field(s): " + ", ".join(missing))
@@ -248,6 +272,8 @@ def _train_run(doc: dict) -> dict:
 
 
 def cmd_train_toy(args: argparse.Namespace) -> int:
+    from .toynet import save_checkpoint, train, write_loss_csv
+
     run = read_json(args.config, _train_run)
     cases = _load_cases(args.config, run["data_dir"], run["config"])
     checkpoint, loss_csv = _output(run["out_checkpoint"]), _output(run["out_loss_csv"])

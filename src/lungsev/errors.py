@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the one place where a bad
 input becomes one: every JSON document is read by read_json, each of its
-fields by read_field and every other value by checked, so the message reads
-"<file>: <field>: <problem>" or "<field>: <problem>".
+fields by read_field, a grid payload under naming and every other value by
+checked, so the message reads "<file>: <field>: <problem>" or
+"<field>: <problem>".
 
 The CLI maps these onto exit codes: anything derived from InputError is a
 usage or data problem (exit 2), as is an OSError from reading or writing a
@@ -11,6 +12,7 @@ invariant (exit 3).
 
 import json
 import math
+from contextlib import contextmanager
 
 
 class LungSevError(Exception):
@@ -59,10 +61,20 @@ def _named(exc: Exception, name, error: type) -> InputError:
     return error(f"{name}: {exc}")
 
 
+@contextmanager
+def naming(name, error: type = InputError):
+    """Within the block, a failure to read, decode or check raises `error`
+    with a message that starts with `name`."""
+    try:
+        yield
+    except (OSError, KeyError, *_REJECTED) as exc:
+        raise _named(exc, name, error) from exc
+
+
 def read_json(path, build, error: type = InputError):
     """build(document) for the JSON object at `path`; a failure to read,
     decode or build raises `error` with a message that starts with the path."""
-    try:
+    with naming(path, error):
         with open(path) as file:
             try:
                 document = json.load(file)
@@ -71,8 +83,6 @@ def read_json(path, build, error: type = InputError):
         if not isinstance(document, dict):
             raise TypeError(f"expected a JSON object, got {type(document).__name__}")
         return build(document)
-    except (OSError, KeyError, *_REJECTED) as exc:
-        raise _named(exc, path, error) from exc
 
 
 def only_fields(doc, fields) -> None:

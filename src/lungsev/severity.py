@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMaskError, InputError, checked, entries, finite, integer, read_field
-from .volume import LOBE_LABELS, LabelMask, Volume, check_same_geometry
+from .volume import LOBE_LABELS, GridFile, LabelMask, Volume, check_same_geometry
 
 DEFAULT_THRESHOLD_HU = -200.0
 
@@ -118,16 +118,41 @@ def lobe_score(fraction: float) -> int:
     return 4
 
 
-def _check_raw_hu(v: Volume) -> None:
+def _count(v, lobes, abnorm, threshold: float) -> tuple:
+    """Every count a report needs, summed over (hu, lobes, abnorm) z-slab
+    triples: lung voxels, abnormal lung voxels and the high-opacity ones
+    among them; the same three counts per lobe label, as the rows of an
+    array indexed by label; and the HU min and max, which propagate NaN."""
+    n_labels = max(LOBE_LABELS) + 1
+    lung = abnormal = high_opacity = 0
+    per_label = np.zeros((3, n_labels), dtype=np.int64)
+    lo, hi = math.inf, -math.inf
+    for hu, lab, abn in zip(v.slabs(), lobes.slabs(), abnorm.slabs(), strict=True):
+        lo, hi = np.minimum(lo, hu.min()), np.maximum(hi, hu.max())
+        lung += np.count_nonzero(lab > 0)
+        per_label[0, LOBE_LABELS] += [np.count_nonzero(lab == label) for label in LOBE_LABELS]
+        # Abnormal voxels are a small share of a slab: gather labels and HU
+        # there only, and keep those inside the lung (label > 0).
+        abn_idx = np.flatnonzero(abn > 0)
+        abn_labels = np.take(lab, abn_idx)
+        in_lung = abn_labels > 0
+        abn_labels = abn_labels[in_lung]
+        high = np.take(hu, abn_idx[in_lung]) >= threshold
+        abnormal += abn_labels.size
+        high_opacity += np.count_nonzero(high)
+        per_label[1] += np.bincount(abn_labels, minlength=n_labels)[:n_labels]
+        per_label[2] += np.bincount(abn_labels[high], minlength=n_labels)[:n_labels]
+    return (lung, abnormal, high_opacity), per_label, float(lo), float(hi)
+
+
+def _check_raw_hu(dtype: np.dtype, lo: float, hi: float) -> None:
     # A NaN or infinite voxel would silently drop out of the counts. An
     # unsigned grid (a label mask given as the volume) cannot hold the
     # negative HU of lung, and a volume whose every value sits in [0,1] is
     # almost certainly the normalized training tensor; an HU threshold is
     # meaningless on either.
-    if v.data.dtype.kind == "u":
-        raise InputError(f"volume dtype {v.data.dtype} is unsigned; high-opacity thresholding needs raw HU")
-    lo = float(v.data.min())
-    hi = float(v.data.max())
+    if dtype.kind == "u":
+        raise InputError(f"volume dtype {dtype} is unsigned; high-opacity thresholding needs raw HU")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InputError(f"volume holds non-finite values (min {lo}, max {hi})")
     if lo >= 0.0 and hi <= 1.0:
@@ -137,37 +162,28 @@ def _check_raw_hu(v: Volume) -> None:
 
 
 def compute_report(
-    v: Volume,
-    lobes: LabelMask,
-    abnorm: LabelMask,
+    v: Volume | GridFile,
+    lobes: LabelMask | GridFile,
+    abnorm: LabelMask | GridFile,
     threshold: float = DEFAULT_THRESHOLD_HU,
 ) -> SeverityReport:
-    """Full severity breakdown: global PO/PHO plus per-lobe scores and sums."""
+    """Full severity breakdown: global PO/PHO plus per-lobe scores and sums.
+
+    The grids are counted z-slab by z-slab through their slabs(), so a grid
+    in memory and a GridFile on disk take the one counting path, and a file
+    is never held whole."""
     threshold = checked("threshold", threshold, finite)
     check_same_geometry(("volume", v), ("lobes", lobes), ("abnorm", abnorm))
-    _check_raw_hu(v)
-    lung_count = int(np.count_nonzero(lobes.data > 0))
+    (lung_count, n_abn_total, n_high_total), per_label, lo, hi = _count(v, lobes, abnorm, threshold)
+    _check_raw_hu(v.data.dtype, lo, hi)
     if lung_count == 0:
         raise EmptyMaskError("lung mask is empty")
-    # Abnormal voxels are a small share of the grid: gather labels and HU
-    # there only, and keep those inside the lung (label > 0).
-    abn_idx = np.flatnonzero(abnorm.data > 0)
-    abn_labels = np.take(lobes.data, abn_idx)
-    in_lung = abn_labels > 0
-    abn_labels = abn_labels[in_lung]
-    high = np.take(v.data, abn_idx[in_lung]) >= threshold
-    n_abn_total = int(abn_labels.size)
-    n_high_total = int(np.count_nonzero(high))
-    abn_counts = np.bincount(abn_labels, minlength=max(LOBE_LABELS) + 1)
-    high_counts = np.bincount(abn_labels[high], minlength=max(LOBE_LABELS) + 1)
     voxel_mm3 = lobes.voxel_volume_mm3
 
     records = []
     lss = lhos = 0
     for label in LOBE_LABELS:
-        n_lobe = int(np.count_nonzero(lobes.data == label))
-        n_abn = int(abn_counts[label])
-        n_high = int(high_counts[label])
+        n_lobe, n_abn, n_high = per_label[:, label].tolist()
         affected = n_abn / n_lobe if n_lobe else 0.0
         high_frac = n_high / n_lobe if n_lobe else 0.0
         score = lobe_score(affected)

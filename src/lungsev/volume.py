@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyMaskError, GeometryError, HeaderError, InputError
-from .errors import at_least, checked, entries, finite, one_of, positive, read_field, read_json
+from .errors import at_least, checked, entries, finite, naming, one_of, positive, read_field, read_json
 
 # Raw-file dtypes; the sidecar header names them by these strings.
 _HEADER_DTYPES = {
@@ -37,6 +37,12 @@ AIR_HU = -1024.0
 # The lung window clip_normalize maps onto [0, 1]: [-1350, 150] HU.
 WINDOW_LEVEL_HU = -600.0
 WINDOW_WIDTH_HU = 1500.0
+
+# A slab is whole z-planes, at most this many voxels of them (one plane if a
+# plane alone is larger): 4 planes of a 512x512 grid, a small case in one.
+# On a 300x512x512 int16 chest (2-core VM) a quantify child peaked at 33-58 MB
+# with 1 to 8 planes, 79 MB with 16 and 130 MB with 32, all in 0.5-0.6 s.
+SLAB_VOXELS = 1 << 20
 
 
 def _round_half_away(x: float) -> int:
@@ -87,6 +93,18 @@ class Volume:
         sz, sy, sx = self.spacing_mm
         return sz * sy * sx
 
+    def slabs(self):
+        """The grid as consecutive z-slabs of whole planes, at most
+        SLAB_VOXELS voxels each (one plane if a plane is larger): views of
+        the data, nothing copied."""
+        planes = _slab_planes(self.dims)
+        for z0 in range(0, self.dims[0], planes):
+            yield self.data[z0:z0 + planes]
+
+
+def _slab_planes(dims: tuple[int, int, int]) -> int:
+    return max(1, SLAB_VOXELS // (dims[1] * dims[2]))
+
 
 @dataclass(frozen=True)
 class LabelMask(Volume):
@@ -105,16 +123,31 @@ class LabelMask(Volume):
 
     def __post_init__(self):
         super().__post_init__()
-        data = self.data
-        if not np.issubdtype(data.dtype, np.integer):
-            raise InputError(f"mask dtype must be integer, got {data.dtype}")
-        allowed = tuple(sorted({0, *map(int, self.allowed_labels)}))
-        contiguous = allowed[-1] - allowed[0] == len(allowed) - 1
-        if not (contiguous and allowed[0] <= int(data.min()) and int(data.max()) <= allowed[-1]):
-            bad = set(np.unique(data).tolist()) - set(allowed)
-            if bad:
-                raise InputError(f"mask contains labels {sorted(bad)} outside allowed set {allowed}")
+        allowed = _mask_labels(self.data.dtype, self.allowed_labels)
+        bad = _labels_outside(self.data, allowed)
+        if bad:
+            raise _labels_error(bad, allowed)
         object.__setattr__(self, "allowed_labels", allowed)
+
+
+def _mask_labels(dtype: np.dtype, allowed_labels) -> tuple[int, ...]:
+    """The sorted allowed labels with 0 added, for a mask of `dtype`, which must be integer."""
+    if not np.issubdtype(dtype, np.integer):
+        raise InputError(f"mask dtype must be integer, got {dtype}")
+    return tuple(sorted({0, *map(int, allowed_labels)}))
+
+
+def _labels_outside(data: np.ndarray, allowed: tuple[int, ...]) -> set[int]:
+    """The labels in `data` outside `allowed`. When `allowed` is a contiguous
+    range a min/max check suffices; np.unique runs only when it fails."""
+    contiguous = allowed[-1] - allowed[0] == len(allowed) - 1
+    if contiguous and allowed[0] <= int(data.min()) and int(data.max()) <= allowed[-1]:
+        return set()
+    return set(np.unique(data).tolist()) - set(allowed)
+
+
+def _labels_error(bad: set[int], allowed: tuple[int, ...]) -> InputError:
+    return InputError(f"mask contains labels {sorted(bad)} outside allowed set {allowed}")
 
 
 def check_same_geometry(first: tuple[str, Volume], *others: tuple[str, Volume]) -> None:
@@ -175,9 +208,64 @@ def write_volume(v: Volume, path: str | Path) -> None:
     raw_path.write_bytes(memoryview(np.ascontiguousarray(v.data, dtype=_HEADER_DTYPES[name])))
 
 
-def _read_grid(path: str | Path, make):
-    """make(data, spacing_mm) for the grid file pair at `path`; any fault in
-    either file is a HeaderError that names the header file."""
+@dataclass(frozen=True)
+class GridFile:
+    """A grid file pair whose header is read and checked and whose payload
+    stays on disk until slabs() reads it.
+
+    `data` has the grid's shape, dtype and size but holds no voxels: it is a
+    read-only zero-stride view of a single zero, so its values are not the
+    grid's. A mask (`allowed_labels` not None) is checked slab by slab as
+    LabelMask checks its data; a float grid must be finite, as read_volume
+    requires.
+    """
+
+    header_path: Path
+    raw_path: Path
+    data: np.ndarray
+    spacing_mm: tuple[float, float, float]
+    allowed_labels: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        # Volume checks the dims and spacing, reading no voxel of the shell.
+        object.__setattr__(self, "spacing_mm", Volume(self.data, self.spacing_mm).spacing_mm)
+        if self.allowed_labels is not None:
+            object.__setattr__(self, "allowed_labels", _mask_labels(self.data.dtype, self.allowed_labels))
+
+    # Volume's geometry accessors, which read only data.shape and spacing_mm.
+    dims = Volume.dims
+    voxel_volume_mm3 = Volume.voxel_volume_mm3
+
+    def _read(self, raw, planes: int) -> np.ndarray:
+        """The next `planes` z-planes from the open payload file `raw`."""
+        data = np.empty((planes, *self.dims[1:]), self.data.dtype)
+        missing = data.nbytes - raw.readinto(data)
+        if missing:
+            raise HeaderError(f"payload {self.raw_path} ended {missing} bytes short of its header")
+        _check_finite_payload(data, self.raw_path)
+        return data
+
+    def slabs(self):
+        """The payload as consecutive z-slabs, each read from the file as it
+        is reached and checked; any fault is a HeaderError naming the header.
+
+        A mask label outside the allowed set stops the reading; the rest of
+        the file is then scanned, so the error names every such label."""
+        planes = _slab_planes(self.dims)
+        nz = self.dims[0]
+        bad = set()
+        with naming(self.header_path, HeaderError), open(self.raw_path, "rb") as raw:
+            for z0 in range(0, nz, planes):
+                slab = self._read(raw, min(planes, nz - z0))
+                if self.allowed_labels is not None:
+                    bad |= _labels_outside(slab, self.allowed_labels)
+                if not bad:
+                    yield slab
+            if bad:
+                raise _labels_error(bad, self.allowed_labels)
+
+
+def _open_grid(path: str | Path, allowed_labels: tuple[int, ...] | None) -> GridFile:
     header_path, raw_path = _paths_for(path)
     if not header_path.exists():
         raise HeaderError(f"{header_path}: missing header sidecar")
@@ -187,15 +275,32 @@ def _read_grid(path: str | Path, make):
         dtype = _HEADER_DTYPES[read_field(header, "dtype", one_of(*_HEADER_DTYPES))]
         dims = read_field(header, "dims", entries(at_least(1), 3))
         spacing = read_field(header, "spacing_mm", entries(finite))
-        raw = raw_path.read_bytes()
+        size = raw_path.stat().st_size  # a stat, not an open: a FIFO given as the payload cannot block
         expected = math.prod(dims) * dtype.itemsize
-        if len(raw) != expected:
-            raise HeaderError(f"payload length mismatch for {raw_path}: {len(raw)} bytes, header implies {expected}")
-        data = np.frombuffer(raw, dtype=dtype).reshape(dims)
-        _check_finite_payload(data, raw_path)
-        return make(data, spacing)
+        if size != expected:
+            raise HeaderError(f"payload length mismatch for {raw_path}: {size} bytes, header implies {expected}")
+        shell = np.ndarray(dims, dtype, bytes(dtype.itemsize), strides=(0, 0, 0))
+        return GridFile(header_path, raw_path, shell, spacing, allowed_labels)
 
     return read_json(header_path, build, HeaderError)
+
+
+def open_volume(path: str | Path) -> GridFile:
+    """The grid file pair at `path`, its header checked as read_volume checks it."""
+    return _open_grid(path, None)
+
+
+def open_mask(path: str | Path, allowed_labels: tuple[int, ...] = LOBE_LABELS) -> GridFile:
+    """The mask file pair at `path`, its header checked as read_mask checks it."""
+    return _open_grid(path, allowed_labels)
+
+
+def _read_grid(path: str | Path, make):
+    """make(data, spacing_mm) for the grid file pair at `path`; any fault in
+    either file is a HeaderError that names the header file."""
+    grid = _open_grid(path, None)
+    with naming(grid.header_path, HeaderError), open(grid.raw_path, "rb") as raw:
+        return make(grid._read(raw, grid.dims[0]), grid.spacing_mm)
 
 
 def read_volume(path: str | Path) -> Volume:

@@ -1,18 +1,23 @@
 import csv
 import json
 import logging
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lungsev
 from lungsev import phantom
 from lungsev.cli import RESAMPLE_SPACING_MM, _log_level_from_env, _train_run, main
 from lungsev.volume import (
     AIR_HU,
+    LOBE_LABELS,
     LabelMask,
     Volume,
     clip_normalize,
@@ -364,6 +369,21 @@ def test_evaluate_positive_list_naming_an_unknown_case_exits_2(tmp_path, capsys)
                  "--out", str(out), "--positive-list", str(listing)])
     assert code == 2
     assert capsys.readouterr().err == f"error: {listing}: line 5: unknown case id '0'\n"
+    assert not out.exists()
+
+
+def test_evaluate_positive_list_error_quotes_at_most_60_characters_of_a_line(tmp_path, capsys):
+    gt_dir, pred_dir = build_report_dirs(tmp_path, n_cases=3)
+    listing = tmp_path / "positives.txt"
+    out = tmp_path / "s.json"
+    argv = ["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir), "--out", str(out),
+            "--positive-list", str(listing)]
+    listing.write_text("case_000\n" + "[" * 100000 + "\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {listing}: line 2: unknown case id '{'[' * 60}'...\n"
+    listing.write_text("x" * 60 + "\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {listing}: line 1: unknown case id '{'x' * 60}'\n"
     assert not out.exists()
 
 
@@ -881,6 +901,56 @@ def test_grid_too_large_for_memory_exits_2(command, tmp_path, capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "quantify" in capsys.readouterr().out
+
+
+# Linux gives a child the peak resident size of the process it was forked
+# from as its starting ru_maxrss, so children whose peak a test reads are
+# started by a small launcher process, not by the test process itself.
+_LAUNCH = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+
+
+def _child(code, *argv):
+    """The stdout of `python -c code argv...` run on this package's source."""
+    env = dict(os.environ, PYTHONPATH=str(Path(lungsev.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", _LAUNCH, sys.executable, "-c", code, *map(str, argv)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_importing_the_cli_loads_no_training_statistics_or_phantom_code():
+    loaded = _child("import sys, lungsev.cli; print(*sorted(sys.modules))").split()
+    heavy = ("lungsev.toynet", "lungsev.evaluate", "lungsev.phantom", "lungsev.stats", "lungsev.special")
+    assert [m for m in loaded if m.startswith(heavy)] == []
+    assert "lungsev.severity" in loaded and "lungsev.volume" in loaded
+
+
+def test_quantify_memory_does_not_grow_with_the_grid(tmp_path):
+    # A 64x512x512 case of 84 MB: quantify reads it in slabs of a few planes,
+    # so its peak stays within a third of that above the interpreter with
+    # lungsev.cli imported.
+    dims = (64, 512, 512)
+    lobes = np.zeros(dims, dtype=np.int16)
+    for label, x0 in zip(LOBE_LABELS, range(20, 500, 96)):
+        lobes[4:60, 100:400, x0:x0 + 80] = label
+    write_volume(LabelMask(lobes, (1.0, 0.7, 0.7)), tmp_path / "lobes")
+    abnorm = np.zeros(dims, dtype=np.uint8)
+    abnorm[10:50, 150:300, 50:250] = 1
+    write_volume(LabelMask(abnorm, (1.0, 0.7, 0.7), allowed_labels=(1,)), tmp_path / "abnorm")
+    volume = np.where(lobes > 0, -850, 40).astype(np.int16)
+    volume[abnorm > 0] = -100
+    write_volume(Volume(volume, (1.0, 0.7, 0.7)), tmp_path / "volume")
+    input_bytes = lobes.nbytes + abnorm.nbytes + volume.nbytes
+    del lobes, abnorm, volume
+    peak = "import resource; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024)"
+    base = int(_child(f"import lungsev.cli; {peak}"))
+    out = tmp_path / "report.json"
+    quantify = int(_child(
+        f"import sys; from lungsev.cli import main; assert main(sys.argv[1:]) == 0; {peak}",
+        "quantify", "--volume", tmp_path / "volume", "--lobes", tmp_path / "lobes",
+        "--abnorm", tmp_path / "abnorm", "--out", out).split()[-1])
+    assert json.loads(out.read_text())["lss"] > 0
+    assert quantify - base < input_bytes / 3
 
 
 def test_unexpected_failure_exits_3(tmp_path, monkeypatch, capsys):

@@ -120,3 +120,27 @@ def test_a_broken_input_file_exits_2_naming_it(command, name, fault, inputs, tmp
     assert code == 2, err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1, err
     assert name in err
+
+
+def _claim_4e15_bytes(path):
+    """A grid header whose dims claim about 4e15 bytes of payload."""
+    header = json.loads(path.read_text())
+    header["dims"] = [100000, 100000, 400000 // {"int16": 2, "float32": 4, "uint8": 1}[header["dtype"]]]
+    path.write_text(json.dumps(header))
+
+
+GRID_HEADERS = [
+    pytest.param(command, name, id=f"{command}-{name}")
+    for command, names in READS.items()
+    for name in names
+    if name.endswith(".json") and name.split("/")[-1][:-len(".json")] in GRIDS
+]
+
+
+@pytest.mark.parametrize("command, name", GRID_HEADERS)
+def test_a_header_whose_dims_claim_4e15_bytes_exits_2_naming_it(command, name, inputs, tmp_path, monkeypatch, capsys):
+    capsys.readouterr()
+    code = _run_in_copy(inputs, tmp_path, monkeypatch, ARGV[command], name, _claim_4e15_bytes)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"error: {name}: payload length mismatch") and len(err.strip().splitlines()) == 1, err

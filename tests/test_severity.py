@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lungsev import phantom
+from lungsev import volume as volume_mod
 from lungsev.errors import EmptyMaskError, GeometryError, InputError
 from lungsev.severity import (
     LobeRecord,
@@ -14,7 +16,7 @@ from lungsev.severity import (
     compute_report,
     lobe_score,
 )
-from lungsev.volume import LOBE_LABELS, LabelMask, Volume
+from lungsev.volume import LOBE_LABELS, LabelMask, Volume, open_mask, open_volume, read_mask, read_volume, write_volume
 
 SPACING = (1.0, 1.0, 1.0)
 
@@ -532,3 +534,31 @@ def test_every_report_is_strict_json_that_reads_back(seed, dims, spacing, hu_sca
     got = report()
     text = json.dumps(got.to_json_dict(), allow_nan=False)
     assert SeverityReport.from_json_dict(json.loads(text)) == got
+
+
+@pytest.mark.parametrize("slab_planes", [None, 3], ids=["one_slab", "slabs_of_3_planes"])
+def test_report_from_grid_files_equals_report_from_grids_in_memory(slab_planes, tmp_path, monkeypatch):
+    # GridFile.data is a shell of zeros: a count that read it instead of the
+    # slabs would differ here, on the ground truth and on noisy predictions.
+    dims = (16, 28, 28)
+    if slab_planes is not None:  # 16 planes in slabs of 3: the last slab has 1
+        monkeypatch.setattr(volume_mod, "SLAB_VOXELS", slab_planes * dims[1] * dims[2])
+    reports = []
+    for seed in range(8):
+        case = phantom.generate(phantom.random_spec(seed, dims=dims, noise_sigma_hu=10.0))
+        case_dir = tmp_path / f"case_{seed}"
+        phantom.write_case(case, case_dir)
+        noisy = phantom.make_noisy_prediction(case, dilate_vox=seed % 2, erode_vox=1 - seed % 2, seed=seed)
+        write_volume(noisy, case_dir / "noisy")
+        for mask in ("abnorm", "noisy"):
+            on_disk = compute_report(
+                open_volume(case_dir / "volume"), open_mask(case_dir / "lobes"),
+                open_mask(case_dir / mask, allowed_labels=(1,)))
+            in_memory = compute_report(
+                read_volume(case_dir / "volume"), read_mask(case_dir / "lobes"),
+                read_mask(case_dir / mask, allowed_labels=(1,)))
+            assert on_disk == in_memory
+            reports.append(on_disk)
+            if mask == "abnorm":
+                assert in_memory == compute_report(case.volume, case.lobes, case.abnorm_gt)
+    assert any(0 < r.pho < r.po for r in reports)  # lesions with HU on both sides of the threshold

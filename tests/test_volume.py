@@ -19,6 +19,8 @@ from lungsev.volume import (
     clip_normalize,
     crop_box,
     lung_center,
+    open_mask,
+    open_volume,
     read_mask,
     read_volume,
     resample,
@@ -272,6 +274,102 @@ def test_mask_roundtrip(tmp_path):
     write_volume(m, tmp_path / "m")
     back = read_mask(tmp_path / "m")
     np.testing.assert_array_equal(back.data, m.data)
+
+
+# ---------------------------------------------------------------------------
+# Grid files read in z-slabs
+# ---------------------------------------------------------------------------
+
+# 9 planes of 512x512: the slab size fits 4 planes, so the slabs hold 4, 4 and 1.
+SLABBED_DIMS = (9, 512, 512)
+
+
+def _slabbed_mask(tmp_path, bad=()):
+    """A uint8 lobe mask file of SLABBED_DIMS; each (z, label) in `bad` puts
+    `label` at one voxel of plane z."""
+    data = (np.arange(np.prod(SLABBED_DIMS)) % 6).astype(np.uint8).reshape(SLABBED_DIMS)
+    for z, label in bad:
+        data[z, 100, 200] = label
+    (tmp_path / "m.json").write_text(json.dumps(
+        {"dims": list(SLABBED_DIMS), "spacing_mm": [1.0, 0.7, 0.7], "dtype": "uint8", "byte_order": "little"}))
+    (tmp_path / "m.raw").write_bytes(data.tobytes())
+    return data
+
+
+def test_a_grid_is_read_in_slabs_of_whole_planes_that_need_not_divide_its_depth(tmp_path):
+    data = _slabbed_mask(tmp_path)
+    grid = open_mask(tmp_path / "m")
+    in_memory = read_mask(tmp_path / "m")
+    for slabs in (list(grid.slabs()), list(in_memory.slabs())):
+        assert [s.shape[0] for s in slabs] == [4, 4, 1]
+        assert np.array_equal(np.concatenate(slabs), data)
+    # The grid file holds no voxels: its data is a zero-stride shell.
+    assert grid.data.shape == SLABBED_DIMS and grid.data.strides == (0, 0, 0)
+    assert grid.data.size == in_memory.data.size and not grid.data.flags.writeable
+    assert (grid.dims, grid.spacing_mm, grid.voxel_volume_mm3) == (
+        in_memory.dims, in_memory.spacing_mm, in_memory.voxel_volume_mm3)
+    # A plane larger than the slab size is a slab of its own; a small case is one slab.
+    assert [s.shape for s in Volume(np.zeros((3, 1025, 1024), np.uint8), (1, 1, 1)).slabs()] == [(1, 1025, 1024)] * 3
+    assert [s.shape for s in Volume(np.zeros((16, 28, 28), np.uint8), (1, 1, 1)).slabs()] == [(16, 28, 28)]
+
+
+@pytest.mark.parametrize("bad, labels", [
+    ([(8, 7)], "[7]"),  # only in the last slab
+    ([(1, 9), (8, 7)], "[7, 9]"),  # in the first slab and the last: every bad label is named
+])
+def test_a_bad_label_in_a_slab_gives_the_whole_mask_message(bad, labels, tmp_path):
+    _slabbed_mask(tmp_path, bad)
+    with pytest.raises(HeaderError) as whole:
+        read_mask(tmp_path / "m")
+    assert str(whole.value) == f"{tmp_path / 'm.json'}: mask contains labels {labels} outside allowed set (0, 1, 2, 3, 4, 5)"
+    read = []
+    with pytest.raises(HeaderError) as slabbed:
+        for slab in open_mask(tmp_path / "m").slabs():
+            read.append(slab)
+    assert str(slabbed.value) == str(whole.value)
+    assert len(read) == bad[0][0] // 4  # no slab with a bad label is handed out
+
+
+def test_a_float_slab_with_nan_names_the_file(tmp_path):
+    data = np.full(SLABBED_DIMS, -700.0, dtype=np.float32)
+    data[-1, 0, 0] = np.nan
+    (tmp_path / "v.json").write_text(json.dumps(
+        {"dims": list(SLABBED_DIMS), "spacing_mm": [1.0, 1.0, 1.0], "dtype": "float32", "byte_order": "little"}))
+    (tmp_path / "v.raw").write_bytes(data.tobytes())
+    grid = open_volume(tmp_path / "v")
+    with pytest.raises(HeaderError, match=rf"^{tmp_path / 'v.json'}: payload {tmp_path / 'v.raw'} holds non-finite"):
+        list(grid.slabs())
+
+
+def test_a_payload_that_shrinks_after_its_header_is_checked_names_the_raw_file(tmp_path):
+    _slabbed_mask(tmp_path)
+    grid = open_mask(tmp_path / "m")
+    raw = tmp_path / "m.raw"
+    raw.write_bytes(raw.read_bytes()[:-10])
+    with pytest.raises(HeaderError, match=rf"^{tmp_path / 'm.json'}: payload {raw} ended 10 bytes short"):
+        list(grid.slabs())
+
+
+def test_opening_a_grid_checks_its_header_as_reading_does(tmp_path):
+    header = {"dims": [2, 3, 4], "spacing_mm": [1.0, 1.0, 1.0], "dtype": "float32", "byte_order": "little"}
+    cases = {
+        "short": (header, 2 * 3 * 4 * 4 - 1),
+        "spacing": ({**header, "spacing_mm": [1.0, -1.0, 1.0]}, 96),
+        "huge": ({**header, "dims": [100000, 100000, 100000]}, 96),
+    }
+    for name, (doc, size) in cases.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        (tmp_path / f"{name}.raw").write_bytes(b"\0" * size)
+        with pytest.raises(HeaderError) as read:
+            read_volume(tmp_path / name)
+        with pytest.raises(HeaderError) as opened:
+            open_volume(tmp_path / name)
+        assert str(opened.value) == str(read.value)
+        assert str(opened.value).startswith(f"{tmp_path / name}.json: ")
+    (tmp_path / "f.json").write_text(json.dumps(header))
+    (tmp_path / "f.raw").write_bytes(b"\0" * 96)
+    with pytest.raises(HeaderError, match=r"f\.json: mask dtype must be integer, got float32"):
+        open_mask(tmp_path / "f")
 
 
 # ---------------------------------------------------------------------------
