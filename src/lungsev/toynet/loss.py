@@ -12,11 +12,14 @@ def jaccard_loss(p: Tensor, target, lung) -> Tensor:
     """1 - (<p,y> + 1) / (<p,p> + <y,y> - <p,y> + 1), sums over lung voxels.
 
     p holds positive-class probabilities; target and lung are binary arrays
-    of the same shape. Voxels outside the lung contribute nothing, so their
-    gradient is exactly zero. The loss is one tape node.
+    of the same shape, cast to the dtype numpy promotes p, target and lung
+    to, so float32 p with float32 or bool masks stays float32. Voxels outside
+    the lung contribute nothing, so their gradient is exactly zero. The loss
+    is one tape node.
     """
-    y = np.asarray(target, dtype=np.float64)
-    m = np.asarray(lung, dtype=np.float64)
+    target, lung = np.asarray(target), np.asarray(lung)
+    dtype = np.result_type(p.data, target, lung)
+    y, m = target.astype(dtype, copy=False), lung.astype(dtype, copy=False)
     if p.data.shape != y.shape or p.data.shape != m.shape:
         raise InputError(
             f"jaccard_loss: shapes differ: p {p.data.shape}, y {y.shape}, lung {m.shape}"

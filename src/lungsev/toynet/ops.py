@@ -8,12 +8,14 @@ back to n * s. With the same weights the two ops are exact adjoints,
 forward.
 
 Both run on one kernel, `_correlate`: the strided sliding windows of a grid,
-flattened (im2col) and multiplied by the weights in one matmul. Its adjoint,
+copied by `_im2col` into one matrix whose rows are taps and whose columns are
+output voxels, and multiplied by the weights in one matmul. Its adjoint,
 `_scatter`, is that same correlation at unit stride over a zero-inserted
 grid, with the weights' channels swapped and taps flipped, offset so that it
-yields exactly the unpadded voxels. Both weight gradients contract one side's
-activation with the windows of the other's padded grid (`_weight_grad`), so a
-backward closure keeps the op's inputs and no im2col copy.
+yields exactly the unpadded voxels. Both weight gradients multiply one side's
+activation by the `_im2col` matrix of the other's padded grid
+(`_weight_grad`), so a backward closure keeps the op's inputs and no im2col
+copy. Every op computes in the dtype of its inputs.
 
 Weight layouts:
     conv3d            w: (C_out, C_in, kz, ky, kx)
@@ -22,6 +24,8 @@ Weight layouts:
 so a transpose conv with a conv's weights maps conv-output space back to
 conv-input space.
 """
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -54,15 +58,23 @@ def _pad(x, pad):
     return np.pad(x, ((0, 0), (0, 0), *((p, p) for p in pad))) if any(pad) else x
 
 
+def _im2col(grid, kernel, stride):
+    """The strided kernel windows of grid (B, Ci, ...) as a (Ci*kz*ky*kx, B*zo*yo*xo) matrix.
+
+    Output voxels are innermost, so each run the copy makes is a row of
+    output voxels rather than one kernel row of kx taps.
+    """
+    tz, ty, tx = stride
+    win = sliding_window_view(grid, kernel, axis=(2, 3, 4))[:, :, ::tz, ::ty, ::tx]
+    return win.transpose(1, 5, 6, 7, 0, 2, 3, 4).reshape(grid.shape[1] * math.prod(kernel), -1)
+
+
 def _correlate(xp, w, stride):
     """Cross-correlate grid xp (B, Ci, ...) with w (Co, Ci, kz, ky, kx): im2col and one matmul."""
     co, kernel = w.shape[0], w.shape[2:]
-    tz, ty, tx = stride
-    win = sliding_window_view(xp, kernel, axis=(2, 3, 4))[:, :, ::tz, ::ty, ::tx]
-    b, _, zo, yo, xo = win.shape[:5]
-    cols = win.transpose(0, 2, 3, 4, 1, 5, 6, 7).reshape(b, zo * yo * xo, w[0].size)
-    out = cols @ w.reshape(co, -1).T
-    return out.transpose(0, 2, 1).reshape(b, co, zo, yo, xo)
+    dims = ((n - k) // s + 1 for n, k, s in zip(xp.shape[2:], kernel, stride))
+    out = w.reshape(co, -1) @ _im2col(xp, kernel, stride)
+    return out.reshape(co, xp.shape[0], *dims).swapaxes(0, 1)
 
 
 def _scatter(x, w, stride, pad):
@@ -80,9 +92,9 @@ def _scatter(x, w, stride, pad):
 
 def _weight_grad(a, grid, kernel, stride):
     """d<a, _correlate(grid, w, stride)>/dw: a (B, Co, ...) against the windows of grid (B, Ci, ...)."""
-    tz, ty, tx = stride
-    win = sliding_window_view(grid, kernel, axis=(2, 3, 4))[:, :, ::tz, ::ty, ::tx]
-    return np.tensordot(a, win, axes=([0, 2, 3, 4], [0, 2, 3, 4]))
+    co = a.shape[1]
+    dw = a.swapaxes(0, 1).reshape(co, -1) @ _im2col(grid, kernel, stride).T
+    return dw.reshape(co, grid.shape[1], *kernel)
 
 
 def conv3d(x: Tensor, w: Tensor, bias: Tensor, stride=(1, 1, 1)) -> Tensor:

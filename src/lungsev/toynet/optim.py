@@ -6,6 +6,7 @@ tightens toward FINAL_LR, so the behavior anneals from adaptive to SGD-like.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +60,7 @@ def optimizer_step(params: dict[str, Tensor], state: OptimizerState) -> bool:
     state.step_count += 1
     t = state.step_count
     lower, upper = bound_schedule(t)
-    step_size = LR * np.sqrt(1.0 - BETA2**t) / (1.0 - BETA1**t)
+    step_size = LR * math.sqrt(1.0 - BETA2**t) / (1.0 - BETA1**t)
     for name in names:
         p = params[name]
         g = grads[name]

@@ -1,4 +1,8 @@
-"""Reverse-mode autodiff over float64 numpy arrays.
+"""Reverse-mode autodiff over float32 or float64 numpy arrays.
+
+The dtype follows the data: a Tensor keeps float32 and float64 data as they
+are and widens anything else to float64, and every op computes in its
+inputs' dtype (numpy promotes inputs of mixed dtype). No setting chooses it.
 
 Tensors form a tape: each op records its parents and a closure that routes
 the output gradient back to them. Calling backward() on a scalar root walks
@@ -17,13 +21,15 @@ import numpy as np
 from ..errors import InputError
 
 LEAKY_SLOPE = 0.01
+_KEPT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _KEPT_DTYPES else data.astype(np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
@@ -89,7 +95,7 @@ def leaky_relu(a: Tensor) -> Tensor:
     pos = a.data > 0
 
     def back(g):
-        _accum(a, g * np.where(pos, 1.0, LEAKY_SLOPE))
+        _accum(a, np.where(pos, g, LEAKY_SLOPE * g))
 
     return _result(np.where(pos, a.data, LEAKY_SLOPE * a.data), (a,), back)
 

@@ -52,19 +52,20 @@ def sample_augment(seed: int) -> tuple[float, int | None]:
 
 def _prepare(case, augment=None):
     """Network input, target and lung arrays for one (volume, lobes, abnorm)
-    case, in float64 with 0/1 masks: with an augment (shift, axis), the
+    case, all float32, the masks 0/1: with an augment (shift, axis), the
     image is shifted, then image and masks are flipped together; the image
-    is windowed last."""
+    is windowed last, in float64, and then cast to float32, the bytes
+    `preprocess` writes. The network computes in the dtype of its input."""
     volume, lobes, abnorm = case
     image = volume.data.astype(np.float64)
-    target = (abnorm.data > 0).astype(np.float64)
-    lung = (lobes.data > 0).astype(np.float64)
+    target = (abnorm.data > 0).astype(np.float32)
+    lung = (lobes.data > 0).astype(np.float32)
     if augment is not None:
         shift, axis = augment
         image = image + shift
         if axis is not None:
             image, target, lung = (np.flip(a, axis) for a in (image, target, lung))
-    x = clip_normalize(Volume(image, volume.spacing_mm)).data
+    x = clip_normalize(Volume(image, volume.spacing_mm)).data.astype(np.float32)
     return x[None, None], target[None, None], lung[None, None]
 
 
@@ -74,8 +75,16 @@ def _loss_for(case, params, config, augment=None) -> Tensor:
     return jaccard_loss(take_channel(probs, 1), y, m)
 
 
-def _clone_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
-    return {name: Tensor(t.data.copy(), requires_grad=True) for name, t in params.items()}
+def _clone_params(params: dict[str, Tensor], dtype=None) -> dict[str, Tensor]:
+    """Copies of params that require grad, cast to dtype if one is given."""
+    return {name: Tensor(t.data.astype(dtype or t.data.dtype), requires_grad=True)
+            for name, t in params.items()}
+
+
+def _frozen(params: dict[str, Tensor]) -> dict[str, Tensor]:
+    """Views of the same parameter arrays that do not require grad, so a
+    forward pass through them records no tape."""
+    return {name: Tensor(t.data) for name, t in params.items()}
 
 
 def train(
@@ -99,7 +108,9 @@ def train(
     val_idx = tuple(int(i) for i in order[:n_val])
     train_idx = [int(i) for i in order[n_val:]]
 
-    params = init_params(config)
+    # init_params draws in float64; training computes in float32, and the
+    # checkpoint widens the result back to float64, which is exact
+    params = _clone_params(init_params(config), np.float32)
     state = OptimizerState()
     history: list[HistoryRow] = []
     best_val = float("inf")
@@ -118,7 +129,8 @@ def train(
             history.append(HistoryRow(iteration, loss.item(), None))
             del loss  # free this step's tape before the next forward pass builds one
 
-        val_losses = [_loss_for(cases[vi], params, config).item() for vi in val_idx]
+        frozen = _frozen(params)
+        val_losses = [_loss_for(cases[vi], frozen, config).item() for vi in val_idx]
         val_loss = float(np.mean(val_losses))
         last = history[-1]
         history[-1] = HistoryRow(last.iteration, last.train_loss, val_loss)
