@@ -9,13 +9,16 @@ forward.
 
 Both run on one kernel, `_correlate`: the strided sliding windows of a grid,
 copied by `_im2col` into one matrix whose rows are taps and whose columns are
-output voxels, and multiplied by the weights in one matmul. Its adjoint,
-`_scatter`, is that same correlation at unit stride over a zero-inserted
-grid, with the weights' channels swapped and taps flipped, offset so that it
-yields exactly the unpadded voxels. Both weight gradients multiply one side's
-activation by the `_im2col` matrix of the other's padded grid
-(`_weight_grad`), so a backward closure keeps the op's inputs and no im2col
-copy. Every op computes in the dtype of its inputs.
+output voxels, and multiplied by the weights in one matmul. `_im2col` forms
+the windows as one read-only `as_strided` view of the grid, shaped
+(Ci, kz, ky, kx, B, zo, yo, xo): a tap axis steps as the grid's axis does, an
+output axis steps stride times as far, and reshaping the view makes the one
+copy. The adjoint of `_correlate`, `_scatter`, is that same correlation at
+unit stride over a zero-inserted grid, with the weights' channels swapped
+and taps flipped, offset so that it yields exactly the unpadded voxels.
+Both weight gradients multiply one side's activation by the `_im2col` matrix
+of the other's padded grid (`_weight_grad`), so a backward closure keeps the
+op's inputs and no im2col copy. Every op computes in the dtype of its inputs.
 
 Weight layouts:
     conv3d            w: (C_out, C_in, kz, ky, kx)
@@ -28,7 +31,7 @@ conv-input space.
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import InputError, at_least, checked, entries
 from .tensor import Tensor, _accum, _result
@@ -55,7 +58,13 @@ def _conv_args(op, x, w, bias, stride, in_axis):
 
 
 def _pad(x, pad):
-    return np.pad(x, ((0, 0), (0, 0), *((p, p) for p in pad))) if any(pad) else x
+    """x (B, C, ...) with pad zeros on each side of every spatial axis."""
+    if not any(pad):
+        return x
+    dims = x.shape[2:]
+    out = np.zeros((*x.shape[:2], *(n + 2 * p for n, p in zip(dims, pad))), x.dtype)
+    out[(..., *(slice(p, p + n) for n, p in zip(dims, pad)))] = x
+    return out
 
 
 def _im2col(grid, kernel, stride):
@@ -64,9 +73,12 @@ def _im2col(grid, kernel, stride):
     Output voxels are innermost, so each run the copy makes is a row of
     output voxels rather than one kernel row of kx taps.
     """
-    tz, ty, tx = stride
-    win = sliding_window_view(grid, kernel, axis=(2, 3, 4))[:, :, ::tz, ::ty, ::tx]
-    return win.transpose(1, 5, 6, 7, 0, 2, 3, 4).reshape(grid.shape[1] * math.prod(kernel), -1)
+    b, ci, *dims = grid.shape
+    sb, sc, *steps = grid.strides
+    out_dims = ((n - k) // s + 1 for n, k, s in zip(dims, kernel, stride))
+    win = as_strided(grid, (ci, *kernel, b, *out_dims),
+                     (sc, *steps, sb, *(st * s for st, s in zip(steps, stride))), writeable=False)
+    return win.reshape(ci * math.prod(kernel), -1)
 
 
 def _correlate(xp, w, stride):
@@ -102,7 +114,8 @@ def conv3d(x: Tensor, w: Tensor, bias: Tensor, stride=(1, 1, 1)) -> Tensor:
     if any(n % s for n, s in zip(x.data.shape[2:], stride)):
         raise InputError(f"conv3d: input dims {x.data.shape[2:]} are not multiples of stride {stride}")
     kernel = w.data.shape[2:]
-    out = _correlate(_pad(x.data, pad), w.data, stride) + bias.data.reshape(1, -1, 1, 1, 1)
+    out = _correlate(_pad(x.data, pad), w.data, stride)
+    out += bias.data.reshape(1, -1, 1, 1, 1)
 
     def back(g):
         if w.requires_grad:
@@ -118,7 +131,8 @@ def conv3d(x: Tensor, w: Tensor, bias: Tensor, stride=(1, 1, 1)) -> Tensor:
 def transpose_conv3d(x: Tensor, w: Tensor, bias: Tensor, stride) -> Tensor:
     stride, pad = _conv_args("transpose_conv3d", x.data, w.data, bias.data, stride, 0)
     kernel = w.data.shape[2:]
-    out = _scatter(x.data, w.data, stride, pad) + bias.data.reshape(1, -1, 1, 1, 1)
+    out = _scatter(x.data, w.data, stride, pad)
+    out += bias.data.reshape(1, -1, 1, 1, 1)
 
     def back(g):
         gp = _pad(g, pad)
@@ -141,10 +155,15 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         raise InputError(f"channel_norm: affine params must have shape ({c},)")
     axes = (0, 2, 3, 4)
     n = x.data.size / c
-    mu = x.data.mean(axis=axes, keepdims=True)
-    var = x.data.var(axis=axes, keepdims=True)
+    # mu and var divide as ndarray.mean and ndarray.var do, so x - mu is made once
+    count = np.intp(x.data.size // c)
+    mu = x.data.sum(axis=axes, keepdims=True)
+    np.true_divide(mu, count, out=mu, casting="unsafe")
+    xc = x.data - mu
+    var = (xc * xc).sum(axis=axes, keepdims=True)
+    np.true_divide(var, count, out=var, casting="unsafe")
     inv = 1.0 / np.sqrt(var + NORM_EPS)
-    xhat = (x.data - mu) * inv
+    xhat = np.multiply(xc, inv, out=xc)
     gview = gamma.data.reshape(1, c, 1, 1, 1)
     out = gview * xhat + beta.data.reshape(1, c, 1, 1, 1)
 

@@ -7,8 +7,10 @@ inputs' dtype (numpy promotes inputs of mixed dtype). No setting chooses it.
 Tensors form a tape: each op records its parents and a closure that routes
 the output gradient back to them. Calling backward() on a scalar root walks
 the tape in reverse topological order and hands each closure its output's
-gradient. A closure holds its inputs but never its own output, so the tape
-has no reference cycles and is freed as soon as its root is dropped.
+gradient; once a closure has run, its node's gradient is dropped, so after
+backward() only the leaves and the root hold a .grad. A closure holds its
+inputs but never its own output, so the tape has no reference cycles and is
+freed as soon as its root is dropped.
 Tensor shapes follow
 
     (batch, channels, Z, Y, X)
@@ -62,6 +64,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                if node is not self:
+                    node.grad = None  # spent: every parent has its share
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
@@ -80,8 +84,9 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.add(g, 0.0, dtype=t.data.dtype)  # a copy: a later += must not write into g
+    else:
+        t.grad += g
 
 
 def tsum(a: Tensor) -> Tensor:

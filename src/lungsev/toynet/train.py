@@ -124,10 +124,11 @@ def train(
             augment = sample_augment(int(rng.integers(0, 2**31)))
             loss = _loss_for(cases[si], params, config, augment)
             loss.backward()
+            train_loss = loss.item()
+            del loss  # free this step's tape before the optimizer allocates its moments
             optimizer_step(params, state)
             iteration += 1
-            history.append(HistoryRow(iteration, loss.item(), None))
-            del loss  # free this step's tape before the next forward pass builds one
+            history.append(HistoryRow(iteration, train_loss, None))
 
         frozen = _frozen(params)
         val_losses = [_loss_for(cases[vi], frozen, config).item() for vi in val_idx]

@@ -2,10 +2,15 @@
 
 import csv
 import gc
+import importlib
 import json
+import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from lungsev import phantom
 from lungsev.errors import GeometryError, HeaderError, InputError
@@ -30,12 +35,15 @@ from lungsev.toynet import (
     transpose_conv3d,
     write_loss_csv,
 )
-from lungsev.toynet import loss as loss_module, ops as ops_module, tensor as tensor_module
-from lungsev.toynet.ops import _correlate, _weight_grad
+from lungsev.toynet import loss as loss_module, network as network_module, ops as ops_module
+from lungsev.toynet import tensor as tensor_module
+from lungsev.toynet.ops import NORM_EPS, _correlate, _im2col, _pad, _weight_grad
 from lungsev.toynet.optim import FINAL_LR
 from lungsev.toynet.tensor import _accum, _result
 from lungsev.toynet.train import _clone_params, _frozen, _loss_for, _prepare, sample_augment
 from lungsev.volume import LabelMask, Volume, clip_normalize
+
+train_module = importlib.import_module("lungsev.toynet.train")  # `toynet.train` names the function
 
 
 def proj_loss(out: Tensor, proj: np.ndarray) -> Tensor:
@@ -246,6 +254,42 @@ def test_correlate_and_weight_grad_match_a_direct_tap_sum(kernel, stride):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def grids_of_every_layout(dtype):
+    """A (2, 3, 7, 8, 9) grid of dtype: contiguous, a strided slice of a larger
+    grid, a batch-major view of a channel-major array, and one flipped in y."""
+    rng = np.random.default_rng(13)
+    grid = rng.standard_normal((2, 3, 7, 8, 9)).astype(dtype)
+    sliced = rng.standard_normal((2, 3, 14, 8, 18)).astype(dtype)[:, :, ::2, :, 1::2]
+    swapped = np.ascontiguousarray(grid.swapaxes(0, 1)).swapaxes(0, 1)
+    flipped = grid[:, :, :, ::-1]
+    assert not any(g.flags.c_contiguous for g in (sliced, swapped, flipped))
+    return grid, sliced, swapped, flipped
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("pad", [(0, 0, 0), (0, 1, 1), (1, 1, 1), (2, 0, 1)])
+def test_pad_equals_np_pad(dtype, pad):
+    for grid in grids_of_every_layout(dtype):
+        got = _pad(grid, pad)
+        want = np.pad(grid, ((0, 0), (0, 0), *((p, p) for p in pad)))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel", [(1, 3, 3), (3, 3, 3), (2, 2, 2)])
+@pytest.mark.parametrize("stride", [(1, 1, 1), (1, 2, 2), (2, 2, 2)])
+def test_im2col_equals_the_sliding_window_form(dtype, kernel, stride):
+    tz, ty, tx = stride
+    for grid in grids_of_every_layout(dtype):
+        win = sliding_window_view(grid, kernel, axis=(2, 3, 4))[:, :, ::tz, ::ty, ::tx]
+        want = win.transpose(1, 5, 6, 7, 0, 2, 3, 4).reshape(grid.shape[1] * math.prod(kernel), -1)
+        got = _im2col(grid, kernel, stride)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert not np.shares_memory(got, grid)
+
+
 def test_conv_backward_keeps_no_copy_larger_than_its_operands():
     rng = np.random.default_rng(6)
     x = Tensor(rng.standard_normal((1, 4, 4, 8, 8)), requires_grad=True)
@@ -287,6 +331,35 @@ def test_channel_norm_gradients():
         [x, gamma, beta],
         tol=1e-5,
     )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_channel_norm_equals_the_var_formulas_bit_for_bit(dtype):
+    rng = np.random.default_rng(8)
+    x = Tensor((2.0 + 3.0 * rng.standard_normal((2, 3, 4, 5, 6))).astype(dtype), requires_grad=True)
+    gamma = Tensor(rng.uniform(0.5, 1.5, 3).astype(dtype), requires_grad=True)
+    beta = Tensor(rng.standard_normal(3).astype(dtype), requires_grad=True)
+    g = rng.standard_normal(x.data.shape).astype(dtype)
+    out = channel_norm(x, gamma, beta)
+    proj_loss(out, g).backward()
+
+    axes, c = (0, 2, 3, 4), x.data.shape[1]
+    n = x.data.size / c
+    mu = x.data.mean(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt(x.data.var(axis=axes, keepdims=True) + NORM_EPS)
+    xhat = (x.data - mu) * inv
+    gview = gamma.data.reshape(1, c, 1, 1, 1)
+    dxhat = g * gview
+    term1 = dxhat.sum(axis=axes, keepdims=True)
+    term2 = (dxhat * xhat).sum(axis=axes, keepdims=True)
+    for got, want in (
+        (out.data, gview * xhat + beta.data.reshape(1, c, 1, 1, 1)),
+        (gamma.grad, (g * xhat).sum(axis=axes)),
+        (beta.grad, g.sum(axis=axes)),
+        (x.grad, (inv / n) * (n * dxhat - term1 - xhat * term2)),
+    ):
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
 
 
 def test_softmax_channels_properties_and_gradients():
@@ -460,6 +533,20 @@ def test_end_to_end_loss_gradients():
     fd_check(build, check, tol=1e-4, samples=3)
 
 
+def test_a_first_gradient_is_stored_as_a_copy_in_the_tensors_dtype():
+    t = Tensor(np.zeros(3, np.float32), requires_grad=True)
+    given = np.array([1.0, -0.0, 2.5], np.float32)
+    _accum(t, given)
+    assert t.grad.dtype == np.float32 and not np.shares_memory(t.grad, given)
+    _accum(t, np.ones(3, np.float32))
+    assert np.array_equal(given, [1.0, -0.0, 2.5]) and np.signbit(given[1])
+    assert np.array_equal(t.grad, [2.0, 1.0, 3.5])
+    widened = Tensor(np.zeros(2, np.float32), requires_grad=True)
+    _accum(widened, np.array([0.1, -0.0]))
+    assert widened.grad.dtype == np.float32
+    assert np.array_equal(widened.grad, np.float32([0.1, 0.0])) and not np.signbit(widened.grad[1])
+
+
 def test_tape_is_freed_without_cyclic_gc():
     config = toy_config(seed=5)
     params = init_params(config)
@@ -540,6 +627,84 @@ def test_default_net_step_on_float32_data_stays_float32(monkeypatch):
         assert t.data.dtype == state.m[name].dtype == state.v[name].dtype == np.float32
     result = train(toy_config(), background_cases(10), epochs=1)
     assert {t.data.dtype for t in result.params.values()} == {np.dtype(np.float32)}
+
+
+def test_backward_leaves_gradients_on_the_parameters_and_none_on_the_tape():
+    config = NetConfig(seed=2)
+    params = _clone_params(init_params(config), np.float32)
+    loss = _loss_for(phantom_training_cases(1)[0], params, config, (-3.0, 0))
+    inner = [t for t in tape_nodes(loss) if t._backward is not None and t is not loss]
+    assert len(inner) > 50
+    loss.backward()
+    assert all(t.grad is not None for t in params.values())
+    assert [t for t in inner if t.grad is not None] == []
+    assert loss.grad is not None
+
+
+def test_the_default_net_calls_its_ops_through_the_network_module(monkeypatch):
+    """The benchmark's per-op replay records these three calls by patching
+    exactly these names of the network module."""
+    counts = dict.fromkeys(("conv3d", "transpose_conv3d", "channel_norm"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _op=getattr(network_module, name), **kwargs):
+            counts[_name] += 1
+            return _op(*args, **kwargs)
+        monkeypatch.setattr(network_module, name, counted)
+    config = NetConfig(seed=0)
+    x = np.random.default_rng(3).uniform(0.0, 1.0, (1, 1, 8, 32, 32))
+    net_forward(Tensor(x), init_params(config), config)
+    stages = len(config.downsample_strides)
+    assert counts == {
+        "conv3d": 2 + stages * (2 + config.layers_per_block),
+        "transpose_conv3d": stages,
+        "channel_norm": 1 + stages * (1 + config.layers_per_block),
+    }
+
+
+def traced_peak_mb(fn):
+    """fn's peak of traced allocations in MB; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 1e6
+
+
+def test_a_default_net_step_drops_each_spent_gradient():
+    """Measured: 15.4 MB while inner tape nodes kept their gradients until
+    the loss was dropped, 13.2 MB once backward() drops each when it is spent."""
+    config = NetConfig(seed=1)
+    case = phantom_training_cases(1)[0]
+    params = _clone_params(init_params(config), np.float32)
+    assert traced_peak_mb(lambda: _loss_for(case, params, config, sample_augment(0)).backward()) <= 14.3
+
+
+def test_two_default_net_training_epochs_stay_under_a_traced_peak():
+    """Measured: 20.9 MB while inner tape nodes kept their gradients, 18.6 MB
+    now. The peak falls inside backward(): dropping the loss after the
+    optimizer step instead of before it leaves it at 18.7 MB."""
+    cases = phantom_training_cases(10)
+    assert traced_peak_mb(lambda: train(NetConfig(seed=1), cases, 2)) <= 19.8
+
+
+def test_training_drops_the_loss_and_its_tape_before_the_optimizer_step(monkeypatch):
+    losses, dropped = [], []
+
+    def loss_for(*args, **kwargs):
+        loss = _loss_for(*args, **kwargs)
+        losses.append(weakref.ref(loss.data))
+        return loss
+
+    def step(params, state):
+        dropped.append(losses[-1]() is None)
+        return optimizer_step(params, state)
+
+    monkeypatch.setattr(train_module, "_loss_for", loss_for)
+    monkeypatch.setattr(train_module, "optimizer_step", step)
+    train(toy_config(), background_cases(10), epochs=1)
+    assert dropped == [True] * 9
 
 
 def run_steps(cases, config, steps, dtype):
