@@ -20,7 +20,7 @@ from .errors import (
     InputError,
     LungSevError,
 )
-from .severity import DEFAULT_THRESHOLD_HU, SeverityReport, compute_report
+from .severity import HIGH_OPACITY_HU, SeverityReport, compute_report
 from .volume import LabelMask, Volume, read_mask, read_volume, write_volume
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
     "HeaderError",
     "InputError",
     "LungSevError",
-    "DEFAULT_THRESHOLD_HU",
+    "HIGH_OPACITY_HU",
     "SeverityReport",
     "compute_report",
     "LabelMask",

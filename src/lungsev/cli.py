@@ -11,19 +11,20 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 # phantom, evaluate and toynet are imported inside the commands that run
 # them, so that a quantify or preprocess process does not load them.
-from .errors import InputError, LungSevError, at_least, entries, exactly, finite, nonnegative
+from .errors import InputError, LungSevError, at_least, entries, exactly, nonnegative
 from .errors import only_fields, read_field, read_json
-from .severity import DEFAULT_THRESHOLD_HU, SeverityReport, compute_report
+from .severity import SeverityReport, compute_report
 from .volume import (
     AIR_HU,
     LabelMask,
     Volume,
+    _paths_for,
     check_same_geometry,
     clip_normalize,
     crop_box,
@@ -36,9 +37,6 @@ from .volume import (
     resample_mask,
     write_volume,
 )
-
-if TYPE_CHECKING:
-    from .toynet import NetConfig
 
 log = logging.getLogger("lungsev.cli")
 
@@ -69,6 +67,17 @@ def _output(path):
     return path
 
 
+def _distinct(*outputs: tuple[str, Path | str]) -> None:
+    """Refuse two (name, path) outputs of one command that resolve to one
+    file, where the later write would overwrite the earlier."""
+    seen = {}
+    for name, path in outputs:
+        key = Path(path).resolve()
+        if key in seen:
+            raise InputError(f"{name} {path} is the same file as {seen[key]}")
+        seen[key] = f"{name} {path}"
+
+
 # ---------------------------------------------------------------------------
 # quantify
 # ---------------------------------------------------------------------------
@@ -81,7 +90,7 @@ def cmd_quantify(args: argparse.Namespace) -> int:
     lobes = open_mask(args.lobes)
     abnorm = open_mask(args.abnorm, allowed_labels=(1,))
     check_same_geometry((args.volume, volume), (args.lobes, lobes), (args.abnorm, abnorm))
-    report = compute_report(volume, lobes, abnorm, threshold=args.threshold_hu)
+    report = compute_report(volume, lobes, abnorm)
     elapsed = time.perf_counter() - t0
 
     payload = report.to_json_dict()
@@ -138,6 +147,8 @@ def _read_id_list(path: str, known: dict[str, SeverityReport]) -> list[str]:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from .evaluate import evaluate_reports, scatter_rows, write_scatter_csv
 
+    if args.scatter:
+        _distinct(("--out", args.out), ("--scatter", args.scatter))
     gt = _read_report_dir(args.gt)
     pred = _read_report_dir(args.pred)
     positives = _read_id_list(args.positive_list, gt) if args.positive_list else None
@@ -222,20 +233,20 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 # train-toy
 # ---------------------------------------------------------------------------
 
-REQUIRED_TRAIN_FIELDS = ("data_dir", "epochs", "out_checkpoint", "out_loss_csv", "seed")
+TRAIN_FIELDS = ("data_dir", "epochs", "out_checkpoint", "out_loss_csv", "seed")
 
-def _load_cases(source, data_dir: str, config: NetConfig) -> list[tuple[Volume, LabelMask, LabelMask]]:
+def _load_cases(source, data_dir: str) -> list[tuple[Volume, LabelMask, LabelMask]]:
     """Each case under data_dir, a field of the config file `source`; a case whose
     three grids differ in dims or spacing, or whose dims are not multiples of the
     network's cumulative stride, stops the read with an error naming it, and so
     do fewer than MIN_TRAIN_CASES cases."""
+    from .toynet.network import CUMULATIVE_STRIDE as stride
     from .toynet.train import MIN_TRAIN_CASES
 
     try:
         case_dirs = sorted(p for p in Path(data_dir).iterdir() if p.is_dir())
     except OSError as exc:
         raise InputError(f"{source}: data_dir: {exc}") from exc
-    stride = config.cumulative_stride
     cases = []
     for case_dir in case_dirs:
         volume = read_volume(case_dir / "volume")
@@ -256,26 +267,30 @@ def _load_cases(source, data_dir: str, config: NetConfig) -> list[tuple[Volume, 
 
 
 def _train_run(doc: dict) -> dict:
-    """The checked train-toy config: a NetConfig plus the run's other settings."""
+    """The checked train-toy config: a NetConfig plus the run's other settings;
+    a loss CSV that would overwrite a checkpoint file is refused."""
     from .toynet import NetConfig
-    from .toynet.network import NET_FIELDS
 
-    missing = [field for field in REQUIRED_TRAIN_FIELDS if field not in doc]
+    missing = [field for field in TRAIN_FIELDS if field not in doc]
     if missing:
         raise InputError("missing field(s): " + ", ".join(missing))
-    only_fields(doc, {*REQUIRED_TRAIN_FIELDS, *NET_FIELDS})
-    return {
-        "config": NetConfig(**{f: doc[f] for f in NET_FIELDS if f in doc}),
+    only_fields(doc, TRAIN_FIELDS)
+    run = {
+        "config": NetConfig(seed=doc["seed"]),
         "epochs": read_field(doc, "epochs", at_least(1)),
         **{f: read_field(doc, f, exactly(str)) for f in ("data_dir", "out_checkpoint", "out_loss_csv")},
     }
+    manifest, payload = _paths_for(run["out_checkpoint"])
+    _distinct(("out_checkpoint manifest", manifest), ("out_checkpoint payload", payload),
+              ("out_loss_csv", run["out_loss_csv"]))
+    return run
 
 
 def cmd_train_toy(args: argparse.Namespace) -> int:
     from .toynet import save_checkpoint, train, write_loss_csv
 
     run = read_json(args.config, _train_run)
-    cases = _load_cases(args.config, run["data_dir"], run["config"])
+    cases = _load_cases(args.config, run["data_dir"])
     checkpoint, loss_csv = _output(run["out_checkpoint"]), _output(run["out_loss_csv"])
     result = train(run["config"], cases, run["epochs"])
     save_checkpoint(result.params, checkpoint)
@@ -304,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_quant.add_argument("--volume", required=True, help="HU volume file base path")
     p_quant.add_argument("--lobes", required=True, help="lobe label mask file base path")
     p_quant.add_argument("--abnorm", required=True, help="binary abnormality mask file base path")
-    p_quant.add_argument("--threshold-hu", type=_flag(finite), default=DEFAULT_THRESHOLD_HU)
     p_quant.add_argument("--out", default="report.json")
     p_quant.set_defaults(func=cmd_quantify)
 

@@ -156,12 +156,6 @@ def evaluate_reports(
     case_ids = sorted(gt_ids)
     if len(case_ids) < MIN_CASES:
         raise InputError(f"need at least {MIN_CASES} paired cases, got {len(case_ids)}")
-    threshold = gt_reports[case_ids[0]].threshold_hu  # reports at other thresholds do not compare
-    for side, reports in (("gt", gt_reports), ("pred", pred_reports)):
-        for cid in case_ids:
-            if reports[cid].threshold_hu != threshold:
-                raise InputError(f"{cid}: {side} report threshold_hu {reports[cid].threshold_hu} differs "
-                                 f"from {threshold} in the gt report of {case_ids[0]}")
 
     if positive_ids is None:
         positive = set(case_ids)

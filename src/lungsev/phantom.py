@@ -184,9 +184,7 @@ def _inside(e: Ellipsoid, pz, py, px) -> np.ndarray:
     return q <= 1.0
 
 
-def oracle_report(
-    volume: Volume, lobes: LabelMask, abnorm: LabelMask, threshold: float = HIGH_OPACITY_HU
-) -> SeverityReport:
+def oracle_report(volume: Volume, lobes: LabelMask, abnorm: LabelMask) -> SeverityReport:
     """Reference severity report from one pure-Python pass over the voxels.
 
     Kept independent of the severity module so generated cases carry a
@@ -214,7 +212,7 @@ def oracle_report(
                 n[label] += 1
                 if ab_y[x] > 0:
                     na[label] += 1
-                    if hu_y[x] >= threshold:
+                    if hu_y[x] >= HIGH_OPACITY_HU:
                         nh[label] += 1
 
     def score(f: float) -> int:
@@ -260,7 +258,6 @@ def oracle_report(
         lung_volume_mm3=lung * voxel,
         abnormal_volume_mm3=sum(na[1:]) * voxel,
         high_opacity_volume_mm3=sum(nh[1:]) * voxel,
-        threshold_hu=float(threshold),
     )
 
 

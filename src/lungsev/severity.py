@@ -3,8 +3,8 @@
 Four summary measures describe how much of the lung is involved:
 
 * PO: percentage of lung volume covered by the abnormality mask.
-* PHO: percentage of lung volume that is both abnormal and at or above a
-  high-opacity HU threshold (default -200 HU).
+* PHO: percentage of lung volume that is both abnormal and at or above the
+  high-opacity cut, HIGH_OPACITY_HU (-200 HU).
 * LSS: sum over the five lobes of a 0-4 score binned from the affected
   fraction of each lobe.
 * LHOS: the same sum with high-opacity fractions instead.
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMaskError, InputError, checked, entries, finite, integer, read_field
+from .errors import EmptyMaskError, InputError, entries, finite, integer, read_field
 from .volume import LOBE_LABELS, GridFile, LabelMask, Volume, check_same_geometry
 
-DEFAULT_THRESHOLD_HU = -200.0
+HIGH_OPACITY_HU = -200.0
 
 
 @dataclass(frozen=True)
@@ -45,16 +45,18 @@ class SeverityReport:
     lung_volume_mm3: float
     abnormal_volume_mm3: float
     high_opacity_volume_mm3: float
-    threshold_hu: float
 
     def to_json_dict(self) -> dict:
-        """Every field in declaration order, each lobe record as a dict of its fields."""
-        return {**vars(self), "per_lobe": [dict(vars(rec)) for rec in self.per_lobe]}
+        """Every field in declaration order, each lobe record as a dict of its
+        fields, and last the high-opacity cut as threshold_hu."""
+        return {**vars(self), "per_lobe": [dict(vars(rec)) for rec in self.per_lobe],
+                "threshold_hu": HIGH_OPACITY_HU}
 
     @staticmethod
     def from_json_dict(d: dict) -> "SeverityReport":
         """The report that to_json_dict wrote, checked: exact ints, finite
-        floats, one record per lobe, sums that match, 0 <= pho <= po <= 100."""
+        floats, one record per lobe, sums that match, 0 <= pho <= po <= 100,
+        and threshold_hu at HIGH_OPACITY_HU."""
         report = SeverityReport(
             per_lobe=read_field(d, "per_lobe", _lobe_records),
             po=read_field(d, "po", finite),
@@ -64,8 +66,8 @@ class SeverityReport:
             lung_volume_mm3=read_field(d, "lung_volume_mm3", finite),
             abnormal_volume_mm3=read_field(d, "abnormal_volume_mm3", finite),
             high_opacity_volume_mm3=read_field(d, "high_opacity_volume_mm3", finite),
-            threshold_hu=read_field(d, "threshold_hu", finite),
         )
+        read_field(d, "threshold_hu", _high_opacity_cut)
         labels = [rec.lobe_label for rec in report.per_lobe]
         if sorted(labels) != list(LOBE_LABELS):
             raise InputError(f"per_lobe: expected one record per lobe label {LOBE_LABELS}, got labels {labels}")
@@ -76,6 +78,12 @@ class SeverityReport:
         if not 0.0 <= report.pho <= report.po <= 100.0:
             raise InputError(f"po, pho: need 0 <= pho <= po <= 100, got po={report.po}, pho={report.pho}")
         return report
+
+
+def _high_opacity_cut(value) -> float:
+    if finite(value) != HIGH_OPACITY_HU:
+        raise ValueError(f"expected {HIGH_OPACITY_HU}, got {value!r}")
+    return value
 
 
 def _score(value) -> int:
@@ -118,7 +126,7 @@ def lobe_score(fraction: float) -> int:
     return 4
 
 
-def _count(v, lobes, abnorm, threshold: float) -> tuple:
+def _count(v, lobes, abnorm) -> tuple:
     """Every count a report needs, summed over (hu, lobes, abnorm) z-slab
     triples: lung voxels, abnormal lung voxels and the high-opacity ones
     among them; the same three counts per lobe label, as the rows of an
@@ -137,7 +145,7 @@ def _count(v, lobes, abnorm, threshold: float) -> tuple:
         abn_labels = np.take(lab, abn_idx)
         in_lung = abn_labels > 0
         abn_labels = abn_labels[in_lung]
-        high = np.take(hu, abn_idx[in_lung]) >= threshold
+        high = np.take(hu, abn_idx[in_lung]) >= HIGH_OPACITY_HU
         abnormal += abn_labels.size
         high_opacity += np.count_nonzero(high)
         per_label[1] += np.bincount(abn_labels, minlength=n_labels)[:n_labels]
@@ -165,16 +173,14 @@ def compute_report(
     v: Volume | GridFile,
     lobes: LabelMask | GridFile,
     abnorm: LabelMask | GridFile,
-    threshold: float = DEFAULT_THRESHOLD_HU,
 ) -> SeverityReport:
     """Full severity breakdown: global PO/PHO plus per-lobe scores and sums.
 
     The grids are counted z-slab by z-slab through their slabs(), so a grid
     in memory and a GridFile on disk take the one counting path, and a file
     is never held whole."""
-    threshold = checked("threshold", threshold, finite)
     check_same_geometry(("volume", v), ("lobes", lobes), ("abnorm", abnorm))
-    (lung_count, n_abn_total, n_high_total), per_label, lo, hi = _count(v, lobes, abnorm, threshold)
+    (lung_count, n_abn_total, n_high_total), per_label, lo, hi = _count(v, lobes, abnorm)
     _check_raw_hu(v.data.dtype, lo, hi)
     if lung_count == 0:
         raise EmptyMaskError("lung mask is empty")
@@ -210,5 +216,4 @@ def compute_report(
         lung_volume_mm3=lung_count * voxel_mm3,
         abnormal_volume_mm3=n_abn_total * voxel_mm3,
         high_opacity_volume_mm3=n_high_total * voxel_mm3,
-        threshold_hu=threshold,
     )

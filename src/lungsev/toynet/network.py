@@ -10,7 +10,7 @@ resolution, concatenation with that skip tensor, and one composite conv. A
 
 Dense blocks follow the pre-activation pattern: every layer applies
 norm -> LeakyReLU -> conv to the concatenation of the block input and all
-previous layer outputs, emitting growth_rate channels.
+previous layer outputs, emitting GROWTH_RATE channels.
 """
 
 import math
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InputError, at_least, checked, entries
+from ..errors import InputError, at_least, checked
 from .ops import channel_norm, conv3d, transpose_conv3d
 from .tensor import Tensor, concat, leaky_relu, softmax_channels
 
@@ -30,57 +30,27 @@ STEM_KERNEL = (1, 3, 3)
 # A stage's conv kernel: in-plane while its stride is anisotropic, full 3-d once isotropic.
 STAGE_KERNEL = {ANISO_STRIDE: (1, 3, 3), ISO_STRIDE: (3, 3, 3)}
 
-_positive = at_least(1)
-
-# Each NetConfig field with the check its value must pass.
-NET_FIELDS = {
-    "seed": at_least(0),
-    "stem_channels": _positive,
-    "growth_rate": _positive,
-    "layers_per_block": _positive,
-    "downsample_strides": entries(entries(_positive, 3)),
-}
+# The one architecture: a stem of STEM_CHANNELS, then one stage per stride,
+# each adding LAYERS_PER_BLOCK layers of GROWTH_RATE channels.
+STEM_CHANNELS = 8
+LAYERS_PER_BLOCK = 2
+GROWTH_RATE = 4
+DOWNSAMPLE_STRIDES = (ANISO_STRIDE, ANISO_STRIDE, ISO_STRIDE, ISO_STRIDE, ISO_STRIDE)
+# The product of the strides: input dims must be multiples of it.
+CUMULATIVE_STRIDE = (8, 32, 32)
+# Channel width at each resolution level, 0 to one per stride.
+ENCODER_CHANNELS = (8, 16, 24, 32, 40, 48)
 
 
 @dataclass(frozen=True)
 class NetConfig:
-    stem_channels: int = 8
-    layers_per_block: int = 2
-    growth_rate: int = 4
-    downsample_strides: tuple[tuple[int, int, int], ...] = (
-        ANISO_STRIDE,
-        ANISO_STRIDE,
-        ISO_STRIDE,
-        ISO_STRIDE,
-        ISO_STRIDE,
-    )
+    """The one setting of a run: the seed of the initial weights and of
+    training's split, order and augmentation."""
+
     seed: int = 0
 
     def __post_init__(self):
-        for name, check in NET_FIELDS.items():
-            object.__setattr__(self, name, checked(name, getattr(self, name), check))
-        strides = self.downsample_strides
-        if not strides:
-            raise InputError("downsample_strides: expected at least one stride")
-        for s in strides:
-            if s not in STAGE_KERNEL:
-                raise InputError(f"stride {s} must be {ANISO_STRIDE} or {ISO_STRIDE}")
-        if strides != tuple(sorted(strides)):  # ANISO_STRIDE sorts before ISO_STRIDE
-            raise InputError("anisotropic strides must precede isotropic ones")
-
-    @property
-    def cumulative_stride(self) -> tuple[int, int, int]:
-        cum = [1, 1, 1]
-        for s in self.downsample_strides:
-            cum = [c * v for c, v in zip(cum, s)]
-        return tuple(cum)
-
-    def encoder_channels(self) -> list[int]:
-        """Channel width at each resolution level, 0 to one per stride."""
-        ch = [self.stem_channels]
-        for _ in self.downsample_strides:
-            ch.append(ch[-1] + self.layers_per_block * self.growth_rate)
-        return ch
+        checked("seed", self.seed, at_least(0))
 
 
 def init_params(config: NetConfig) -> dict[str, Tensor]:
@@ -101,19 +71,19 @@ def init_params(config: NetConfig) -> dict[str, Tensor]:
         params[f"{name}.gamma"] = Tensor(np.ones(c), requires_grad=True)
         params[f"{name}.beta"] = Tensor(np.zeros(c), requires_grad=True)
 
-    ch = config.encoder_channels()
+    ch = ENCODER_CHANNELS
     conv_p("stem", IN_CHANNELS, ch[0], STEM_KERNEL)
     norm_p("stem.norm", ch[0])
 
-    for k, stride in enumerate(config.downsample_strides, 1):
+    for k, stride in enumerate(DOWNSAMPLE_STRIDES, 1):
         kernel = STAGE_KERNEL[stride]
         conv_p(f"enc{k}.down", ch[k - 1], ch[k - 1], stride)
-        for j in range(1, config.layers_per_block + 1):
-            c_in = ch[k - 1] + (j - 1) * config.growth_rate
+        for j in range(1, LAYERS_PER_BLOCK + 1):
+            c_in = ch[k - 1] + (j - 1) * GROWTH_RATE
             norm_p(f"enc{k}.layer{j}.norm", c_in)
-            conv_p(f"enc{k}.layer{j}", c_in, config.growth_rate, kernel)
+            conv_p(f"enc{k}.layer{j}", c_in, GROWTH_RATE, kernel)
 
-    for k, stride in reversed(list(enumerate(config.downsample_strides, 1))):
+    for k, stride in reversed(list(enumerate(DOWNSAMPLE_STRIDES, 1))):
         kernel = STAGE_KERNEL[stride]
         conv_p(f"dec{k}.up", ch[k], ch[k - 1], stride, transpose=True)
         norm_p(f"dec{k}.norm", 2 * ch[k - 1])
@@ -127,9 +97,9 @@ def _norm(x: Tensor, params, name) -> Tensor:
     return channel_norm(x, params[f"{name}.gamma"], params[f"{name}.beta"])
 
 
-def dense_block(x: Tensor, params: dict, config: NetConfig, index: int) -> Tensor:
+def dense_block(x: Tensor, params: dict, index: int) -> Tensor:
     feats = [x]
-    for j in range(1, config.layers_per_block + 1):
+    for j in range(1, LAYERS_PER_BLOCK + 1):
         h = feats[0] if len(feats) == 1 else concat(feats, axis=1)
         h = _norm(h, params, f"enc{index}.layer{j}.norm")
         h = leaky_relu(h)
@@ -139,17 +109,17 @@ def dense_block(x: Tensor, params: dict, config: NetConfig, index: int) -> Tenso
 
 
 def net_forward(x: Tensor, params: dict, config: NetConfig) -> Tensor:
-    """Per-voxel class probabilities, shape (B, OUT_CHANNELS, Z, Y, X)."""
+    """Per-voxel class probabilities, shape (B, OUT_CHANNELS, Z, Y, X), from
+    the params init_params(config) made; the architecture is the one above."""
     if x.data.ndim != 5:
         raise InputError(f"expected (B,C,Z,Y,X) input, got shape {x.data.shape}")
     if x.data.shape[1] != IN_CHANNELS:
         raise InputError(f"expected {IN_CHANNELS} input channels, got {x.data.shape[1]}")
-    cum = config.cumulative_stride
     spatial = x.data.shape[2:]
-    if any(d % c != 0 or d < c for d, c in zip(spatial, cum)):
+    if any(d % c != 0 or d < c for d, c in zip(spatial, CUMULATIVE_STRIDE)):
         raise InputError(
             f"input spatial dims {spatial} must be positive multiples of the "
-            f"cumulative stride {cum}"
+            f"cumulative stride {CUMULATIVE_STRIDE}"
         )
 
     h = conv3d(x, params["stem.w"], params["stem.b"])
@@ -157,12 +127,12 @@ def net_forward(x: Tensor, params: dict, config: NetConfig) -> Tensor:
     h = leaky_relu(h)
 
     skips = []
-    for k, stride in enumerate(config.downsample_strides, 1):
+    for k, stride in enumerate(DOWNSAMPLE_STRIDES, 1):
         skips.append(h)
         h = conv3d(h, params[f"enc{k}.down.w"], params[f"enc{k}.down.b"], stride)
-        h = dense_block(h, params, config, k)
+        h = dense_block(h, params, k)
 
-    for k, stride in reversed(list(enumerate(config.downsample_strides, 1))):
+    for k, stride in reversed(list(enumerate(DOWNSAMPLE_STRIDES, 1))):
         h = transpose_conv3d(h, params[f"dec{k}.up.w"], params[f"dec{k}.up.b"], stride)
         h = concat([h, skips[k - 1]], axis=1)
         h = _norm(h, params, f"dec{k}.norm")

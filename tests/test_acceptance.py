@@ -43,6 +43,7 @@ from lungsev.toynet import (
     transpose_conv3d,
     tsum,
 )
+from lungsev.toynet.network import CUMULATIVE_STRIDE, DOWNSAMPLE_STRIDES
 from lungsev.toynet.tensor import _accum, _result
 from lungsev.volume import (
     AIR_HU,
@@ -245,7 +246,6 @@ def fabricated_report(po, pho, lss, lhos):
         lung_volume_mm3=2000.0,
         abnormal_volume_mm3=20.0 * po,
         high_opacity_volume_mm3=20.0 * pho,
-        threshold_hu=-200.0,
     )
 
 
@@ -351,17 +351,11 @@ def test_criterion_05_gradient_checks():
     target = ((rng.random((1, 1, 3, 4, 4)) < 0.4) & (lung > 0)).astype(float)
     fd_check(lambda: jaccard_loss(p, target, lung), [p])
 
-    config = NetConfig(
-        stem_channels=4,
-        layers_per_block=1,
-        growth_rate=3,
-        downsample_strides=((1, 2, 2), (2, 2, 2)),
-        seed=5,
-    )
+    config = NetConfig(seed=5)
     params = init_params(config)
-    xe = Tensor(rng.uniform(0.0, 1.0, (1, 1, 4, 16, 16)), requires_grad=True)
-    lung_e = (rng.random((1, 1, 4, 16, 16)) < 0.6).astype(float)
-    target_e = ((rng.random((1, 1, 4, 16, 16)) < 0.3) & (lung_e > 0)).astype(float)
+    xe = Tensor(rng.uniform(0.0, 1.0, (1, 1, 8, 32, 32)), requires_grad=True)
+    lung_e = (rng.random((1, 1, 8, 32, 32)) < 0.6).astype(float)
+    target_e = ((rng.random((1, 1, 8, 32, 32)) < 0.3) & (lung_e > 0)).astype(float)
 
     def build_e2e():
         probs = net_forward(xe, params, config)
@@ -392,14 +386,14 @@ def test_criterion_05_gradient_checks():
 
 def test_criterion_06_network_output_contract():
     config = NetConfig(seed=6)
-    assert config.downsample_strides == (
+    assert DOWNSAMPLE_STRIDES == (
         (1, 2, 2),
         (1, 2, 2),
         (2, 2, 2),
         (2, 2, 2),
         (2, 2, 2),
     )
-    assert config.cumulative_stride == (8, 32, 32)
+    assert CUMULATIVE_STRIDE == (8, 32, 32)
     params = init_params(config)
     rng = np.random.default_rng(6)
     x = Tensor(rng.uniform(0.0, 1.0, (2, 1, 8, 32, 32)))
@@ -414,7 +408,7 @@ def test_criterion_06_network_output_contract():
 # Criterion 7: training converges, tracks validation, and reproduces bitwise
 # ---------------------------------------------------------------------------
 
-def phantom_cases(n=10, dims=(8, 16, 16)):
+def phantom_cases(n=10, dims=(8, 32, 32)):
     cases = []
     for i in range(n):
         case = phantom.generate(phantom.random_spec(100 + i, dims=dims, n_lesions=1 + i % 4))
@@ -425,13 +419,7 @@ def phantom_cases(n=10, dims=(8, 16, 16)):
 def test_criterion_07_training_convergence_and_reproducibility(tmp_path):
     t0 = time.perf_counter()
     cases = phantom_cases(10)
-    config = NetConfig(
-        stem_channels=4,
-        layers_per_block=1,
-        growth_rate=3,
-        downsample_strides=((1, 2, 2), (2, 2, 2)),
-        seed=11,
-    )
+    config = NetConfig(seed=11)
     per_epoch = 9  # 10 cases minus the single validation case
     result = train(config, cases, epochs=22)
     assert len(result.history) == 22 * per_epoch

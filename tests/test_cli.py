@@ -15,6 +15,8 @@ import pytest
 import lungsev
 from lungsev import phantom
 from lungsev.cli import RESAMPLE_SPACING_MM, _log_level_from_env, _train_run, main
+from lungsev.toynet import NetConfig
+from lungsev.toynet.network import CUMULATIVE_STRIDE
 from lungsev.volume import (
     AIR_HU,
     LOBE_LABELS,
@@ -68,17 +70,17 @@ def test_quantify_report_matches_oracle(tmp_path, capsys):
     assert "po=" in capsys.readouterr().out
 
 
-def test_quantify_threshold_flag_changes_pho_only(tmp_path):
-    case_dir, case = write_phantom_case(tmp_path, "c0", seed=6, n_lesions=4)
-    out_a = tmp_path / "a.json"
-    out_b = tmp_path / "b.json"
-    assert run_quantify(case_dir, out_a) == 0
-    assert run_quantify(case_dir, out_b, extra=["--threshold-hu", "-400"]) == 0
-    a = json.loads(out_a.read_text())
-    b = json.loads(out_b.read_text())
-    assert a["po"] == b["po"]
-    assert a["threshold_hu"] == -200.0
-    assert b["threshold_hu"] == -400.0
+def test_quantify_writes_the_one_threshold_last_and_takes_no_flag_for_it(tmp_path, capsys):
+    case_dir, _ = write_phantom_case(tmp_path, "c0", seed=6, n_lesions=4)
+    out = tmp_path / "r.json"
+    assert run_quantify(case_dir, out) == 0
+    payload = json.loads(out.read_text())
+    assert list(payload)[-2:] == ["threshold_hu", "wall_time_s"] and payload["threshold_hu"] == -200.0
+    out.unlink()
+    capsys.readouterr()
+    assert run_quantify(case_dir, out, extra=["--threshold-hu", "-400"]) == 2
+    assert "unrecognized arguments: --threshold-hu -400" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_quantify_geometry_mismatch_exits_2(tmp_path, capsys):
@@ -258,16 +260,26 @@ def test_evaluate_identity_reaches_fixed_point(tmp_path, capsys):
     assert "evaluated 5 cases" in capsys.readouterr().out
 
 
-def test_evaluate_refuses_reports_made_at_different_thresholds(tmp_path, capsys):
+def test_evaluate_refuses_a_report_at_another_threshold_naming_its_file(tmp_path, capsys):
     gt_dir, pred_dir = build_report_dirs(tmp_path, n_cases=4)
-    for i in range(4):
-        assert run_quantify(tmp_path / f"case_{i}", pred_dir / f"case_{i:03d}.json",
-                            ["--threshold-hu", "-600"]) == 0
+    path = pred_dir / "case_002.json"
+    report = json.loads(path.read_text())
+    report["threshold_hu"] = -400.0
+    path.write_text(json.dumps(report))
     out = tmp_path / "summary.json"
     assert main(["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "error: case_000: pred report threshold_hu -600.0 differs from -200.0 in the gt report of case_000\n")
+    assert capsys.readouterr().err == f"error: {path}: threshold_hu: expected -200.0, got -400.0\n"
     assert not out.exists()
+
+
+def test_evaluate_refuses_a_scatter_path_that_is_its_out_before_reading_reports(tmp_path, capsys):
+    gt_dir, pred_dir = build_report_dirs(tmp_path, n_cases=3)
+    out, scatter = tmp_path / "new" / "s.json", tmp_path / "new" / ".." / "new" / "s.json"
+    for gt in (gt_dir, tmp_path / "missing"):  # refused before the report directories are read
+        argv = ["evaluate", "--gt", str(gt), "--pred", str(pred_dir), "--out", str(out), "--scatter", str(scatter)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: --scatter {scatter} is the same file as --out {out}\n"
+        assert not (tmp_path / "new").exists()
 
 
 def test_evaluate_positive_list(tmp_path):
@@ -609,16 +621,12 @@ def make_train_config(tmp_path, data_dir, seed=0):
         "seed": seed,
         "out_checkpoint": str(tmp_path / "ckpt"),
         "out_loss_csv": str(tmp_path / "loss.csv"),
-        "stem_channels": 4,
-        "growth_rate": 2,
-        "layers_per_block": 1,
-        "downsample_strides": [[1, 2, 2], [2, 2, 2]],
     }
 
 
 def test_train_toy_runs_and_is_reproducible(tmp_path):
     data_dir = tmp_path / "cases"
-    assert main(["phantom", "--count", "10", "--seed", "1", "--dims", "8,16,16",
+    assert main(["phantom", "--count", "10", "--seed", "1", "--dims", "8,32,32",
                  "--out", str(data_dir)]) == 0
     config = make_train_config(tmp_path, data_dir)
     config_path = tmp_path / "config.json"
@@ -644,7 +652,8 @@ def test_readme_train_config_is_one_train_toy_accepts():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"cat > config\.json <<'EOF'\n(.*?)\nEOF\n", readme, re.DOTALL)
     run = _train_run(json.loads(block.group(1)))
-    assert run["config"].cumulative_stride == (2, 4, 4)  # the stride README's text gives
+    assert run["config"] == NetConfig(seed=0)
+    assert f"multiples of {'x'.join(map(str, CUMULATIVE_STRIDE))}" in readme  # the stride README's text gives
 
 
 def test_train_toy_missing_field_names_it(tmp_path, capsys):
@@ -658,10 +667,7 @@ def test_train_toy_missing_field_names_it(tmp_path, capsys):
     assert "out_checkpoint" in err
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [("epochs", "two"), ("stem_channels", "4"), ("downsample_strides", 5)],
-)
+@pytest.mark.parametrize("field, value", [("epochs", "two"), ("seed", "4"), ("out_loss_csv", 5)])
 def test_train_toy_wrongly_typed_field_names_it(field, value, tmp_path, capsys):
     config = make_train_config(tmp_path, tmp_path)
     config[field] = value
@@ -696,7 +702,7 @@ def test_train_toy_names_the_config_for_a_bad_data_dir(kind, tmp_path, capsys):
 
 def test_train_toy_with_too_few_cases_names_its_config_and_writes_nothing(tmp_path, capsys):
     data_dir = tmp_path / "cases"
-    assert main(["phantom", "--count", "3", "--dims", "8,16,16", "--out", str(data_dir)]) == 0
+    assert main(["phantom", "--count", "3", "--dims", "8,32,32", "--out", str(data_dir)]) == 0
     config = make_train_config(tmp_path, data_dir)
     config["out_checkpoint"] = str(tmp_path / "out" / "ckpt")
     config["out_loss_csv"] = str(tmp_path / "out" / "loss.csv")
@@ -711,35 +717,35 @@ def test_train_toy_with_too_few_cases_names_its_config_and_writes_nothing(tmp_pa
 
 def test_train_toy_names_the_case_the_network_cannot_take(tmp_path, capsys):
     data_dir = tmp_path / "cases"
-    write_phantom_case(data_dir, "case_000", seed=1, dims=(8, 16, 16))
-    write_phantom_case(data_dir, "case_001", seed=2, dims=(8, 18, 16))
+    write_phantom_case(data_dir, "case_000", seed=1, dims=(8, 32, 32))
+    write_phantom_case(data_dir, "case_001", seed=2, dims=(8, 16, 32))
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(make_train_config(tmp_path, data_dir)))
     assert main(["train-toy", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {data_dir / 'case_001' / 'volume.json'}: dims (8, 18, 16)")
-    assert "cumulative stride (2, 4, 4)" in err
+    assert err.startswith(f"error: {data_dir / 'case_001' / 'volume.json'}: dims (8, 16, 32)")
+    assert "cumulative stride (8, 32, 32)" in err
     assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("mismatch", ["dims", "spacing"])
 def test_train_toy_names_the_case_whose_grids_disagree(mismatch, tmp_path, capsys):
     data_dir = tmp_path / "cases"
-    write_phantom_case(data_dir, "case_000", seed=1, dims=(8, 16, 16))
-    case_dir, _ = write_phantom_case(data_dir, "case_001", seed=2, dims=(8, 16, 16))
+    write_phantom_case(data_dir, "case_000", seed=1, dims=(8, 32, 32))
+    case_dir, _ = write_phantom_case(data_dir, "case_001", seed=2, dims=(8, 32, 32))
     if mismatch == "dims":
-        other_dir, _ = write_phantom_case(tmp_path, "other", seed=3, dims=(16, 16, 16))
+        other_dir, _ = write_phantom_case(tmp_path, "other", seed=3, dims=(16, 32, 32))
         for suffix in (".json", ".raw"):
             shutil.copy(other_dir / f"lobes{suffix}", case_dir / f"lobes{suffix}")
-        lobes = "dims (16, 16, 16) spacing (1.5, 1.0, 1.0)"
+        lobes = "dims (16, 32, 32) spacing (1.5, 1.0, 1.0)"
     else:
         _set_header_field("spacing_mm", [1.5, 1.0, 7.0])(case_dir, "lobes")
-        lobes = "dims (8, 16, 16) spacing (1.5, 1.0, 7.0)"
+        lobes = "dims (8, 32, 32) spacing (1.5, 1.0, 7.0)"
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(make_train_config(tmp_path, data_dir)))
     assert main(["train-toy", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
-    assert err == (f"error: geometry mismatch: {case_dir / 'volume'}: dims (8, 16, 16) spacing (1.5, 1.0, 1.0) "
+    assert err == (f"error: geometry mismatch: {case_dir / 'volume'}: dims (8, 32, 32) spacing (1.5, 1.0, 1.0) "
                    f"vs {case_dir / 'lobes'}: {lobes}\n")
     assert not (tmp_path / "loss.csv").exists()
 
@@ -751,16 +757,43 @@ def test_train_toy_names_the_case_whose_grids_disagree(mismatch, tmp_path, capsy
      ("initial_lr", -5.0, "unknown field(s): initial_lr"),
      ("initial_lr", 0, "unknown field(s): initial_lr"),
      ("num_dense_blocks", 2, "unknown field(s): num_dense_blocks"),
-     ("norm_enabled", True, "unknown field(s): norm_enabled")],
-    ids=["unknown_field", "negative_lr", "zero_lr", "num_dense_blocks", "norm_enabled"],
+     ("norm_enabled", True, "unknown field(s): norm_enabled"),
+     # the network has one architecture: even its own values are unknown fields
+     ("stem_channels", 8, "unknown field(s): stem_channels"),
+     ("growth_rate", 4, "unknown field(s): growth_rate"),
+     ("layers_per_block", 2, "unknown field(s): layers_per_block"),
+     ("downsample_strides", [[1, 2, 2], [2, 2, 2]], "unknown field(s): downsample_strides")],
+    ids=["unknown_field", "negative_lr", "zero_lr", "num_dense_blocks", "norm_enabled",
+         "stem_channels", "growth_rate", "layers_per_block", "downsample_strides"],
 )
 def test_train_toy_rejects_a_field_it_would_misread(field, value, message, tmp_path, capsys):
-    config = make_train_config(tmp_path, tmp_path)
+    config = make_train_config(tmp_path / "out", tmp_path)
     config[field] = value
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     assert main(["train-toy", "--config", str(config_path)]) == 2
     assert capsys.readouterr().err == f"error: {config_path}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("loss_csv", ["ckpt.json", "ckpt.raw", "sub/../ckpt.json"])
+def test_train_toy_refuses_a_loss_csv_that_is_a_checkpoint_file(loss_csv, tmp_path, capsys):
+    data_dir = tmp_path / "cases"
+    assert main(["phantom", "--count", "10", "--dims", "8,32,32", "--out", str(data_dir)]) == 0
+    config = make_train_config(tmp_path / "out", data_dir)
+    config["out_loss_csv"] = str(tmp_path / "out" / loss_csv)
+    suffix = loss_csv.rsplit(".", 1)[1]
+    kind = {"json": "manifest", "raw": "payload"}[suffix]
+    for data in (data_dir, tmp_path / "missing"):  # refused before any case is read
+        config["data_dir"] = str(data)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(["train-toy", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {config_path}: out_loss_csv {config['out_loss_csv']} is the same file as "
+            f"out_checkpoint {kind} {tmp_path / 'out' / f'ckpt.{suffix}'}\n")
+        assert not (tmp_path / "out").exists()
 
 
 def test_phantom_spec_with_an_unknown_field_exits_2(tmp_path, capsys):
@@ -797,11 +830,7 @@ def test_usage_errors_exit_2(capsys):
         ("--noise-sigma", ["phantom", "--count", "1", "--noise-sigma", "nan"]),
         ("--dims", ["phantom", "--count", "1", "--dims", "8,32"]),
         ("--box", ["preprocess", "--volume", "v", "--lobes", "l", "--box", "0,8,8"]),
-        ("--threshold-hu",
-         ["quantify", "--volume", "v", "--lobes", "l", "--abnorm", "a", "--threshold-hu", "inf"]),
         ("--box", ["preprocess", "--volume", "v", "--lobes", "l", "--box", "8,8"]),
-        ("--threshold-hu",
-         ["quantify", "--volume", "v", "--lobes", "l", "--abnorm", "a", "--threshold-hu", "nan"]),
     ],
 )
 def test_flag_outside_its_range_is_a_usage_error_naming_it(flag, argv, tmp_path, capsys):
@@ -868,7 +897,7 @@ def test_output_parent_directories_are_created(command, tmp_path):
         outputs = [new_dir / "s.csv"]
     else:
         data_dir = tmp_path / "cases"
-        assert main(["phantom", "--count", "10", "--dims", "8,16,16", "--out", str(data_dir)]) == 0
+        assert main(["phantom", "--count", "10", "--dims", "8,32,32", "--out", str(data_dir)]) == 0
         config = make_train_config(tmp_path, data_dir)
         config["out_checkpoint"] = str(new_dir / "ckpt")
         config["out_loss_csv"] = str(tmp_path / "other" / "loss.csv")

@@ -7,8 +7,7 @@ list too long or too short, nests a value one level too deep, or puts a
 value nested deeper than the JSON decoder can follow in its place. A document
 that its reader rejects on its own must make the command exit 2 with the
 file's path in the one-line message; one that it accepts must be used as
-usual, except that `evaluate` refuses a readable report quantified at a
-threshold the other reports do not share. Nothing may exit 3.
+usual. Nothing may exit 3.
 """
 
 import contextlib
@@ -18,7 +17,6 @@ import io
 import json
 import math
 import operator
-import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -162,18 +160,11 @@ def test_mutated_grid_header(cases, data, grid):
 @given(data=st.data())
 def test_mutated_report(cases, data):
     report = cases / "pred" / "case_1.json"
-    original = json.loads(report.read_text())
-    doc = mutated(data, original)
-    with replaced(report, doc):
+    with replaced(report, mutated(data, json.loads(report.read_text()))):
         rejected = reject_message(functools.partial(read_json, build=SeverityReport.from_json_dict), report)
         code, err = run(["evaluate", "--gt", cases / "gt", "--pred", cases / "pred",
                          "--out", cases / "summary.json"])
-    if rejected is None and doc["threshold_hu"] != original["threshold_hu"]:
-        assert code == 2
-        assert err == (f"error: case_1: pred report threshold_hu {float(doc['threshold_hu'])} differs "
-                       f"from {float(original['threshold_hu'])} in the gt report of case_0\n")
-    else:
-        check_outcome(code, err, report, rejected)
+    check_outcome(code, err, report, rejected)
 
 
 @EXAMPLES
@@ -195,13 +186,11 @@ def test_mutated_train_config(cases, data):
     # One case is too few to train on, so a config that reads fails fast, with exit 2.
     data_dir = cases / "one_case"
     if not data_dir.exists():
-        shutil.copytree(cases / "case_0", data_dir / "case_0")
+        phantom.write_case(phantom.generate(phantom.random_spec(40, dims=(8, 32, 32))), data_dir / "case_0")
     config = cases / "train.json"
     config.write_text(json.dumps({
         "data_dir": str(data_dir), "epochs": 1, "seed": 0,
         "out_checkpoint": str(cases / "ckpt"), "out_loss_csv": str(cases / "loss.csv"),
-        "stem_channels": 4, "growth_rate": 2, "layers_per_block": 1,
-        "downsample_strides": [[1, 2, 2], [2, 2, 2]],
     }))
     with replaced(config, mutated(data, json.loads(config.read_text()))):
         rejected = reject_message(functools.partial(read_json, build=_train_run), config)
@@ -215,8 +204,7 @@ def test_mutated_train_config(cases, data):
 def test_mutated_checkpoint_manifest(cases, data):
     base = cases / "ckpt_base"
     if not base.with_suffix(".raw").exists():
-        save_checkpoint(init_params(NetConfig(stem_channels=2, layers_per_block=1, growth_rate=2,
-                                              downsample_strides=((1, 2, 2),))), base)
+        save_checkpoint(init_params(NetConfig()), base)
     manifest = base.with_suffix(".json")
     with replaced(manifest, mutated(data, json.loads(manifest.read_text()))):
         try:
@@ -244,8 +232,7 @@ def test_deeply_nested_document_exits_2(cases, kind, tmp_path):
         "checkpoint_manifest": (tmp_path / "ckpt.json", None),  # no command reads a checkpoint
     }[kind]
     if kind == "checkpoint_manifest":
-        save_checkpoint(init_params(NetConfig(stem_channels=2, layers_per_block=1, growth_rate=2,
-                                              downsample_strides=((1, 2, 2),))), tmp_path / "ckpt")
+        save_checkpoint(init_params(NetConfig()), tmp_path / "ckpt")
     path.touch()
     message = f"{path}: ill-formed JSON: nested too deeply"
     with replaced(path, DEEP_PLACEHOLDER):

@@ -80,11 +80,11 @@ CASES = [
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """Ten phantom cases, a quantify report of each in gt/ and pred/, a positive
-    list naming them all and a small train-toy config, all under one directory
+    list naming them all and a train-toy config, all under one directory
     and named by paths relative to it."""
     root = tmp_path_factory.mktemp("inputs")
     cases = root / "cases"
-    assert main(["phantom", "--count", "10", "--seed", "1", "--dims", "8,16,16", "--out", str(cases)]) == 0
+    assert main(["phantom", "--count", "10", "--seed", "1", "--dims", "8,32,32", "--out", str(cases)]) == 0
     for case in sorted(cases.iterdir()):
         for reports in ("gt", "pred"):
             assert main(["quantify", "--volume", str(case / "volume"), "--lobes", str(case / "lobes"),
@@ -92,7 +92,6 @@ def inputs(tmp_path_factory):
     (root / "positives.txt").write_text("".join(f"{case.name}\n" for case in sorted(cases.iterdir())))
     (root / "train.json").write_text(json.dumps({
         "data_dir": "cases", "epochs": 1, "seed": 0, "out_checkpoint": "out/ckpt", "out_loss_csv": "out/loss.csv",
-        "stem_channels": 2, "growth_rate": 1, "layers_per_block": 1, "downsample_strides": [[1, 2, 2]],
     }) + "\n")
     return root
 

@@ -47,7 +47,7 @@ def random_case(seed, dims=(12, 14, 10), spacing=SPACING):
     )
 
 
-def report_oracle(v, lobes, abn, threshold=-200.0):
+def report_oracle(v, lobes, abn):
     """Independent single-pass voxel loop over plain Python lists."""
     hu = v.data.tolist()
     lab = lobes.data.tolist()
@@ -65,7 +65,7 @@ def report_oracle(v, lobes, abn, threshold=-200.0):
                 n[label] += 1
                 if ab[z][y][x] > 0:
                     na[label] += 1
-                    if hu[z][y][x] >= threshold:
+                    if hu[z][y][x] >= -200.0:
                         nh[label] += 1
 
     def score(f):
@@ -371,6 +371,7 @@ def test_report_json_round_trip():
         "high_opacity_volume_mm3",
         "threshold_hu",
     }
+    assert list(d)[-1] == "threshold_hu" and d["threshold_hu"] == -200.0
     assert isinstance(d["lss"], int)
     assert len(d["per_lobe"]) == 5
 
@@ -405,25 +406,25 @@ def test_report_from_json_rejects_an_integer_field_that_is_not_an_exact_int(valu
         SeverityReport.from_json_dict({**d, "lhos": value})
 
 
-def test_custom_threshold_changes_pho_only():
+@pytest.mark.parametrize("value", [-400.0, 0.0, -200.5])
+def test_report_from_json_refuses_any_threshold_but_the_one_cut(value):
     v, lobes, abn = random_case(5)
-    strict = compute_report(v, lobes, abn, threshold=0.0)
-    loose = compute_report(v, lobes, abn, threshold=-400.0)
-    assert strict.po == loose.po
-    assert strict.pho <= loose.pho
-    assert strict.threshold_hu == 0.0
+    d = json.loads(json.dumps(compute_report(v, lobes, abn).to_json_dict()))
+    assert SeverityReport.from_json_dict({**d, "threshold_hu": -200}) == SeverityReport.from_json_dict(d)
+    with pytest.raises(InputError, match=rf"^threshold_hu: expected -200\.0, got {value}$"):
+        SeverityReport.from_json_dict({**d, "threshold_hu": value})
 
 
 # ---------------------------------------------------------------------------
 # Counting against full-volume boolean masks
 # ---------------------------------------------------------------------------
 
-def boolean_mask_report(v, lobes, abn, threshold):
+def boolean_mask_report(v, lobes, abn):
     """Reference: count with one full-volume boolean mask per lobe and measure."""
     lung = lobes.data > 0
     lung_count = int(lung.sum())
     abn_in_lung = (abn.data > 0) & lung
-    high_in_lung = abn_in_lung & (v.data >= threshold)
+    high_in_lung = abn_in_lung & (v.data >= -200.0)
     voxel_mm3 = lobes.voxel_volume_mm3
     records = []
     for label in LOBE_LABELS:
@@ -446,7 +447,6 @@ def boolean_mask_report(v, lobes, abn, threshold):
         lung_volume_mm3=lung_count * voxel_mm3,
         abnormal_volume_mm3=n_abn * voxel_mm3,
         high_opacity_volume_mm3=n_high * voxel_mm3,
-        threshold_hu=float(threshold),
     )
 
 
@@ -462,11 +462,10 @@ _dim = st.integers(min_value=1, max_value=8)
     present=st.sets(st.integers(min_value=1, max_value=8), min_size=1),
     abn_rate=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
     hu_dtype=st.sampled_from([np.int16, np.float32, np.float64]),
-    threshold=st.sampled_from([-200.0, -200.5, 0.0, -1000.0]),
     spacing=st.sampled_from([(1.0, 1.0, 1.0), (2.5, 0.7, 0.7)]),
 )
 def test_report_counts_equal_boolean_mask_reference(
-    seed, dims, lobe_dtype, max_label, present, abn_rate, hu_dtype, threshold, spacing
+    seed, dims, lobe_dtype, max_label, present, abn_rate, hu_dtype, spacing
 ):
     # Lobe masks may allow labels above 5 (lung, but no lobe), leave lobes
     # empty, and abnormal voxels fall outside the lung as often as inside.
@@ -475,16 +474,16 @@ def test_report_counts_equal_boolean_mask_reference(
     lobe_data = rng.choice(np.array([0, *labels]), size=dims).astype(lobe_dtype)
     lobe_data.flat[0] = labels[0]
     abn_data = (rng.random(dims) < abn_rate).astype(np.uint8)
-    # HU at the threshold, one step either side of it, and far from it.
-    t = np.asarray(threshold, dtype=np.float64)
+    # HU at the -200 HU cut, one step either side of it, and far from it.
+    t = np.asarray(-200.0, dtype=np.float64)
     choices = np.array([-1024.0, t - 1, t, t + 1, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), 60.0])
     hu_data = rng.choice(choices.astype(hu_dtype), size=dims)
     hu_data.flat[-1] = -1024
     v = Volume(hu_data, spacing)
     lobes = LabelMask(lobe_data, spacing, allowed_labels=tuple(range(1, max_label + 1)))
     abn = LabelMask(abn_data, spacing, allowed_labels=(1,))
-    got = compute_report(v, lobes, abn, threshold)
-    assert got == boolean_mask_report(v, lobes, abn, threshold)
+    got = compute_report(v, lobes, abn)
+    assert got == boolean_mask_report(v, lobes, abn)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -505,11 +504,10 @@ _extreme_spacing = st.floats(min_value=1e-120, max_value=1e120)
     dims=st.tuples(_dim, _dim, _dim),
     spacing=st.tuples(_extreme_spacing, _extreme_spacing, _extreme_spacing),
     hu_scale=st.sampled_from([1.0, 1e30, 1e300]),
-    threshold=st.floats(),
 )
-def test_every_report_is_strict_json_that_reads_back(seed, dims, spacing, hu_scale, threshold):
-    # A grid whose physical volume is not a finite number > 0 and a
-    # non-finite threshold are refused before any counting; every report
+def test_every_report_is_strict_json_that_reads_back(seed, dims, spacing, hu_scale):
+    # A grid whose physical volume is not a finite number > 0 is refused
+    # before any counting; every report
     # that is returned writes without NaN or infinity and reads back equal.
     rng = np.random.default_rng(seed)
     lobe_data = rng.integers(0, 6, size=dims).astype(np.uint8)
@@ -523,11 +521,10 @@ def test_every_report_is_strict_json_that_reads_back(seed, dims, spacing, hu_sca
             Volume(hu, spacing),
             LabelMask(lobe_data, spacing),
             LabelMask(abn_data, spacing, allowed_labels=(1,)),
-            threshold,
         )
 
     grid_mm3 = spacing[0] * spacing[1] * spacing[2] * lobe_data.size
-    if not (0 < grid_mm3 < float("inf") and np.isfinite(threshold)):
+    if not 0 < grid_mm3 < float("inf"):
         with pytest.raises(InputError):
             report()
         return

@@ -1,6 +1,7 @@
 """Tensor engine and network tests: finite differences, adjoints, training."""
 
 import csv
+import dataclasses
 import gc
 import importlib
 import json
@@ -378,55 +379,40 @@ def test_softmax_channels_properties_and_gradients():
 # Dense blocks and the full network
 # ---------------------------------------------------------------------------
 
-def toy_config(**overrides):
-    defaults = dict(
-        stem_channels=4,
-        layers_per_block=1,
-        growth_rate=3,
-        downsample_strides=((1, 2, 2), (2, 2, 2)),
-        seed=0,
-    )
-    defaults.update(overrides)
-    return NetConfig(**defaults)
-
-
 def test_dense_block_channel_arithmetic():
-    config = NetConfig(downsample_strides=((1, 2, 2),), seed=1)
-    params = init_params(config)
+    params = init_params(NetConfig(seed=1))
     x = Tensor(np.random.default_rng(0).standard_normal((1, 8, 2, 4, 4)))
-    out = dense_block(x, params, config, 1)
+    out = dense_block(x, params, 1)
     assert out.data.shape == (1, 8 + 2 * 4, 2, 4, 4)
 
 
 def test_dense_block_zero_weights_concat_zeros():
-    config = NetConfig(downsample_strides=((1, 2, 2),), seed=1)
-    params = init_params(config)
+    params = init_params(NetConfig(seed=1))
     for name, t in params.items():
         if name.startswith("enc1.layer"):
             t.data = np.zeros_like(t.data)
     x_arr = np.random.default_rng(1).standard_normal((1, 8, 2, 4, 4))
-    out = dense_block(Tensor(x_arr), params, config, 1)
+    out = dense_block(Tensor(x_arr), params, 1)
     assert np.array_equal(out.data[:, :8], x_arr)
     assert np.all(out.data[:, 8:] == 0.0)
 
 
 def test_dense_block_gradients():
-    config = NetConfig(downsample_strides=((1, 2, 2),), layers_per_block=2, seed=2)
-    params = init_params(config)
+    params = init_params(NetConfig(seed=2))
     rng = np.random.default_rng(8)
     x = Tensor(rng.standard_normal((1, 8, 2, 4, 4)), requires_grad=True)
     proj = rng.standard_normal((1, 16, 2, 4, 4))
     check = [x] + [params[n] for n in ("enc1.layer1.w", "enc1.layer2.w", "enc1.layer2.b")]
 
     fd_check(
-        lambda: proj_loss(dense_block(x, params, config, 1), proj),
+        lambda: proj_loss(dense_block(x, params, 1), proj),
         check,
         tol=1e-5,
     )
 
 
 def test_net_forward_shape_and_probability_contract():
-    config = NetConfig(seed=3)  # full five-block default
+    config = NetConfig(seed=3)
     params = init_params(config)
     x = Tensor(np.random.default_rng(2).standard_normal((1, 1, 8, 32, 32)))
     out = net_forward(x, params, config)
@@ -436,11 +422,11 @@ def test_net_forward_shape_and_probability_contract():
 
 
 def test_net_forward_zero_head_gives_half():
-    config = toy_config()
+    config = NetConfig(seed=0)
     params = init_params(config)
     params["head.w"].data = np.zeros_like(params["head.w"].data)
     params["head.b"].data = np.zeros_like(params["head.b"].data)
-    x = Tensor(np.random.default_rng(3).standard_normal((1, 1, 4, 8, 8)))
+    x = Tensor(np.random.default_rng(3).standard_normal((1, 1, 8, 32, 32)))
     out = net_forward(x, params, config)
     assert np.all(out.data == 0.5)
 
@@ -454,20 +440,21 @@ def test_net_forward_rejects_indivisible_dims():
 
 
 def test_net_config_validation():
-    with pytest.raises(InputError):
-        NetConfig(downsample_strides=((2, 2, 2), (1, 2, 2)))
-    with pytest.raises(InputError):
-        NetConfig(downsample_strides=((1, 3, 3),))
-    assert NetConfig().cumulative_stride == (8, 32, 32)
+    assert [f.name for f in dataclasses.fields(NetConfig)] == ["seed"]
+    strides = network_module.DOWNSAMPLE_STRIDES
+    # each stride has a stage kernel, and the anisotropic ones come first
+    assert all(s in network_module.STAGE_KERNEL for s in strides) and list(strides) == sorted(strides)
+    assert network_module.CUMULATIVE_STRIDE == tuple(np.prod(strides, axis=0)) == (8, 32, 32)
+    growth = network_module.LAYERS_PER_BLOCK * network_module.GROWTH_RATE
+    assert network_module.ENCODER_CHANNELS == tuple(
+        network_module.STEM_CHANNELS + k * growth for k in range(len(strides) + 1))
 
 
 def test_net_config_names_the_field_it_rejects():
-    with pytest.raises(InputError, match=r"^stem_channels: expected an integer >= 1, got 0$"):
-        NetConfig(stem_channels=0)
-    with pytest.raises(InputError, match=r"^downsample_strides: "):
-        NetConfig(downsample_strides=((1, 2),))
-    with pytest.raises(InputError, match=r"^downsample_strides: expected at least one stride$"):
-        NetConfig(downsample_strides=())
+    with pytest.raises(InputError, match=r"^seed: expected an integer >= 0, got -1$"):
+        NetConfig(seed=-1)
+    with pytest.raises(TypeError, match="stem_channels"):
+        NetConfig(stem_channels=4)
 
 
 def test_conv_arguments_name_the_one_they_reject():
@@ -506,12 +493,12 @@ def test_init_params_scales_weights_by_fan_in():
 
 
 def test_end_to_end_loss_gradients():
-    config = toy_config(seed=4)
+    config = NetConfig(seed=4)
     params = init_params(config)
     rng = np.random.default_rng(9)
-    x = Tensor(rng.uniform(0.0, 1.0, (1, 1, 4, 16, 16)), requires_grad=True)
-    lung = (rng.random((1, 1, 4, 16, 16)) < 0.6).astype(float)
-    target = ((rng.random((1, 1, 4, 16, 16)) < 0.3) & (lung > 0)).astype(float)
+    x = Tensor(rng.uniform(0.0, 1.0, (1, 1, 8, 32, 32)), requires_grad=True)
+    lung = (rng.random((1, 1, 8, 32, 32)) < 0.6).astype(float)
+    target = ((rng.random((1, 1, 8, 32, 32)) < 0.3) & (lung > 0)).astype(float)
 
     def build():
         probs = net_forward(x, params, config)
@@ -548,12 +535,12 @@ def test_a_first_gradient_is_stored_as_a_copy_in_the_tensors_dtype():
 
 
 def test_tape_is_freed_without_cyclic_gc():
-    config = toy_config(seed=5)
+    config = NetConfig(seed=5)
     params = init_params(config)
     rng = np.random.default_rng(11)
-    x = Tensor(rng.uniform(0.0, 1.0, (1, 1, 4, 8, 8)), requires_grad=True)
-    lung = np.ones((1, 1, 4, 8, 8))
-    target = (rng.random((1, 1, 4, 8, 8)) < 0.3).astype(float)
+    x = Tensor(rng.uniform(0.0, 1.0, (1, 1, 8, 32, 32)), requires_grad=True)
+    lung = np.ones((1, 1, 8, 32, 32))
+    target = (rng.random((1, 1, 8, 32, 32)) < 0.3).astype(float)
     gc.collect()
     gc.disable()
     try:
@@ -625,7 +612,7 @@ def test_default_net_step_on_float32_data_stays_float32(monkeypatch):
     assert optimizer_step(params, state)
     for name, t in params.items():
         assert t.data.dtype == state.m[name].dtype == state.v[name].dtype == np.float32
-    result = train(toy_config(), background_cases(10), epochs=1)
+    result = train(NetConfig(), background_cases(10), epochs=1)
     assert {t.data.dtype for t in result.params.values()} == {np.dtype(np.float32)}
 
 
@@ -653,11 +640,11 @@ def test_the_default_net_calls_its_ops_through_the_network_module(monkeypatch):
     config = NetConfig(seed=0)
     x = np.random.default_rng(3).uniform(0.0, 1.0, (1, 1, 8, 32, 32))
     net_forward(Tensor(x), init_params(config), config)
-    stages = len(config.downsample_strides)
+    stages, layers = len(network_module.DOWNSAMPLE_STRIDES), network_module.LAYERS_PER_BLOCK
     assert counts == {
-        "conv3d": 2 + stages * (2 + config.layers_per_block),
+        "conv3d": 2 + stages * (2 + layers),
         "transpose_conv3d": stages,
-        "channel_norm": 1 + stages * (1 + config.layers_per_block),
+        "channel_norm": 1 + stages * (1 + layers),
     }
 
 
@@ -703,7 +690,7 @@ def test_training_drops_the_loss_and_its_tape_before_the_optimizer_step(monkeypa
 
     monkeypatch.setattr(train_module, "_loss_for", loss_for)
     monkeypatch.setattr(train_module, "optimizer_step", step)
-    train(toy_config(), background_cases(10), epochs=1)
+    train(NetConfig(), background_cases(10), epochs=1)
     assert dropped == [True] * 9
 
 
@@ -875,7 +862,7 @@ def blob_lung(dims=(4, 8, 8)):
     return (r <= 1.0).astype(np.uint8)
 
 
-def background_cases(n=10, dims=(4, 8, 8)):
+def background_cases(n=10, dims=(8, 32, 32)):
     """n copies of one (volume, lobes, abnorm) case with no abnormal voxel."""
     lung = blob_lung(dims)
     volume = Volume(np.where(lung > 0, -850.0, -1024.0), (1.0, 1.0, 1.0))
@@ -884,9 +871,8 @@ def background_cases(n=10, dims=(4, 8, 8)):
 
 
 def test_train_rejects_small_datasets():
-    config = toy_config()
     with pytest.raises(InputError):
-        train(config, background_cases(9), epochs=1)
+        train(NetConfig(), background_cases(9), epochs=1)
 
 
 @pytest.mark.parametrize("mismatch", ["dims", "spacing"])
@@ -894,23 +880,23 @@ def test_train_rejects_a_case_whose_grids_disagree(mismatch):
     cases = background_cases(10)
     volume, lobes, abnorm = cases[3]
     if mismatch == "dims":
-        abnorm = LabelMask(np.zeros((4, 8, 4), np.uint8), abnorm.spacing_mm, (1,))
+        abnorm = LabelMask(np.zeros((8, 32, 16), np.uint8), abnorm.spacing_mm, (1,))
     else:
         abnorm = LabelMask(abnorm.data, (1.0, 1.0, 2.0), (1,))
     cases[3] = (volume, lobes, abnorm)
     with pytest.raises(GeometryError, match="^geometry mismatch: case 3 volume: .* vs case 3 abnorm: "):
-        train(toy_config(), cases, epochs=1)
+        train(NetConfig(), cases, epochs=1)
 
 
 @pytest.mark.parametrize("field, value", [("epochs", 0)])
 def test_train_checks_its_own_arguments(field, value):
     arguments = {"epochs": 1, field: value}
     with pytest.raises(InputError, match=f"^{field}: "):
-        train(toy_config(), background_cases(10), **arguments)
+        train(NetConfig(), background_cases(10), **arguments)
 
 
 def test_train_background_case_converges_fast():
-    config = toy_config(seed=5)
+    config = NetConfig(seed=5)
     result = train(config, background_cases(10), epochs=6)
     within_50 = [row.train_loss for row in result.history if row.iteration <= 50]
     assert min(within_50) < 0.05
@@ -918,7 +904,7 @@ def test_train_background_case_converges_fast():
 
 
 def test_train_is_bit_deterministic():
-    config = toy_config(seed=6)
+    config = NetConfig(seed=6)
     cases = background_cases(10)
     r1 = train(config, cases, epochs=2)
     r2 = train(config, cases, epochs=2)
@@ -930,7 +916,7 @@ def test_train_is_bit_deterministic():
 
 
 def test_train_val_split_and_history_layout():
-    config = toy_config(seed=7)
+    config = NetConfig(seed=7)
     result = train(config, background_cases(12), epochs=3)
     assert len(result.val_indices) == 1
     per_epoch = (12 - 1)
@@ -945,7 +931,7 @@ def test_train_val_split_and_history_layout():
 
 
 def test_validation_views_share_the_parameters_and_record_no_tape():
-    config = toy_config(seed=3)
+    config = NetConfig(seed=3)
     params = _clone_params(init_params(config), np.float32)
     frozen = _frozen(params)
     for name, t in frozen.items():
@@ -958,7 +944,7 @@ def test_validation_views_share_the_parameters_and_record_no_tape():
 
 
 def test_loss_csv_round_trip(tmp_path):
-    config = toy_config(seed=8)
+    config = NetConfig(seed=8)
     result = train(config, background_cases(10), epochs=2)
     path = tmp_path / "loss.csv"
     write_loss_csv(result.history, path)
@@ -976,21 +962,21 @@ def test_loss_csv_round_trip(tmp_path):
 
 
 def test_checkpoint_round_trip(tmp_path):
-    config = toy_config(seed=9)
+    config = NetConfig(seed=9)
     params = init_params(config)
     save_checkpoint(params, tmp_path / "ckpt")
     loaded = load_checkpoint(tmp_path / "ckpt")
     assert sorted(loaded) == sorted(params)
     for name in params:
         assert np.array_equal(loaded[name].data, params[name].data)
-    x = Tensor(np.random.default_rng(4).standard_normal((1, 1, 2, 8, 8)))
+    x = Tensor(np.random.default_rng(4).standard_normal((1, 1, 8, 32, 32)))
     out_a = net_forward(x, params, config)
     out_b = net_forward(x, loaded, config)
     assert np.array_equal(out_a.data, out_b.data)
 
 
 def test_checkpoint_error_paths(tmp_path):
-    config = toy_config(seed=10)
+    config = NetConfig(seed=10)
     params = init_params(config)
     save_checkpoint(params, tmp_path / "ckpt")
     with pytest.raises(HeaderError):
