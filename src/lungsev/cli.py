@@ -9,7 +9,6 @@ import logging
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -67,15 +66,37 @@ def _output(path):
     return path
 
 
-def _distinct(*outputs: tuple[str, Path | str]) -> None:
-    """Refuse two (name, path) outputs of one command that resolve to one
-    file, where the later write would overwrite the earlier."""
-    seen = {}
-    for name, path in outputs:
-        key = Path(path).resolve()
-        if key in seen:
-            raise InputError(f"{name} {path} is the same file as {seen[key]}")
-        seen[key] = f"{name} {path}"
+def _file_id(path) -> tuple[int, int] | None:
+    """The (device, inode) of the file at `path`, or None if there is none."""
+    try:
+        stat = os.stat(path)
+    except (OSError, ValueError):
+        return None
+    return stat.st_dev, stat.st_ino
+
+
+def _distinct(outputs: list, inputs=()) -> None:
+    """Refuse a (name, path) output of one command that is the same file as
+    another of its outputs, where the later write would overwrite the earlier,
+    or as one of its (name, path) inputs. Outputs need not exist yet, so they
+    are compared with each other by resolved path; an output that is an input
+    exists already, and is found by device and inode, which also finds a link.
+    Inputs are not compared with each other: two inputs may be one file."""
+    for index, (name, path) in enumerate(outputs):
+        for earlier, earlier_path in outputs[:index]:
+            if os.path.realpath(path) == os.path.realpath(earlier_path):
+                raise InputError(f"{name} {path} is the same file as {earlier} {earlier_path}")
+    existing = {_file_id(path): f"{name} {path}" for name, path in outputs}
+    existing.pop(None, None)
+    for name, path in inputs if existing else ():
+        clash = existing.get(_file_id(path))
+        if clash:
+            raise InputError(f"{clash} is the same file as {name} {path}")
+
+
+def _grid_files(*grids) -> list[tuple[str, Path]]:
+    """(flag, path) for the header and the payload file of each (flag, GridFile)."""
+    return [(flag, path) for flag, grid in grids for path in (grid.header_path, grid.raw_path)]
 
 
 # ---------------------------------------------------------------------------
@@ -83,13 +104,15 @@ def _distinct(*outputs: tuple[str, Path | str]) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_quantify(args: argparse.Namespace) -> int:
-    """Check the three headers and their geometry, then count the payloads
-    z-slab by z-slab; no grid is held whole."""
+    """Check the three headers, their geometry and that --out is none of their
+    files, then count the payloads z-slab by z-slab; no grid is held whole."""
     t0 = time.perf_counter()
     volume = open_volume(args.volume)
     lobes = open_mask(args.lobes)
     abnorm = open_mask(args.abnorm, allowed_labels=(1,))
     check_same_geometry((args.volume, volume), (args.lobes, lobes), (args.abnorm, abnorm))
+    _distinct([("--out", args.out)],
+              _grid_files(("--volume", volume), ("--lobes", lobes), ("--abnorm", abnorm)))
     report = compute_report(volume, lobes, abnorm)
     elapsed = time.perf_counter() - t0
 
@@ -108,11 +131,11 @@ def cmd_quantify(args: argparse.Namespace) -> int:
 # evaluate
 # ---------------------------------------------------------------------------
 
-def _read_report_dir(directory: str) -> dict[str, SeverityReport]:
+def _read_report_dir(directory: str, paths: list[Path]) -> dict[str, SeverityReport]:
+    """The reports at `paths`, the report files listed in `directory`."""
     path = Path(directory)
     if not path.is_dir():
         raise InputError(f"{directory}: {'not a directory' if path.exists() else 'no such directory'}")
-    paths = sorted(path.glob("*.json"))
     if not paths:
         raise InputError(f"{directory}: no report JSON files")
     return {p.stem: read_json(p, SeverityReport.from_json_dict) for p in paths}
@@ -128,7 +151,8 @@ def _quoted(text: str) -> str:
 
 
 def _read_id_list(path: str, known: dict[str, SeverityReport]) -> list[str]:
-    text = Path(path).read_text(errors="backslashreplace")  # undecodable bytes name no case
+    # A byte order mark is not part of the first id; undecodable bytes name no case.
+    text = Path(path).read_text(encoding="utf-8-sig", errors="backslashreplace")
     ids = {}
     for number, line in enumerate(text.splitlines(), 1):
         case_id = line.strip()
@@ -147,10 +171,16 @@ def _read_id_list(path: str, known: dict[str, SeverityReport]) -> list[str]:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from .evaluate import evaluate_reports, scatter_rows, write_scatter_csv
 
-    if args.scatter:
-        _distinct(("--out", args.out), ("--scatter", args.scatter))
-    gt = _read_report_dir(args.gt)
-    pred = _read_report_dir(args.pred)
+    # A directory that is missing lists no file here; its reader names it.
+    reports = {flag: sorted(Path(directory).glob("*.json"))
+               for flag, directory in (("--gt", args.gt), ("--pred", args.pred))}
+    outputs = [("--out", args.out)] + ([("--scatter", args.scatter)] if args.scatter else [])
+    inputs = [(flag, path) for flag, paths in reports.items() for path in paths]
+    if args.positive_list:
+        inputs.append(("--positive-list", args.positive_list))
+    _distinct(outputs, inputs)
+    gt = _read_report_dir(args.gt, reports["--gt"])
+    pred = _read_report_dir(args.pred, reports["--pred"])
     positives = _read_id_list(args.positive_list, gt) if args.positive_list else None
     summary = evaluate_reports(gt, pred, positives)
 
@@ -172,18 +202,10 @@ def cmd_phantom(args: argparse.Namespace) -> int:
 
     given = {"dims": args.dims, "noise_sigma_hu": args.noise_sigma}
     given = {key: value for key, value in given.items() if value is not None}  # random_spec has the defaults
-    if args.spec and given:
-        flag = "--dims" if "dims" in given else "--noise-sigma"
-        raise InputError(f"{flag} cannot be used with --spec, whose file sets it")
-    base_spec = read_json(args.spec, phantom_mod.PhantomSpec.from_json_dict) if args.spec else None
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
     for index in range(args.count):
-        case_seed = args.seed + index
-        if base_spec is not None:
-            spec = replace(base_spec, seed=case_seed)
-        else:
-            spec = phantom_mod.random_spec(case_seed, **given)
+        spec = phantom_mod.random_spec(args.seed + index, **given)
         case = phantom_mod.generate(spec)
         case_dir = out_root / f"case_{index:03d}"
         phantom_mod.write_case(case, case_dir)
@@ -214,7 +236,10 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     before the volume is read, and each full-size grid is dropped as soon as
     the next step has its result, so the peak stays near one input and the
     output box."""
-    check_same_geometry((args.volume, open_volume(args.volume)), (args.lobes, open_mask(args.lobes)))
+    volume_file, lobes_file = open_volume(args.volume), open_mask(args.lobes)
+    check_same_geometry((args.volume, volume_file), (args.lobes, lobes_file))
+    _distinct([("--out", path) for path in _paths_for(args.out)],
+              _grid_files(("--volume", volume_file), ("--lobes", lobes_file)))
     lobes = read_mask(args.lobes)
     center = lung_center(resample_mask(lobes, RESAMPLE_SPACING_MM))
     del lobes
@@ -281,8 +306,8 @@ def _train_run(doc: dict) -> dict:
         **{f: read_field(doc, f, exactly(str)) for f in ("data_dir", "out_checkpoint", "out_loss_csv")},
     }
     manifest, payload = _paths_for(run["out_checkpoint"])
-    _distinct(("out_checkpoint manifest", manifest), ("out_checkpoint payload", payload),
-              ("out_loss_csv", run["out_loss_csv"]))
+    _distinct([("out_checkpoint manifest", manifest), ("out_checkpoint payload", payload),
+               ("out_loss_csv", run["out_loss_csv"])])
     return run
 
 
@@ -342,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_phantom.add_argument("--seed", type=_flag(at_least(0), int), default=0)
     p_phantom.add_argument("--dims", type=_flag(entries(at_least(1), 3), _ints))
     p_phantom.add_argument("--noise-sigma", type=_flag(nonnegative), dest="noise_sigma")
-    p_phantom.add_argument("--spec", default=None, help="spec JSON to reuse for every case")
     p_phantom.set_defaults(func=cmd_phantom)
 
     p_pre = sub.add_parser("preprocess", help="resample, window, and crop a volume")

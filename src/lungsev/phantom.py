@@ -1,7 +1,7 @@
 """Deterministic synthetic chest-CT phantoms with exact severity ground truth.
 
 A phantom is two ellipsoidal lungs partitioned into five lobes by axial cut
-planes, plus ellipsoidal lesions painted as ground-glass (below the high
+planes at fixed fractions of each lung's height, plus ellipsoidal lesions painted as ground-glass (below the high
 opacity threshold) or consolidation (at or above it). Every generated case
 carries a reference SeverityReport computed by a single-pass voxel loop that
 is deliberately separate from the severity module, so the two implementations
@@ -13,13 +13,13 @@ itself is clipped to +/-24 HU.
 """
 
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError, at_least, checked, entries, exactly, finite, integer, nonnegative
-from .errors import one_of, only_fields, positive, read_field
+from .errors import one_of, positive
 from .severity import LobeRecord, SeverityReport
 from .volume import LabelMask, Volume, write_volume
 
@@ -28,6 +28,16 @@ GGO_FLOOR_HU = -760.0
 NOISE_CLIP_HU = 24.0
 NOISE_MARGIN_HU = 25.0
 FLIP_PROB = 0.8
+
+# The one anatomy every phantom has. The right lung's two axial cuts and the
+# left lung's one sit at these fractions of each lung's z extent, from its
+# inferior end; air and healthy lung have these intensities.
+RIGHT_CUT_FRACTIONS = (0.33, 0.66)
+LEFT_CUT_FRACTION = 0.5
+BACKGROUND_HU = -1024.0
+LUNG_PARENCHYMA_HU = -850.0
+# z-y-x voxel spacing of a random_spec case.
+RANDOM_SPACING_MM = (1.5, 1.0, 1.0)
 
 LESION_KINDS = ("ggo", "consolidation")
 
@@ -51,8 +61,7 @@ class Ellipsoid:
 
 @dataclass(frozen=True)
 class Lesion:
-    """An ellipsoid painted at one HU value; `type` (the spec file's key) is
-    "ggo" or "consolidation"."""
+    """An ellipsoid painted at one HU value; `type` is "ggo" or "consolidation"."""
 
     shape: Ellipsoid
     intensity_hu: float
@@ -72,17 +81,14 @@ class Lesion:
 @dataclass(frozen=True)
 class PhantomSpec:
     """Generation recipe. lungs[0] is the right lung (split into three lobes
-    by two axial cut fractions), lungs[1] the left (split into two). Higher z
-    is superior, so the upper lobes sit at larger z."""
+    at RIGHT_CUT_FRACTIONS), lungs[1] the left (split into two at
+    LEFT_CUT_FRACTION). Higher z is superior, so the upper lobes sit at
+    larger z."""
 
     dims: tuple[int, int, int]
     spacing_mm: tuple[float, float, float]
     lungs: tuple[Ellipsoid, Ellipsoid]
-    right_cut_fractions: tuple[float, float] = (0.33, 0.66)
-    left_cut_fraction: float = 0.5
     lesions: tuple[Lesion, ...] = ()
-    background_hu: float = -1024.0
-    lung_parenchyma_hu: float = -850.0
     noise_sigma_hu: float = 0.0
     seed: int = 0
 
@@ -91,11 +97,6 @@ class PhantomSpec:
         dims, spacing = self.dims, self.spacing_mm
         if not any(_inside(e, *_centres(dims, spacing)).any() for e in self.lungs):
             raise InputError(f"lungs: no voxel centre of the {dims} grid at {spacing} mm lies in a lung")
-        f1, f2 = self.right_cut_fractions
-        if not (0.0 < f1 < f2 < 1.0):
-            raise InputError(f"right cut fractions must satisfy 0 < f1 < f2 < 1, got {(f1, f2)}")
-        if not (0.0 < self.left_cut_fraction < 1.0):
-            raise InputError(f"left cut fraction must lie in (0,1), got {self.left_cut_fraction}")
         if self.noise_sigma_hu > 0.0:
             # Noise is clipped below the margin, so intensities this far from
             # the threshold can never cross it.
@@ -106,8 +107,6 @@ class PhantomSpec:
                         f"lesion at {les.intensity_hu} HU is within {NOISE_MARGIN_HU} HU of "
                         f"the {HIGH_OPACITY_HU} threshold; not allowed with noise enabled"
                     )
-            if abs(self.lung_parenchyma_hu - HIGH_OPACITY_HU) < NOISE_MARGIN_HU:
-                raise InputError("parenchyma HU too close to threshold for noisy generation")
 
     def to_json_dict(self) -> dict:
         """Every field in declaration order; a lesion is its ellipsoid's fields plus HU and type."""
@@ -118,17 +117,6 @@ class PhantomSpec:
                 {**vars(l.shape), "intensity_hu": l.intensity_hu, "type": l.type} for l in self.lesions
             ],
         }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "PhantomSpec":
-        """The spec that to_json_dict wrote; fields after `lungs` are optional.
-        Nested objects become Ellipsoid and Lesion, and each class checks its own values."""
-        only_fields(d, [f.name for f in fields(PhantomSpec)])
-        nested = {"lungs": entries(_ellipsoid), "lesions": entries(_lesion)}
-        return PhantomSpec(**{
-            f.name: read_field(d, f.name, nested.get(f.name, _as_given))
-            for f in fields(PhantomSpec) if f.name in d or f.default is MISSING
-        })
 
 
 # The check for every field of Ellipsoid, Lesion and PhantomSpec.
@@ -141,27 +129,10 @@ _SPEC_CHECKS = {
     "dims": entries(at_least(8), 3),
     "spacing_mm": entries(positive, 3),
     "lungs": entries(exactly(Ellipsoid), 2),
-    "right_cut_fractions": entries(finite, 2),
-    "left_cut_fraction": finite,
     "lesions": entries(exactly(Lesion)),
-    "background_hu": finite,
-    "lung_parenchyma_hu": finite,
     "noise_sigma_hu": nonnegative,
     "seed": integer,
 }
-
-
-def _as_given(value):
-    """A read_field check that passes any value on to the class that checks it."""
-    return value
-
-
-def _ellipsoid(d: dict) -> Ellipsoid:
-    return Ellipsoid(read_field(d, "center_mm", _as_given), read_field(d, "radii_mm", _as_given))
-
-
-def _lesion(d: dict) -> Lesion:
-    return Lesion(_ellipsoid(d), read_field(d, "intensity_hu", _as_given), read_field(d, "type", _as_given))
 
 
 @dataclass(frozen=True)
@@ -272,7 +243,7 @@ def generate(spec: PhantomSpec) -> PhantomCase:
     lobes = np.zeros(spec.dims, dtype=np.uint8)
 
     cz, rz = spec.lungs[0].center_mm[0], spec.lungs[0].radii_mm[0]
-    f1, f2 = spec.right_cut_fractions
+    f1, f2 = RIGHT_CUT_FRACTIONS
     z1 = (cz - rz) + f1 * (2 * rz)
     z2 = (cz - rz) + f2 * (2 * rz)
     below1 = zpos < z1
@@ -282,13 +253,13 @@ def generate(spec: PhantomSpec) -> PhantomCase:
     lobes[right & ~below2] = 1
 
     cz, rz = spec.lungs[1].center_mm[0], spec.lungs[1].radii_mm[0]
-    zl = (cz - rz) + spec.left_cut_fraction * (2 * rz)
+    zl = (cz - rz) + LEFT_CUT_FRACTION * (2 * rz)
     belowl = zpos < zl
     lobes[left & belowl] = 5
     lobes[left & ~belowl] = 4
 
-    hu = np.full(spec.dims, spec.background_hu, dtype=np.float64)
-    hu[lung] = spec.lung_parenchyma_hu
+    hu = np.full(spec.dims, BACKGROUND_HU, dtype=np.float64)
+    hu[lung] = LUNG_PARENCHYMA_HU
     abnorm = np.zeros(spec.dims, dtype=np.uint8)
     for les in spec.lesions:
         m = _inside(les.shape, zpos, ypos, xpos) & lung
@@ -342,13 +313,13 @@ def make_noisy_prediction(
 def random_spec(
     seed: int,
     dims: tuple[int, int, int] = (16, 28, 28),
-    spacing_mm: tuple[float, float, float] = (1.5, 1.0, 1.0),
     n_lesions: int | None = None,
     noise_sigma_hu: float = 0.0,
 ) -> PhantomSpec:
-    """Sample a randomized but always-valid spec. n_lesions=None draws 0..6."""
+    """Sample a randomized but always-valid spec at RANDOM_SPACING_MM.
+    n_lesions=None draws 0..6."""
     rng = np.random.default_rng(seed)
-    ext = tuple((d - 1) * s for d, s in zip(dims, spacing_mm))
+    ext = tuple((d - 1) * s for d, s in zip(dims, RANDOM_SPACING_MM))
 
     def lung_at(x_frac: float) -> Ellipsoid:
         center = (0.5 * ext[0], 0.5 * ext[1], x_frac * ext[2])
@@ -373,7 +344,7 @@ def random_spec(
             lesions.append(Lesion(Ellipsoid(center, radii), rng.uniform(-700.0, -250.0), "ggo"))
     return PhantomSpec(
         dims=dims,
-        spacing_mm=spacing_mm,
+        spacing_mm=RANDOM_SPACING_MM,
         lungs=lungs,
         lesions=tuple(lesions),
         noise_sigma_hu=noise_sigma_hu,

@@ -217,6 +217,17 @@ def test_empty_grid_path_exits_2(command, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("grid", ["volume", "lobes", "abnorm"])
+@pytest.mark.parametrize("suffix", [".json", ".raw"])
+def test_quantify_refuses_an_out_that_is_one_of_its_input_files(grid, suffix, tmp_path, capsys):
+    case_dir, _ = write_phantom_case(tmp_path, "c0", seed=4)
+    target = case_dir / f"{grid}{suffix}"
+    before = target.read_bytes()
+    assert run_quantify(case_dir, target) == 2
+    assert capsys.readouterr().err == f"error: --out {target} is the same file as --{grid} {target}\n"
+    assert target.read_bytes() == before
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -280,6 +291,29 @@ def test_evaluate_refuses_a_scatter_path_that_is_its_out_before_reading_reports(
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: --scatter {scatter} is the same file as --out {out}\n"
         assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("flag", ["--gt", "--pred", "--positive-list"])
+def test_evaluate_refuses_an_output_that_is_one_of_its_inputs(flag, tmp_path, capsys):
+    gt_dir, pred_dir = build_report_dirs(tmp_path, n_cases=3)
+    listing = tmp_path / "positives.txt"
+    listing.write_text("case_000\ncase_001\n")
+    summary = tmp_path / "s.json"
+    base = ["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir), "--positive-list", str(listing)]
+    by_another_path = gt_dir / ".." / "pred" / "case_000.json"
+    target, outputs = {
+        "--gt": (gt_dir / "case_002.json", ["--out", gt_dir / "case_002.json"]),
+        "--pred": (pred_dir / "case_000.json", ["--out", summary, "--scatter", by_another_path]),
+        "--positive-list": (listing, ["--out", listing]),
+    }[flag]
+    before = target.read_bytes()
+    assert main(base + [str(arg) for arg in outputs]) == 2
+    clash = f"{outputs[-2]} {outputs[-1]}"
+    assert capsys.readouterr().err == f"error: {clash} is the same file as {flag} {target}\n"
+    assert target.read_bytes() == before
+    assert not summary.exists()
+    # --gt and --pred may name one directory: inputs are not compared with each other
+    assert main(["evaluate", "--gt", str(gt_dir), "--pred", str(gt_dir), "--out", str(summary)]) == 0
 
 
 def test_evaluate_positive_list(tmp_path):
@@ -358,6 +392,20 @@ def test_evaluate_positive_list_that_is_not_text_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "s.json"), "--positive-list", str(listing)])
     assert code == 2
     assert capsys.readouterr().err == f"error: {listing}: line 2: unknown case id '\\\\xff\\\\xfe'\n"
+
+
+def test_evaluate_positive_list_saved_with_a_byte_order_mark_reads_as_without_one(tmp_path):
+    gt_dir, pred_dir = build_report_dirs(tmp_path)
+    summaries = []
+    for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+        listing = tmp_path / f"{name}.txt"
+        listing.write_bytes("case_002\ncase_000\ncase_004\n".encode(encoding))
+        out = tmp_path / f"{name}.json"
+        assert main(["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir), "--out", str(out),
+                     "--positive-list", str(listing)]) == 0
+        summaries.append(out.read_bytes())
+    assert listing.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert summaries[0] == summaries[1] and json.loads(summaries[1])["n_positive"] == 3
 
 
 def test_evaluate_positive_list_with_a_repeated_id_exits_2(tmp_path, capsys):
@@ -446,66 +494,36 @@ def test_phantom_cases_carry_usable_ground_truth(tmp_path):
     payload = json.loads(report_path.read_text())
     assert payload["po"] == oracle["po"]
     assert payload["lss"] == oracle["lss"]
+    spec = json.loads((case_dir / "spec.json").read_text())
+    assert list(spec) == ["dims", "spacing_mm", "lungs", "lesions", "noise_sigma_hu", "seed"]
+    assert (spec["dims"], spec["spacing_mm"], spec["seed"]) == ([10, 16, 16], [1.5, 1.0, 1.0], 2)
 
 
-def test_phantom_spec_template_bumps_seed(tmp_path):
-    spec = phantom.random_spec(3, dims=(10, 16, 16), n_lesions=1)
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec.to_json_dict()))
-    assert main(["phantom", "--count", "2", "--seed", "5", "--spec", str(spec_path),
-                 "--out", str(tmp_path / "out")]) == 0
-    s0 = json.loads((tmp_path / "out" / "case_000" / "spec.json").read_text())
-    s1 = json.loads((tmp_path / "out" / "case_001" / "spec.json").read_text())
-    assert s0["seed"] == 5
-    assert s1["seed"] == 6
-    assert s0["lungs"] == s1["lungs"]
+def test_phantom_count_bumps_the_seed_per_case(tmp_path):
+    assert main(["phantom", "--count", "2", "--seed", "5", "--dims", "10,16,16", "--out", str(tmp_path / "out")]) == 0
+    s0, s1 = (json.loads((tmp_path / "out" / case / "spec.json").read_text()) for case in ("case_000", "case_001"))
+    assert (s0["seed"], s1["seed"]) == (5, 6)
+    assert s0 == json.loads(json.dumps(phantom.random_spec(5, dims=(10, 16, 16)).to_json_dict()))
+    assert s1 == json.loads(json.dumps(phantom.random_spec(6, dims=(10, 16, 16)).to_json_dict()))
 
 
-@pytest.mark.parametrize("flag, value", [("--dims", "16,16,16"), ("--noise-sigma", "0")])
-def test_phantom_spec_refuses_a_flag_its_file_sets(flag, value, tmp_path, capsys):
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(phantom.random_spec(3, dims=(10, 16, 16)).to_json_dict()))
+@pytest.mark.parametrize("flag, value, key, recorded", [
+    ("--dims", "12,18,20", "dims", [12, 18, 20]),
+    ("--noise-sigma", "7.5", "noise_sigma_hu", 7.5),
+])
+def test_phantom_records_a_flag_it_was_given_in_spec_json(flag, value, key, recorded, tmp_path):
+    assert main(["phantom", "--count", "1", flag, value, "--out", str(tmp_path / "out")]) == 0
+    spec = json.loads((tmp_path / "out" / "case_000" / "spec.json").read_text())
+    assert spec[key] == recorded
+
+
+def test_phantom_takes_no_spec_file(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(phantom.random_spec(3, dims=(10, 16, 16)).to_json_dict()))
     out = tmp_path / "out"
-    assert main(["phantom", "--count", "1", "--spec", str(spec_path), flag, value, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {flag} cannot be used with --spec, whose file sets it\n"
+    assert main(["phantom", "--count", "1", "--spec", str(spec), "--out", str(out)]) == 2
+    assert f"unrecognized arguments: --spec {spec}" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_phantom_spec_with_non_numeric_radius_exits_2(tmp_path, capsys):
-    payload = phantom.random_spec(3, dims=(10, 16, 16), n_lesions=1).to_json_dict()
-    payload["lungs"][0]["radii_mm"] = ["big", 1, 1]
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(payload))
-    code = main(["phantom", "--count", "1", "--spec", str(spec_path),
-                 "--out", str(tmp_path / "out")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert f"{spec_path}: lungs: radii_mm: " in err
-    assert "Traceback" not in err
-
-
-def test_phantom_spec_whose_lungs_miss_every_voxel_exits_2(tmp_path, capsys):
-    payload = json.loads(json.dumps(phantom.random_spec(3, dims=(10, 16, 16), n_lesions=1).to_json_dict()))
-    payload["spacing_mm"][2] = 7.0  # voxel centres step over both lungs along x
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(payload))
-    code = main(["phantom", "--count", "1", "--spec", str(spec_path), "--out", str(tmp_path / "out")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert f"{spec_path}: lungs: no voxel centre" in err
-    assert not (tmp_path / "out").exists()
-
-
-def test_phantom_spec_lesion_error_names_the_key_the_file_holds(tmp_path, capsys):
-    payload = phantom.random_spec(3, dims=(10, 16, 16), n_lesions=1).to_json_dict()
-    payload["lesions"][0]["type"] = "fibrosis"
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(payload))
-    assert main(["phantom", "--count", "1", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == (
-        f"error: {spec_path}: lesions: type: unsupported value 'fibrosis', "
-        "expected one of ('ggo', 'consolidation')\n")
-    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +611,18 @@ def test_preprocess_keeps_an_output_suffix_other_than_json_or_raw(tmp_path):
     assert not (out_dir / "case.raw").exists()
     assert read_volume(out_dir / "case.pre").dims == (4, 8, 8)
     assert {p.name for p in out_dir.iterdir()} == {"case.json", "case.pre.json", "case.pre.raw"}
+
+
+@pytest.mark.parametrize("grid", ["volume", "lobes"])
+def test_preprocess_refuses_an_out_that_is_one_of_its_input_grids(grid, tmp_path, capsys):
+    case_dir, _ = write_phantom_case(tmp_path, "c0", seed=8, n_lesions=1)
+    files = [case_dir / f"{grid}{suffix}" for suffix in (".json", ".raw")]
+    before = [path.read_bytes() for path in files]
+    code = main(["preprocess", "--volume", str(case_dir / "volume"), "--lobes", str(case_dir / "lobes"),
+                 "--out", str(case_dir / grid), "--box", "4,8,8"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --out {files[0]} is the same file as --{grid} {files[0]}\n"
+    assert [path.read_bytes() for path in files] == before
 
 
 def test_preprocess_empty_lung_exits_2(tmp_path, capsys):
@@ -794,16 +824,6 @@ def test_train_toy_refuses_a_loss_csv_that_is_a_checkpoint_file(loss_csv, tmp_pa
             f"error: {config_path}: out_loss_csv {config['out_loss_csv']} is the same file as "
             f"out_checkpoint {kind} {tmp_path / 'out' / f'ckpt.{suffix}'}\n")
         assert not (tmp_path / "out").exists()
-
-
-def test_phantom_spec_with_an_unknown_field_exits_2(tmp_path, capsys):
-    payload = phantom.random_spec(3, dims=(10, 16, 16), n_lesions=1).to_json_dict()
-    payload["noise_sigma"] = 40  # meant noise_sigma_hu
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(payload))
-    assert main(["phantom", "--count", "1", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == f"error: {spec_path}: unknown field(s): noise_sigma\n"
-    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

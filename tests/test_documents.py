@@ -1,7 +1,7 @@
-"""Property test of the parse boundary over the five kinds of JSON document.
+"""Property test of the parse boundary over the four kinds of JSON document.
 
 Each example mutates one valid document (grid header, severity report,
-phantom spec, train config, checkpoint manifest) at one place: it drops a
+train config, checkpoint manifest) at one place: it drops a
 key, changes a type, inserts NaN or an infinity, negates a number, makes a
 list too long or too short, nests a value one level too deep, or puts a
 value nested deeper than the JSON decoder can follow in its place. A document
@@ -169,19 +169,6 @@ def test_mutated_report(cases, data):
 
 @EXAMPLES
 @given(data=st.data())
-def test_mutated_phantom_spec(cases, data):
-    spec = cases / "spec.json"
-    if not spec.exists():
-        spec.write_text(json.dumps(phantom.random_spec(3, dims=(10, 16, 16), n_lesions=2).to_json_dict()))
-    with replaced(spec, mutated(data, json.loads(spec.read_text()))):
-        rejected = reject_message(
-            functools.partial(read_json, build=phantom.PhantomSpec.from_json_dict), spec)
-        code, err = run(["phantom", "--count", "1", "--spec", spec, "--out", cases / "phantoms"])
-    check_outcome(code, err, spec, rejected)
-
-
-@EXAMPLES
-@given(data=st.data())
 def test_mutated_train_config(cases, data):
     # One case is too few to train on, so a config that reads fails fast, with exit 2.
     data_dir = cases / "one_case"
@@ -215,7 +202,7 @@ def test_mutated_checkpoint_manifest(cases, data):
             assert sum(t.data.size for t in params.values()) * 8 == base.with_suffix(".raw").stat().st_size
 
 
-@pytest.mark.parametrize("kind", ["grid_header", "report", "phantom_spec", "train_config", "checkpoint_manifest"])
+@pytest.mark.parametrize("kind", ["grid_header", "report", "train_config", "checkpoint_manifest"])
 def test_deeply_nested_document_exits_2(cases, kind, tmp_path):
     """A document nested deeper than the JSON decoder can follow is ill-formed
     JSON, not a broken invariant."""
@@ -226,8 +213,6 @@ def test_deeply_nested_document_exits_2(cases, kind, tmp_path):
             "--abnorm", case_dir / "abnorm", "--out", tmp_path / "report.json"]),
         "report": (cases / "pred" / "case_1.json", [
             "evaluate", "--gt", cases / "gt", "--pred", cases / "pred", "--out", tmp_path / "s.json"]),
-        "phantom_spec": (tmp_path / "spec.json", [
-            "phantom", "--count", "1", "--spec", tmp_path / "spec.json", "--out", tmp_path / "phantoms"]),
         "train_config": (tmp_path / "train.json", ["train-toy", "--config", tmp_path / "train.json"]),
         "checkpoint_manifest": (tmp_path / "ckpt.json", None),  # no command reads a checkpoint
     }[kind]

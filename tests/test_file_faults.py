@@ -51,7 +51,7 @@ ARGV = {
                    "--out", "out/pre", "--box", "4,8,8"],
     "evaluate": ["evaluate", "--gt", "gt", "--pred", "pred", "--positive-list", "positives.txt",
                  "--out", "out/summary.json"],
-    "phantom": ["phantom", "--spec", f"{CASE}/spec.json", "--count", "1", "--out", "out/phantom"],
+    "phantom": ["phantom", "--count", "1", "--dims", "8,32,32", "--noise-sigma", "10", "--out", "out/phantom"],
     "train-toy": ["train-toy", "--config", "train.json"],
 }
 
@@ -60,12 +60,12 @@ def _grid_files(grids):
     return [f"{CASE}/{grid}{suffix}" for grid in grids for suffix in (".json", ".raw")]
 
 
-# Each input file a command reads, relative to the directory it runs in.
+# Each input file a command reads, relative to the directory it runs in;
+# phantom reads none.
 READS = {
     "quantify": _grid_files(GRIDS),
     "preprocess": _grid_files(GRIDS[:2]),
     "evaluate": ["gt/case_000.json", "pred/case_000.json", "positives.txt"],
-    "phantom": [f"{CASE}/spec.json"],
     "train-toy": ["train.json", *_grid_files(GRIDS)],
 }
 

@@ -73,16 +73,6 @@ def test_spec_rejects_small_dims():
         )
 
 
-def test_spec_rejects_bad_cut_fractions():
-    with pytest.raises(InputError):
-        PhantomSpec(
-            dims=(12, 20, 20),
-            spacing_mm=(1.0, 1.0, 1.0),
-            lungs=simple_spec().lungs,
-            right_cut_fractions=(0.7, 0.3),
-        )
-
-
 def test_lesion_intensity_class_bounds():
     shape = Ellipsoid((8, 9, 5), (2, 2, 2))
     with pytest.raises(InputError):
@@ -99,12 +89,14 @@ def test_lesion_intensity_class_bounds():
     "field, build",
     [
         ("radii_mm", lambda: Ellipsoid((8.0, 9.0, 5.0), (1, -1, 1))),
+        ("radii_mm", lambda: Ellipsoid((8.0, 9.0, 5.0), ("big", 1, 1))),
         ("center_mm", lambda: Ellipsoid((8.0, float("nan"), 5.0), (1, 1, 1))),
         ("type", lambda: Lesion(Ellipsoid((8, 9, 5), (2, 2, 2)), -500.0, "fibrosis")),
         ("spacing_mm", lambda: replace(simple_spec(), spacing_mm=(1, 0, 1))),
         ("dims", lambda: replace(simple_spec(), dims=(12, 20, 7))),
         ("noise_sigma_hu", lambda: replace(simple_spec(), noise_sigma_hu=-1.0)),
         ("seed", lambda: replace(simple_spec(), seed=1.5)),
+        ("lungs", lambda: replace(simple_spec(), spacing_mm=(1.5, 1.0, 20.0))),  # x centres step over both lungs
     ],
 )
 def test_spec_values_are_rejected_naming_their_field(field, build):
@@ -123,15 +115,6 @@ def test_noise_margin_enforced():
         simple_spec(lesions=(near_consol,), noise=5.0)
     with pytest.raises(InputError):
         simple_spec(lesions=(near_ggo,), noise=5.0)
-
-
-def test_spec_json_round_trip():
-    spec = random_spec(3, noise_sigma_hu=6.0)
-    d = json.loads(json.dumps(spec.to_json_dict()))
-    assert PhantomSpec.from_json_dict(d) == spec
-    assert PhantomSpec.from_json_dict(spec.to_json_dict()) == spec
-    with pytest.raises(InputError):
-        PhantomSpec.from_json_dict({"dims": [8, 8, 8]})
 
 
 # ---------------------------------------------------------------------------
