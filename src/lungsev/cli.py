@@ -131,6 +131,23 @@ def cmd_quantify(args: argparse.Namespace) -> int:
 # evaluate
 # ---------------------------------------------------------------------------
 
+# evaluate reads every file in --gt and --pred whose name matches this.
+REPORT_GLOB = "*.json"
+
+
+def _unlisted(outputs: list, directories: list) -> None:
+    """Refuse a (name, path) output that a later read of one of the (flag,
+    directory) report directories would list as a report: a REPORT_GLOB name
+    in that directory. The file need not exist yet, so only its resolved
+    directory and its name are compared."""
+    for name, path in outputs:
+        if Path(path).match(REPORT_GLOB):
+            parent = os.path.realpath(Path(path).parent)
+            for flag, directory in directories:
+                if parent == os.path.realpath(directory):
+                    raise InputError(f"{name} {path} would be read as a report of {flag} {directory}")
+
+
 def _read_report_dir(directory: str, paths: list[Path]) -> dict[str, SeverityReport]:
     """The reports at `paths`, the report files listed in `directory`."""
     path = Path(directory)
@@ -172,13 +189,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     from .evaluate import evaluate_reports, scatter_rows, write_scatter_csv
 
     # A directory that is missing lists no file here; its reader names it.
-    reports = {flag: sorted(Path(directory).glob("*.json"))
-               for flag, directory in (("--gt", args.gt), ("--pred", args.pred))}
+    directories = [("--gt", args.gt), ("--pred", args.pred)]
+    reports = {flag: sorted(Path(directory).glob(REPORT_GLOB)) for flag, directory in directories}
     outputs = [("--out", args.out)] + ([("--scatter", args.scatter)] if args.scatter else [])
     inputs = [(flag, path) for flag, paths in reports.items() for path in paths]
     if args.positive_list:
         inputs.append(("--positive-list", args.positive_list))
     _distinct(outputs, inputs)
+    _unlisted(outputs, directories)
     gt = _read_report_dir(args.gt, reports["--gt"])
     pred = _read_report_dir(args.pred, reports["--pred"])
     positives = _read_id_list(args.positive_list, gt) if args.positive_list else None
@@ -260,11 +278,12 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 TRAIN_FIELDS = ("data_dir", "epochs", "out_checkpoint", "out_loss_csv", "seed")
 
-def _load_cases(source, data_dir: str) -> list[tuple[Volume, LabelMask, LabelMask]]:
-    """Each case under data_dir, a field of the config file `source`; a case whose
-    three grids differ in dims or spacing, or whose dims are not multiples of the
-    network's cumulative stride, stops the read with an error naming it, and so
-    do fewer than MIN_TRAIN_CASES cases."""
+def _load_cases(source, data_dir: str) -> tuple[list[tuple[Volume, LabelMask, LabelMask]], list]:
+    """Each case under data_dir, a field of the config file `source`, and the
+    ("data_dir", path) of every file read for them; a case whose three grids
+    differ in dims or spacing, or whose dims are not multiples of the network's
+    cumulative stride, stops the read with an error naming it, and so do fewer
+    than MIN_TRAIN_CASES cases."""
     from .toynet.network import CUMULATIVE_STRIDE as stride
     from .toynet.train import MIN_TRAIN_CASES
 
@@ -288,7 +307,16 @@ def _load_cases(source, data_dir: str) -> list[tuple[Volume, LabelMask, LabelMas
     if len(cases) < MIN_TRAIN_CASES:
         raise InputError(
             f"{source}: data_dir: need at least {MIN_TRAIN_CASES} case directories in {data_dir}, got {len(cases)}")
-    return cases
+    files = [("data_dir", path) for case_dir in case_dirs for grid in ("volume", "lobes", "abnorm")
+             for path in _paths_for(case_dir / grid)]
+    return cases, files
+
+
+def _train_outputs(run: dict) -> list:
+    """(name, path) of each file a train-toy run writes."""
+    manifest, payload = _paths_for(run["out_checkpoint"])
+    return [("out_checkpoint manifest", manifest), ("out_checkpoint payload", payload),
+            ("out_loss_csv", run["out_loss_csv"])]
 
 
 def _train_run(doc: dict) -> dict:
@@ -305,9 +333,7 @@ def _train_run(doc: dict) -> dict:
         "epochs": read_field(doc, "epochs", at_least(1)),
         **{f: read_field(doc, f, exactly(str)) for f in ("data_dir", "out_checkpoint", "out_loss_csv")},
     }
-    manifest, payload = _paths_for(run["out_checkpoint"])
-    _distinct([("out_checkpoint manifest", manifest), ("out_checkpoint payload", payload),
-               ("out_loss_csv", run["out_loss_csv"])])
+    _distinct(_train_outputs(run))
     return run
 
 
@@ -315,7 +341,8 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
     from .toynet import save_checkpoint, train, write_loss_csv
 
     run = read_json(args.config, _train_run)
-    cases = _load_cases(args.config, run["data_dir"])
+    cases, case_files = _load_cases(args.config, run["data_dir"])
+    _distinct(_train_outputs(run), [("--config", args.config), *case_files])
     checkpoint, loss_csv = _output(run["out_checkpoint"]), _output(run["out_loss_csv"])
     result = train(run["config"], cases, run["epochs"])
     save_checkpoint(result.params, checkpoint)

@@ -129,16 +129,20 @@ def lobe_score(fraction: float) -> int:
 def _count(v, lobes, abnorm) -> tuple:
     """Every count a report needs, summed over (hu, lobes, abnorm) z-slab
     triples: lung voxels, abnormal lung voxels and the high-opacity ones
-    among them; the same three counts per lobe label, as the rows of an
-    array indexed by label; and the HU min and max, which propagate NaN."""
-    n_labels = max(LOBE_LABELS) + 1
-    lung = abnormal = high_opacity = 0
-    per_label = np.zeros((3, n_labels), dtype=np.int64)
-    lo, hi = math.inf, -math.inf
-    for hu, lab, abn in zip(v.slabs(), lobes.slabs(), abnorm.slabs(), strict=True):
-        lo, hi = np.minimum(lo, hu.min()), np.maximum(hi, hu.max())
-        lung += np.count_nonzero(lab > 0)
-        per_label[0, LOBE_LABELS] += [np.count_nonzero(lab == label) for label in LOBE_LABELS]
+    among them per lobe label, as the rows of an array indexed by label;
+    and the HU min and max, which propagate NaN.
+
+    One slab triple is held at a time: each slab and its temporaries are
+    dropped before the next read, so the next slab takes their pages
+    instead of new ones. The three grids share their dims, so they have
+    the same number of slabs."""
+    labels = [label for label in lobes.allowed_labels if label > 0]  # each is lung, a lobe or not
+    per_label = np.zeros((3, max(*LOBE_LABELS, *labels) + 1), dtype=np.int64)
+    extent = [math.inf, -math.inf]
+    lobe_slabs, abn_slabs = lobes.slabs(), abnorm.slabs()
+    for hu in v.slabs(extent):
+        lab, abn = next(lobe_slabs), next(abn_slabs)
+        per_label[0, labels] += [np.count_nonzero(lab == label) for label in labels]
         # Abnormal voxels are a small share of a slab: gather labels and HU
         # there only, and keep those inside the lung (label > 0).
         abn_idx = np.flatnonzero(abn > 0)
@@ -146,11 +150,10 @@ def _count(v, lobes, abnorm) -> tuple:
         in_lung = abn_labels > 0
         abn_labels = abn_labels[in_lung]
         high = np.take(hu, abn_idx[in_lung]) >= HIGH_OPACITY_HU
-        abnormal += abn_labels.size
-        high_opacity += np.count_nonzero(high)
-        per_label[1] += np.bincount(abn_labels, minlength=n_labels)[:n_labels]
-        per_label[2] += np.bincount(abn_labels[high], minlength=n_labels)[:n_labels]
-    return (lung, abnormal, high_opacity), per_label, float(lo), float(hi)
+        per_label[1] += np.bincount(abn_labels, minlength=per_label.shape[1])
+        per_label[2] += np.bincount(abn_labels[high], minlength=per_label.shape[1])
+        del hu, lab, abn, abn_idx, abn_labels, in_lung, high
+    return per_label, float(extent[0]), float(extent[1])
 
 
 def _check_raw_hu(dtype: np.dtype, lo: float, hi: float) -> None:
@@ -180,8 +183,9 @@ def compute_report(
     in memory and a GridFile on disk take the one counting path, and a file
     is never held whole."""
     check_same_geometry(("volume", v), ("lobes", lobes), ("abnorm", abnorm))
-    (lung_count, n_abn_total, n_high_total), per_label, lo, hi = _count(v, lobes, abnorm)
+    per_label, lo, hi = _count(v, lobes, abnorm)
     _check_raw_hu(v.data.dtype, lo, hi)
+    lung_count, n_abn_total, n_high_total = per_label.sum(axis=1).tolist()
     if lung_count == 0:
         raise EmptyMaskError("lung mask is empty")
     voxel_mm3 = lobes.voxel_volume_mm3

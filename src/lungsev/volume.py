@@ -39,10 +39,12 @@ WINDOW_LEVEL_HU = -600.0
 WINDOW_WIDTH_HU = 1500.0
 
 # A slab is whole z-planes, at most this many voxels of them (one plane if a
-# plane alone is larger): 4 planes of a 512x512 grid, a small case in one.
-# On a 300x512x512 int16 chest (2-core VM) a quantify child peaked at 33-58 MB
-# with 1 to 8 planes, 79 MB with 16 and 130 MB with 32, all in 0.5-0.6 s.
-SLAB_VOXELS = 1 << 20
+# plane alone is larger): one plane of a 512x512 grid, a small case in one.
+# quantify holds one slab triple at a time, so on a 300x512x512 int16 chest
+# (2-core VM) its child peaks at 31 MB, 2 MB above importing lungsev.cli, with
+# under 1k more minor page faults than the import. With 4 planes per slab it
+# peaked at 38 MB, and at 42 MB while the previous slabs stayed alive.
+SLAB_VOXELS = 1 << 18
 
 
 def _round_half_away(x: float) -> int:
@@ -93,17 +95,27 @@ class Volume:
         sz, sy, sx = self.spacing_mm
         return sz * sy * sx
 
-    def slabs(self):
+    def slabs(self, extent: list | None = None):
         """The grid as consecutive z-slabs of whole planes, at most
         SLAB_VOXELS voxels each (one plane if a plane is larger): views of
-        the data, nothing copied."""
+        the data, nothing copied. Given `extent`, [lo, hi] so far, each
+        slab's min and max are folded into it before the slab is handed out."""
         planes = _slab_planes(self.dims)
         for z0 in range(0, self.dims[0], planes):
-            yield self.data[z0:z0 + planes]
+            slab = self.data[z0:z0 + planes]
+            if extent is not None:
+                _widen(extent, slab)
+            yield slab
 
 
 def _slab_planes(dims: tuple[int, int, int]) -> int:
     return max(1, SLAB_VOXELS // (dims[1] * dims[2]))
+
+
+def _widen(extent: list, data: np.ndarray) -> None:
+    """Fold the min and max of `data` into extent = [lo, hi]; a NaN propagates."""
+    extent[0] = np.minimum(extent[0], data.min())
+    extent[1] = np.maximum(extent[1], data.max())
 
 
 @dataclass(frozen=True)
@@ -177,10 +189,18 @@ def _paths_for(path: str | Path) -> tuple[Path, Path]:
     return p.with_name(p.name + ".json"), p.with_name(p.name + ".raw")
 
 
-def _check_finite_payload(data: np.ndarray, raw_path: Path) -> None:
+def _check_finite_payload(data: np.ndarray, raw_path: Path, extent: list | None = None) -> None:
     """Raise HeaderError naming `raw_path` if a float grid holds NaN or an
-    infinity. Min and max propagate both, so no full-size temporary is made."""
-    if data.dtype.kind == "f" and not (math.isfinite(data.min()) and math.isfinite(data.max())):
+    infinity. Min and max propagate both, so no full-size temporary is made.
+    Given `extent`, the grid's [lo, hi] so far, the min and max of `data`, of
+    any dtype, are folded into it and the check reads the folded pair, so a
+    caller that needs the range takes each reduction once."""
+    if extent is None:
+        if data.dtype.kind != "f":
+            return
+        extent = [math.inf, -math.inf]
+    _widen(extent, data)
+    if data.dtype.kind == "f" and not (math.isfinite(extent[0]) and math.isfinite(extent[1])):
         raise HeaderError(f"payload {raw_path} holds non-finite values")
 
 
@@ -236,18 +256,21 @@ class GridFile:
     dims = Volume.dims
     voxel_volume_mm3 = Volume.voxel_volume_mm3
 
-    def _read(self, raw, planes: int) -> np.ndarray:
-        """The next `planes` z-planes from the open payload file `raw`."""
+    def _read(self, raw, planes: int, extent: list | None = None) -> np.ndarray:
+        """The next `planes` z-planes from the open payload file `raw`,
+        checked as _check_finite_payload checks them with `extent`."""
         data = np.empty((planes, *self.dims[1:]), self.data.dtype)
         missing = data.nbytes - raw.readinto(data)
         if missing:
             raise HeaderError(f"payload {self.raw_path} ended {missing} bytes short of its header")
-        _check_finite_payload(data, self.raw_path)
+        _check_finite_payload(data, self.raw_path, extent)
         return data
 
-    def slabs(self):
+    def slabs(self, extent: list | None = None):
         """The payload as consecutive z-slabs, each read from the file as it
         is reached and checked; any fault is a HeaderError naming the header.
+        Given `extent`, [lo, hi] so far, each slab's min and max are folded
+        into it before the slab is handed out.
 
         A mask label outside the allowed set stops the reading; the rest of
         the file is then scanned, so the error names every such label."""
@@ -256,11 +279,12 @@ class GridFile:
         bad = set()
         with naming(self.header_path, HeaderError), open(self.raw_path, "rb") as raw:
             for z0 in range(0, nz, planes):
-                slab = self._read(raw, min(planes, nz - z0))
+                slab = self._read(raw, min(planes, nz - z0), extent)
                 if self.allowed_labels is not None:
                     bad |= _labels_outside(slab, self.allowed_labels)
                 if not bad:
                     yield slab
+                del slab  # so the next slab can take its pages
             if bad:
                 raise _labels_error(bad, self.allowed_labels)
 

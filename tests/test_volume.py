@@ -280,8 +280,8 @@ def test_mask_roundtrip(tmp_path):
 # Grid files read in z-slabs
 # ---------------------------------------------------------------------------
 
-# 9 planes of 512x512: the slab size fits 4 planes, so the slabs hold 4, 4 and 1.
-SLABBED_DIMS = (9, 512, 512)
+# 9 planes of 256x256: the slab size fits 4 planes, so the slabs hold 4, 4 and 1.
+SLABBED_DIMS = (9, 256, 256)
 
 
 def _slabbed_mask(tmp_path, bad=()):
