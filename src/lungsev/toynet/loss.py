@@ -11,11 +11,12 @@ SMOOTHING = 1.0
 def jaccard_loss(p: Tensor, target, lung) -> Tensor:
     """1 - (<p,y> + 1) / (<p,p> + <y,y> - <p,y> + 1), sums over lung voxels.
 
-    p holds positive-class probabilities; target and lung are binary arrays
-    of the same shape, cast to the dtype numpy promotes p, target and lung
-    to, so float32 p with float32 or bool masks stays float32. Voxels outside
-    the lung contribute nothing, so their gradient is exactly zero. The loss
-    is one tape node.
+    p holds positive-class probabilities; target and lung are 0/1 arrays of
+    the same shape, cast to the dtype numpy promotes p, target and lung to,
+    so float32 p with float32 or bool masks stays float32. The masks go
+    unchecked; training makes both from `> 0`. Voxels outside the lung
+    contribute nothing, so their gradient is exactly zero. The loss is one
+    tape node.
     """
     target, lung = np.asarray(target), np.asarray(lung)
     dtype = np.result_type(p.data, target, lung)
@@ -24,10 +25,6 @@ def jaccard_loss(p: Tensor, target, lung) -> Tensor:
         raise InputError(
             f"jaccard_loss: shapes differ: p {p.data.shape}, y {y.shape}, lung {m.shape}"
         )
-    if not np.all((y == 0) | (y == 1)):
-        raise InputError("jaccard_loss: target must be binary")
-    if not np.all((m == 0) | (m == 1)):
-        raise InputError("jaccard_loss: lung mask must be binary")
     if not (p.data.min() >= 0.0 and p.data.max() <= 1.0):  # NaN fails both
         raise InputError("jaccard_loss: probabilities must lie in [0,1]")
 
@@ -39,10 +36,8 @@ def jaccard_loss(p: Tensor, target, lung) -> Tensor:
     den = (s_pp + -s_py) + (ym.sum() + SMOOTHING)
 
     def back(g):
-        # <pm,pm> adds its gradient once per factor; the checkpoint bytes
-        # depend on this order of sums, so it is not folded into 2*g_den*pm
         g_num = -g / den
         g_den = g * num / (den * den)
-        _accum(p, (g_den * pm + g_den * pm + (g_num + -g_den) * ym) * m)
+        _accum(p, (2 * g_den * pm + (g_num + -g_den) * ym) * m)
 
     return _result(np.asarray(-(num / den) + 1.0), (p,), back)

@@ -54,25 +54,28 @@ class NetConfig:
 
 
 def init_params(config: NetConfig) -> dict[str, Tensor]:
-    """Fan-in-scaled uniform weights, zero biases, unit norm scales; seeded."""
+    """Fan-in-scaled uniform weights, zero biases, unit norm scales; seeded.
+    The stem and the transpose convs carry no bias, as each feeds a channel_norm,
+    which removes any per-channel constant; every other conv carries one."""
     rng = np.random.default_rng(config.seed)
     params: dict[str, Tensor] = {}
 
-    def conv_p(name, c_in, c_out, kernel, transpose=False):
+    def conv_p(name, c_in, c_out, kernel, transpose=False, bias=True):
         """Weights uniform within sqrt(1/fan_in), fan_in = c_in * kernel volume,
         laid out (C_out, C_in, ...) for a conv and (C_in, C_out, ...) for a
-        transpose conv; a zero bias over the output channels."""
+        transpose conv; with bias, a zero bias over the output channels."""
         bound = math.sqrt(1.0 / (c_in * math.prod(kernel)))
         shape = (c_in, c_out, *kernel) if transpose else (c_out, c_in, *kernel)
         params[f"{name}.w"] = Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-        params[f"{name}.b"] = Tensor(np.zeros(c_out), requires_grad=True)
+        if bias:
+            params[f"{name}.b"] = Tensor(np.zeros(c_out), requires_grad=True)
 
     def norm_p(name, c):
         params[f"{name}.gamma"] = Tensor(np.ones(c), requires_grad=True)
         params[f"{name}.beta"] = Tensor(np.zeros(c), requires_grad=True)
 
     ch = ENCODER_CHANNELS
-    conv_p("stem", IN_CHANNELS, ch[0], STEM_KERNEL)
+    conv_p("stem", IN_CHANNELS, ch[0], STEM_KERNEL, bias=False)
     norm_p("stem.norm", ch[0])
 
     for k, stride in enumerate(DOWNSAMPLE_STRIDES, 1):
@@ -85,7 +88,7 @@ def init_params(config: NetConfig) -> dict[str, Tensor]:
 
     for k, stride in reversed(list(enumerate(DOWNSAMPLE_STRIDES, 1))):
         kernel = STAGE_KERNEL[stride]
-        conv_p(f"dec{k}.up", ch[k], ch[k - 1], stride, transpose=True)
+        conv_p(f"dec{k}.up", ch[k], ch[k - 1], stride, transpose=True, bias=False)
         norm_p(f"dec{k}.norm", 2 * ch[k - 1])
         conv_p(f"dec{k}", 2 * ch[k - 1], ch[k - 1], kernel)
 
@@ -122,7 +125,7 @@ def net_forward(x: Tensor, params: dict, config: NetConfig) -> Tensor:
             f"cumulative stride {CUMULATIVE_STRIDE}"
         )
 
-    h = conv3d(x, params["stem.w"], params["stem.b"])
+    h = conv3d(x, params["stem.w"])
     h = _norm(h, params, "stem.norm")
     h = leaky_relu(h)
 
@@ -133,7 +136,7 @@ def net_forward(x: Tensor, params: dict, config: NetConfig) -> Tensor:
         h = dense_block(h, params, k)
 
     for k, stride in reversed(list(enumerate(DOWNSAMPLE_STRIDES, 1))):
-        h = transpose_conv3d(h, params[f"dec{k}.up.w"], params[f"dec{k}.up.b"], stride)
+        h = transpose_conv3d(h, params[f"dec{k}.up.w"], stride)
         h = concat([h, skips[k - 1]], axis=1)
         h = _norm(h, params, f"dec{k}.norm")
         h = leaky_relu(h)

@@ -25,7 +25,8 @@ Weight layouts:
     transpose_conv3d  w: (C_in, C_out, kz, ky, kx)
 
 so a transpose conv with a conv's weights maps conv-output space back to
-conv-input space.
+conv-input space. conv3d adds its optional bias per output channel;
+transpose_conv3d takes none.
 """
 
 import math
@@ -42,15 +43,13 @@ NORM_EPS = 1e-5
 _STRIDE = entries(at_least(1), 3)
 
 
-def _conv_args(op, x, w, bias, stride, in_axis):
+def _conv_args(op, x, w, stride, in_axis):
     """The checked stride and the per-side pad (k - s) / 2 of a conv op whose
     weights w hold the input's channels on in_axis (0 or 1) and the output's on the other."""
     if x.ndim != 5 or w.ndim != 5 or x.size == 0:
         raise InputError(f"{op} expects nonempty 5-d tensors, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[in_axis]:
         raise InputError(f"{op}: input has {x.shape[1]} channels, weights expect {w.shape[in_axis]}")
-    if bias.shape != (w.shape[1 - in_axis],):
-        raise InputError(f"{op}: bias shape {bias.shape} != ({w.shape[1 - in_axis]},)")
     stride, kernel = checked("stride", stride, _STRIDE), w.shape[2:]
     if any(k < s or (k - s) % 2 for k, s in zip(kernel, stride)):
         raise InputError(f"{op}: kernel {kernel} does not fit stride {stride}; need k >= s, k - s even")
@@ -109,41 +108,40 @@ def _weight_grad(a, grid, kernel, stride):
     return dw.reshape(co, grid.shape[1], *kernel)
 
 
-def conv3d(x: Tensor, w: Tensor, bias: Tensor, stride=(1, 1, 1)) -> Tensor:
-    stride, pad = _conv_args("conv3d", x.data, w.data, bias.data, stride, 1)
+def conv3d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=(1, 1, 1)) -> Tensor:
+    stride, pad = _conv_args("conv3d", x.data, w.data, stride, 1)
     if any(n % s for n, s in zip(x.data.shape[2:], stride)):
         raise InputError(f"conv3d: input dims {x.data.shape[2:]} are not multiples of stride {stride}")
+    if bias is not None and bias.data.shape != w.data.shape[:1]:
+        raise InputError(f"conv3d: bias shape {bias.data.shape} != ({w.data.shape[0]},)")
     kernel = w.data.shape[2:]
     out = _correlate(_pad(x.data, pad), w.data, stride)
-    out += bias.data.reshape(1, -1, 1, 1, 1)
+    if bias is not None:
+        out += bias.data.reshape(1, -1, 1, 1, 1)
 
     def back(g):
         if w.requires_grad:
             _accum(w, _weight_grad(g, _pad(x.data, pad), kernel, stride))
-        if bias.requires_grad:
+        if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3, 4)))
         if x.requires_grad:
             _accum(x, _scatter(g, w.data, stride, pad))
 
-    return _result(out, (x, w, bias), back)
+    return _result(out, (x, w) if bias is None else (x, w, bias), back)
 
 
-def transpose_conv3d(x: Tensor, w: Tensor, bias: Tensor, stride) -> Tensor:
-    stride, pad = _conv_args("transpose_conv3d", x.data, w.data, bias.data, stride, 0)
+def transpose_conv3d(x: Tensor, w: Tensor, stride) -> Tensor:
+    stride, pad = _conv_args("transpose_conv3d", x.data, w.data, stride, 0)
     kernel = w.data.shape[2:]
-    out = _scatter(x.data, w.data, stride, pad)
-    out += bias.data.reshape(1, -1, 1, 1, 1)
 
     def back(g):
         gp = _pad(g, pad)
         if w.requires_grad:
             _accum(w, _weight_grad(x.data, gp, kernel, stride))
-        if bias.requires_grad:
-            _accum(bias, g.sum(axis=(0, 2, 3, 4)))
         if x.requires_grad:
             _accum(x, _correlate(gp, w.data, stride))
 
-    return _result(out, (x, w, bias), back)
+    return _result(_scatter(x.data, w.data, stride, pad), (x, w), back)
 
 
 def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -155,13 +153,8 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         raise InputError(f"channel_norm: affine params must have shape ({c},)")
     axes = (0, 2, 3, 4)
     n = x.data.size / c
-    # mu and var divide as ndarray.mean and ndarray.var do, so x - mu is made once
-    count = np.intp(x.data.size // c)
-    mu = x.data.sum(axis=axes, keepdims=True)
-    np.true_divide(mu, count, out=mu, casting="unsafe")
-    xc = x.data - mu
-    var = (xc * xc).sum(axis=axes, keepdims=True)
-    np.true_divide(var, count, out=var, casting="unsafe")
+    xc = x.data - x.data.mean(axis=axes, keepdims=True)
+    var = (xc * xc).mean(axis=axes, keepdims=True)
     inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = np.multiply(xc, inv, out=xc)
     gview = gamma.data.reshape(1, c, 1, 1, 1)
