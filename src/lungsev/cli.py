@@ -12,15 +12,13 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 # phantom, evaluate and toynet are imported inside the commands that run
 # them, so that a quantify or preprocess process does not load them.
-from .errors import InputError, LungSevError, at_least, entries, exactly, nonnegative
-from .errors import only_fields, read_field, read_json
+from .errors import EmptyMaskError, HeaderError, InputError, LungSevError, at_least, entries, exactly
+from .errors import nonnegative, only_fields, read_field, read_json
 from .severity import SeverityReport, compute_report
 from .volume import (
-    AIR_HU,
+    WINDOWED_AIR,
     LabelMask,
     Volume,
     _paths_for,
@@ -41,9 +39,6 @@ log = logging.getLogger("lungsev.cli")
 
 DEFAULT_BOX = (384, 384, 384)
 
-# z-y-x target spacing for the standard preprocessing chain.
-RESAMPLE_SPACING_MM = (3.0, 1.0, 1.0)
-
 
 def _flag(check, parse=float):
     """An argparse type that parses a flag's text and passes it through an
@@ -58,6 +53,12 @@ def _flag(check, parse=float):
 
 def _ints(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
+
+
+def _phantom_dims(dims) -> tuple[int, int, int]:
+    from .phantom import MIN_DIM  # loaded only when a phantom's --dims is parsed
+
+    return entries(at_least(MIN_DIM), 3)(dims)
 
 
 def _output(path):
@@ -113,7 +114,14 @@ def cmd_quantify(args: argparse.Namespace) -> int:
     check_same_geometry((args.volume, volume), (args.lobes, lobes), (args.abnorm, abnorm))
     _distinct([("--out", args.out)],
               _grid_files(("--volume", volume), ("--lobes", lobes), ("--abnorm", abnorm)))
-    report = compute_report(volume, lobes, abnorm)
+    try:
+        report = compute_report(volume, lobes, abnorm)
+    except HeaderError:  # a payload fault, which names its file already
+        raise
+    except EmptyMaskError as exc:
+        raise EmptyMaskError(f"--lobes {args.lobes}: {exc}") from exc
+    except InputError as exc:  # the raw-HU checks
+        raise InputError(f"--volume {args.volume}: {exc}") from exc
     elapsed = time.perf_counter() - t0
 
     payload = report.to_json_dict()
@@ -167,7 +175,7 @@ def _quoted(text: str) -> str:
     return repr(text) if len(text) <= QUOTE_CHARS else repr(text[:QUOTE_CHARS]) + "..."
 
 
-def _read_id_list(path: str, known: dict[str, SeverityReport]) -> list[str]:
+def _read_id_list(path: str, known: dict[str, SeverityReport], min_cases: int) -> list[str]:
     # A byte order mark is not part of the first id; undecodable bytes name no case.
     text = Path(path).read_text(encoding="utf-8-sig", errors="backslashreplace")
     ids = {}
@@ -180,13 +188,14 @@ def _read_id_list(path: str, known: dict[str, SeverityReport]) -> list[str]:
         if case_id not in known:
             raise InputError(f"{path}: line {number}: unknown case id {_quoted(case_id)}")
         ids[case_id] = None
-    if not ids:
-        raise InputError(f"{path}: the positive list is empty")
+    if len(ids) < min_cases:
+        raise InputError(
+            f"--positive-list {path}: need at least {min_cases} positive cases for correlations, got {len(ids)}")
     return list(ids)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from .evaluate import evaluate_reports, scatter_rows, write_scatter_csv
+    from .evaluate import MIN_CASES, evaluate_reports, scatter_rows, write_scatter_csv
 
     # A directory that is missing lists no file here; its reader names it.
     directories = [("--gt", args.gt), ("--pred", args.pred)]
@@ -199,8 +208,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _unlisted(outputs, directories)
     gt = _read_report_dir(args.gt, reports["--gt"])
     pred = _read_report_dir(args.pred, reports["--pred"])
-    positives = _read_id_list(args.positive_list, gt) if args.positive_list else None
-    summary = evaluate_reports(gt, pred, positives)
+    positives = _read_id_list(args.positive_list, gt, MIN_CASES) if args.positive_list else None
+    try:
+        summary = evaluate_reports(gt, pred, positives)
+    except InputError as exc:  # the positive list is checked, so the two directories do not pair
+        raise InputError(f"--gt {args.gt} and --pred {args.pred}: {exc}") from exc
 
     out = _output(Path(args.out))
     out.write_text(json.dumps(summary.to_json_dict(), indent=2, allow_nan=False) + "\n")
@@ -220,8 +232,7 @@ def cmd_phantom(args: argparse.Namespace) -> int:
 
     given = {"dims": args.dims, "noise_sigma_hu": args.noise_sigma}
     given = {key: value for key, value in given.items() if value is not None}  # random_spec has the defaults
-    out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
+    out_root = Path(args.out)  # write_case makes it, with the first case
     for index in range(args.count):
         spec = phantom_mod.random_spec(args.seed + index, **given)
         case = phantom_mod.generate(spec)
@@ -236,18 +247,6 @@ def cmd_phantom(args: argparse.Namespace) -> int:
 # preprocess
 # ---------------------------------------------------------------------------
 
-def _windowed_float32(volume: Volume) -> Volume:
-    """The lung-windowed float32 grid; the float64 window dies on return."""
-    normed = clip_normalize(volume)
-    return Volume(normed.data.astype(np.float32), normed.spacing_mm)
-
-
-# Air after the window, as a float32 voxel holds it: padding the windowed
-# grid with it writes the bytes that padding with air in HU, then windowing,
-# would write.
-WINDOWED_AIR = float(_windowed_float32(Volume(np.full((1, 1, 1), AIR_HU), RESAMPLE_SPACING_MM)).data[0, 0, 0])
-
-
 def cmd_preprocess(args: argparse.Namespace) -> int:
     """Resample, window, then crop. The two headers and their geometry are
     checked first; the lobe mask is read, reduced to its centre and dropped
@@ -258,14 +257,11 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     check_same_geometry((args.volume, volume_file), (args.lobes, lobes_file))
     _distinct([("--out", path) for path in _paths_for(args.out)],
               _grid_files(("--volume", volume_file), ("--lobes", lobes_file)))
-    lobes = read_mask(args.lobes)
-    center = lung_center(resample_mask(lobes, RESAMPLE_SPACING_MM))
-    del lobes
-    volume = read_volume(args.volume)
-    v_res = resample(volume, RESAMPLE_SPACING_MM)
-    del volume
-    image = _windowed_float32(v_res)
-    del v_res
+    try:
+        center = lung_center(resample_mask(read_mask(args.lobes)))
+    except EmptyMaskError as exc:
+        raise EmptyMaskError(f"--lobes {args.lobes}: {exc}") from exc
+    image = clip_normalize(resample(read_volume(args.volume)))
     out_volume = crop_box(image, center, args.box, pad_value=WINDOWED_AIR)
     write_volume(out_volume, _output(args.out))
     print(f"preprocessed {args.volume} -> {args.out} dims={out_volume.dims}")
@@ -392,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_phantom.add_argument("--out", required=True)
     p_phantom.add_argument("--count", type=_flag(at_least(1), int), required=True)
     p_phantom.add_argument("--seed", type=_flag(at_least(0), int), default=0)
-    p_phantom.add_argument("--dims", type=_flag(entries(at_least(1), 3), _ints))
+    p_phantom.add_argument("--dims", type=_flag(_phantom_dims, _ints))
     p_phantom.add_argument("--noise-sigma", type=_flag(nonnegative), dest="noise_sigma")
     p_phantom.set_defaults(func=cmd_phantom)
 

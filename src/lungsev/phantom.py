@@ -38,6 +38,8 @@ BACKGROUND_HU = -1024.0
 LUNG_PARENCHYMA_HU = -850.0
 # z-y-x voxel spacing of a random_spec case.
 RANDOM_SPACING_MM = (1.5, 1.0, 1.0)
+# Each axis of a phantom grid has at least this many voxels.
+MIN_DIM = 8
 
 LESION_KINDS = ("ggo", "consolidation")
 
@@ -126,7 +128,7 @@ _SPEC_CHECKS = {
     "shape": exactly(Ellipsoid),
     "intensity_hu": finite,
     "type": one_of(*LESION_KINDS),
-    "dims": entries(at_least(8), 3),
+    "dims": entries(at_least(MIN_DIM), 3),
     "spacing_mm": entries(positive, 3),
     "lungs": entries(exactly(Ellipsoid), 2),
     "lesions": entries(exactly(Lesion)),

@@ -136,13 +136,12 @@ def _count(v, lobes, abnorm) -> tuple:
     dropped before the next read, so the next slab takes their pages
     instead of new ones. The three grids share their dims, so they have
     the same number of slabs."""
-    labels = [label for label in lobes.allowed_labels if label > 0]  # each is lung, a lobe or not
-    per_label = np.zeros((3, max(*LOBE_LABELS, *labels) + 1), dtype=np.int64)
+    per_label = np.zeros((3, LOBE_LABELS[-1] + 1), dtype=np.int64)
     extent = [math.inf, -math.inf]
     lobe_slabs, abn_slabs = lobes.slabs(), abnorm.slabs()
     for hu in v.slabs(extent):
         lab, abn = next(lobe_slabs), next(abn_slabs)
-        per_label[0, labels] += [np.count_nonzero(lab == label) for label in labels]
+        per_label[0, LOBE_LABELS] += [np.count_nonzero(lab == label) for label in LOBE_LABELS]
         # Abnormal voxels are a small share of a slab: gather labels and HU
         # there only, and keep those inside the lung (label > 0).
         abn_idx = np.flatnonzero(abn > 0)

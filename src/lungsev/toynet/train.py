@@ -54,8 +54,8 @@ def _prepare(case, augment=None):
     """Network input, target and lung arrays for one (volume, lobes, abnorm)
     case, all float32, the masks 0/1: with an augment (shift, axis), the
     image is shifted, then image and masks are flipped together; the image
-    is windowed last, in float64, and then cast to float32, the bytes
-    `preprocess` writes. The network computes in the dtype of its input."""
+    is windowed last, by clip_normalize, into the float32 bytes `preprocess`
+    writes. The network computes in the dtype of its input."""
     volume, lobes, abnorm = case
     image = volume.data.astype(np.float64)
     target = (abnorm.data > 0).astype(np.float32)
@@ -65,7 +65,7 @@ def _prepare(case, augment=None):
         image = image + shift
         if axis is not None:
             image, target, lung = (np.flip(a, axis) for a in (image, target, lung))
-    x = clip_normalize(Volume(image, volume.spacing_mm)).data.astype(np.float32)
+    x = clip_normalize(Volume(image, volume.spacing_mm)).data
     return x[None, None], target[None, None], lung[None, None]
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyMaskError, GeometryError, HeaderError, InputError
-from .errors import at_least, checked, entries, finite, naming, one_of, positive, read_field, read_json
+from .errors import at_least, checked, entries, finite, naming, one_of, read_field, read_json
 
 # Raw-file dtypes; the sidecar header names them by these strings.
 _HEADER_DTYPES = {
@@ -32,7 +32,12 @@ _HEADER_DTYPES = {
 }
 
 LOBE_LABELS = (1, 2, 3, 4, 5)  # 1=RU, 2=RM, 3=RL, 4=LU, 5=LL
+# The check on a mask's allowed labels: a lobe mask's, or an abnormality mask's.
+_label_sets = one_of(LOBE_LABELS, (1,))
 AIR_HU = -1024.0
+
+# z-y-x spacing that resample and resample_mask put every grid on.
+RESAMPLE_SPACING_MM = (3.0, 1.0, 1.0)
 
 # The lung window clip_normalize maps onto [0, 1]: [-1350, 150] HU.
 WINDOW_LEVEL_HU = -600.0
@@ -45,11 +50,6 @@ WINDOW_WIDTH_HU = 1500.0
 # under 1k more minor page faults than the import. With 4 planes per slab it
 # peaked at 38 MB, and at 42 MB while the previous slabs stayed alive.
 SLAB_VOXELS = 1 << 18
-
-
-def _round_half_away(x: float) -> int:
-    """Round to nearest integer, ties away from zero (deterministic)."""
-    return int(math.floor(x + 0.5)) if x >= 0 else int(math.ceil(x - 0.5))
 
 
 @dataclass(frozen=True)
@@ -125,41 +125,36 @@ class LabelMask(Volume):
     Label semantics: 0 = background; for lobe masks 1..5 are the five lung
     lobes (three right, two left); for abnormality masks 1 = abnormal.
 
-    Construction checks every voxel against the allowed labels (0 is always
-    allowed). When they form a contiguous range, as LOBE_LABELS and (1,) do,
-    a min/max range check suffices; np.unique runs only when that check
-    fails or the allowed set has gaps, to name the offending labels.
+    allowed_labels is LOBE_LABELS or (1,); construction checks every voxel
+    against it and 0.
     """
 
     allowed_labels: tuple[int, ...] = field(default=LOBE_LABELS)
 
     def __post_init__(self):
         super().__post_init__()
-        allowed = _mask_labels(self.data.dtype, self.allowed_labels)
-        bad = _labels_outside(self.data, allowed)
+        bad = _labels_outside(self.data, _mask_labels(self.data.dtype, self.allowed_labels))
         if bad:
-            raise _labels_error(bad, allowed)
-        object.__setattr__(self, "allowed_labels", allowed)
+            raise _labels_error(bad, self.allowed_labels)
 
 
 def _mask_labels(dtype: np.dtype, allowed_labels) -> tuple[int, ...]:
-    """The sorted allowed labels with 0 added, for a mask of `dtype`, which must be integer."""
+    """`allowed_labels`, LOBE_LABELS or (1,), for a mask of `dtype`, which must be integer."""
     if not np.issubdtype(dtype, np.integer):
         raise InputError(f"mask dtype must be integer, got {dtype}")
-    return tuple(sorted({0, *map(int, allowed_labels)}))
+    return checked("allowed_labels", allowed_labels, _label_sets)
 
 
 def _labels_outside(data: np.ndarray, allowed: tuple[int, ...]) -> set[int]:
-    """The labels in `data` outside `allowed`. When `allowed` is a contiguous
-    range a min/max check suffices; np.unique runs only when it fails."""
-    contiguous = allowed[-1] - allowed[0] == len(allowed) - 1
-    if contiguous and allowed[0] <= int(data.min()) and int(data.max()) <= allowed[-1]:
+    """The labels in `data` other than 0 and `allowed`. A min/max check
+    suffices for a range from 0; np.unique runs only when it fails, to name them."""
+    if 0 <= int(data.min()) and int(data.max()) <= allowed[-1]:
         return set()
-    return set(np.unique(data).tolist()) - set(allowed)
+    return set(np.unique(data).tolist()) - {0, *allowed}
 
 
 def _labels_error(bad: set[int], allowed: tuple[int, ...]) -> InputError:
-    return InputError(f"mask contains labels {sorted(bad)} outside allowed set {allowed}")
+    return InputError(f"mask contains labels {sorted(bad)} outside allowed set {(0, *allowed)}")
 
 
 def check_same_geometry(first: tuple[str, Volume], *others: tuple[str, Volume]) -> None:
@@ -250,7 +245,7 @@ class GridFile:
         # Volume checks the dims and spacing, reading no voxel of the shell.
         object.__setattr__(self, "spacing_mm", Volume(self.data, self.spacing_mm).spacing_mm)
         if self.allowed_labels is not None:
-            object.__setattr__(self, "allowed_labels", _mask_labels(self.data.dtype, self.allowed_labels))
+            _mask_labels(self.data.dtype, self.allowed_labels)
 
     # Volume's geometry accessors, which read only data.shape and spacing_mm.
     dims = Volume.dims
@@ -315,43 +310,42 @@ def open_volume(path: str | Path) -> GridFile:
 
 
 def open_mask(path: str | Path, allowed_labels: tuple[int, ...] = LOBE_LABELS) -> GridFile:
-    """The mask file pair at `path`, its header checked as read_mask checks it."""
-    return _open_grid(path, allowed_labels)
+    """The mask file pair at `path`, its header checked as read_mask checks it;
+    a label set other than the two is refused before either file is read."""
+    return _open_grid(path, checked("allowed_labels", allowed_labels, _label_sets))
 
 
-def _read_grid(path: str | Path, make):
-    """make(data, spacing_mm) for the grid file pair at `path`; any fault in
+def _read_grid(grid: GridFile, make):
+    """make(data, spacing_mm) for the whole payload of `grid`; any fault in
     either file is a HeaderError that names the header file."""
-    grid = _open_grid(path, None)
     with naming(grid.header_path, HeaderError), open(grid.raw_path, "rb") as raw:
         return make(grid._read(raw, grid.dims[0]), grid.spacing_mm)
 
 
 def read_volume(path: str | Path) -> Volume:
     """Read a grid written by write_volume. Round-trips are bit-identical."""
-    return _read_grid(path, Volume)
+    return _read_grid(open_volume(path), Volume)
 
 
 def read_mask(path: str | Path, allowed_labels: tuple[int, ...] = LOBE_LABELS) -> LabelMask:
-    return _read_grid(path, lambda data, spacing: LabelMask(data, spacing, allowed_labels))
+    return _read_grid(open_mask(path, allowed_labels), lambda data, spacing: LabelMask(data, spacing, allowed_labels))
 
 
 # ---------------------------------------------------------------------------
 # Resampling
 # ---------------------------------------------------------------------------
 
-def _source_coords(grid: Volume, target_spacing) -> tuple[tuple, list[np.ndarray]]:
-    """The checked target spacing, and per axis the source index of each
-    output voxel center, clamped to the source domain (clamp-to-edge).
+def _source_coords(grid: Volume) -> list[np.ndarray]:
+    """Per axis, the source index of each voxel center of the grid at
+    RESAMPLE_SPACING_MM, clamped to the source domain (clamp-to-edge).
 
-    Output dims are round(dim_in * spacing_in / spacing_out), at least 1 per axis.
+    Output dims are round(dim_in * spacing_in / spacing_out), halves up, at least 1 per axis.
     """
-    target = checked("target_spacing", target_spacing, entries(positive, 3))
     coords = []
-    for d, s_in, s_out in zip(grid.dims, grid.spacing_mm, target):
-        out_dim = max(1, _round_half_away(d * s_in / s_out))
+    for d, s_in, s_out in zip(grid.dims, grid.spacing_mm, RESAMPLE_SPACING_MM):
+        out_dim = max(1, math.floor(d * s_in / s_out + 0.5))
         coords.append(np.clip(np.arange(out_dim, dtype=np.float64) * (s_out / s_in), 0.0, d - 1))
-    return target, coords
+    return coords
 
 
 # Output z-planes per resample slab. Its temporaries stay far below the output,
@@ -379,8 +373,8 @@ def _lerp_axis(a: np.ndarray, coords: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def resample(v: Volume, target_spacing: tuple[float, float, float]) -> Volume:
-    """Trilinear resampling of a volume onto a grid with the given spacing;
+def resample(v: Volume) -> Volume:
+    """Trilinear resampling of a volume onto a grid at RESAMPLE_SPACING_MM;
     the output is float64.
 
     Interpolation runs as three 1-D linear passes, z first, then y, then x;
@@ -392,22 +386,21 @@ def resample(v: Volume, target_spacing: tuple[float, float, float]) -> Volume:
     place; every voxel gets the arithmetic of a whole-grid pass, so the
     result is the same bytes without full-size float64 temporaries.
     """
-    target, coords = _source_coords(v, target_spacing)
-    cz, cy, cx = coords
+    cz, cy, cx = _source_coords(v)
     out = np.empty((cz.size, cy.size, cx.size), dtype=np.float64)
     for z0 in range(0, cz.size, _RESAMPLE_SLAB_PLANES):
         slab = _lerp_axis(v.data, cz[z0:z0 + _RESAMPLE_SLAB_PLANES], 0)
         out[z0:z0 + _RESAMPLE_SLAB_PLANES] = _lerp_axis(_lerp_axis(slab, cy, 1), cx, 2)
-    return Volume(out, target)
+    return Volume(out, RESAMPLE_SPACING_MM)
 
 
-def resample_mask(m: LabelMask, target_spacing: tuple[float, float, float]) -> LabelMask:
-    """Nearest-neighbor resampling for label masks: labels never blend, and
-    the output keeps the mask's dtype and allowed labels."""
-    target, coords = _source_coords(m, target_spacing)
+def resample_mask(m: LabelMask) -> LabelMask:
+    """Nearest-neighbor resampling of a label mask onto a grid at
+    RESAMPLE_SPACING_MM: labels never blend, and the output keeps the mask's
+    dtype and allowed labels."""
     # coords lie in [0, dim - 1], so rounding them stays in range.
-    idx = [np.floor(c + 0.5).astype(np.intp) for c in coords]
-    return LabelMask(m.data[np.ix_(*idx)], target, m.allowed_labels)
+    idx = [np.floor(c + 0.5).astype(np.intp) for c in _source_coords(m)]
+    return LabelMask(m.data[np.ix_(*idx)], RESAMPLE_SPACING_MM, m.allowed_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -415,23 +408,29 @@ def resample_mask(m: LabelMask, target_spacing: tuple[float, float, float]) -> L
 # ---------------------------------------------------------------------------
 
 def clip_normalize(v: Volume) -> Volume:
-    """Clip to the lung window and rescale to [0, 1].
+    """Clip to the lung window and rescale to [0, 1], as float32.
 
     out = (clamp(v, lo, hi) - lo) / width with lo, hi = -1350, 150 HU,
-    computed in float64 in the one output array.
+    computed in float64 in one array and then cast to float32.
     Monotone and bounded; the window level, -600 HU, maps to 0.5.
     """
     lo = WINDOW_LEVEL_HU - WINDOW_WIDTH_HU / 2.0
     out = np.clip(v.data, lo, lo + WINDOW_WIDTH_HU, dtype=np.float64)
     out -= lo
     out /= WINDOW_WIDTH_HU
-    return Volume(out, v.spacing_mm)
+    return Volume(out.astype(np.float32), v.spacing_mm)
+
+
+# Air after the window, as a float32 voxel holds it: padding the windowed
+# grid with it writes the bytes that padding with air in HU, then windowing,
+# would write.
+WINDOWED_AIR = float(clip_normalize(Volume(np.full((1, 1, 1), AIR_HU), RESAMPLE_SPACING_MM)).data[0, 0, 0])
 
 
 def lung_center(lobes: LabelMask) -> tuple[int, int, int]:
     """Geometric center of the nonzero mask voxels, in voxel coordinates.
 
-    Arithmetic mean of nonzero indices, rounded half away from zero. Each
+    Arithmetic mean of nonzero indices, rounded half up. Each
     axis's mean comes from its per-index voxel counts, as exact integer
     sums, so no index arrays are built.
     """
@@ -440,7 +439,7 @@ def lung_center(lobes: LabelMask) -> tuple[int, int, int]:
     if total == 0:
         raise EmptyMaskError("cannot compute center of an empty mask")
     per_axis = (per_zy.sum(axis=1), per_zy.sum(axis=0), np.count_nonzero(lobes.data, axis=(0, 1)))
-    return tuple(_round_half_away(int(counts @ np.arange(counts.size)) / total) for counts in per_axis)
+    return tuple(math.floor(int(counts @ np.arange(counts.size)) / total + 0.5) for counts in per_axis)
 
 
 def crop_box(

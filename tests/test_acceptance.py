@@ -12,7 +12,7 @@ import numpy as np
 import scipy.stats
 
 from lungsev import phantom
-from lungsev.cli import RESAMPLE_SPACING_MM, main
+from lungsev.cli import main
 from lungsev.evaluate import METRICS, evaluate_reports
 from lungsev.severity import SeverityReport, compute_report
 from lungsev.stats import (
@@ -48,6 +48,7 @@ from lungsev.toynet.tensor import _accum, _result
 from lungsev.volume import (
     AIR_HU,
     LOBE_LABELS,
+    RESAMPLE_SPACING_MM,
     LabelMask,
     Volume,
     clip_normalize,
@@ -516,11 +517,11 @@ def test_criterion_09_preprocess_composition(tmp_path):
 
     v = read_volume(tmp_path / "case" / "volume")
     m = read_mask(tmp_path / "case" / "lobes")
-    v_res = resample(v, RESAMPLE_SPACING_MM)
-    m_res = resample_mask(m, RESAMPLE_SPACING_MM)
+    v_res = resample(v)
+    m_res = resample_mask(m)
     center = lung_center(m_res)
     cropped = crop_box(v_res, center, (8, 16, 16), pad_value=AIR_HU)
-    expected = clip_normalize(cropped).data.astype(np.float32)
+    expected = clip_normalize(cropped).data
 
     got = read_volume(out_base)
     assert got.data.dtype == np.float32

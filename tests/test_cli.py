@@ -14,12 +14,14 @@ import pytest
 
 import lungsev
 from lungsev import phantom
-from lungsev.cli import RESAMPLE_SPACING_MM, _log_level_from_env, _train_run, main
+from lungsev.cli import _log_level_from_env, _train_run, main
+from lungsev.errors import InputError
 from lungsev.toynet import NetConfig
 from lungsev.toynet.network import CUMULATIVE_STRIDE
 from lungsev.volume import (
     AIR_HU,
     LOBE_LABELS,
+    RESAMPLE_SPACING_MM,
     LabelMask,
     Volume,
     clip_normalize,
@@ -539,6 +541,18 @@ def test_phantom_records_a_flag_it_was_given_in_spec_json(flag, value, key, reco
     assert spec[key] == recorded
 
 
+def test_phantom_dims_below_the_minimum_are_refused_as_a_usage_error_before_anything_is_made(tmp_path, capsys):
+    # The flag and PhantomSpec share one minimum, so the flag refuses what
+    # the spec would refuse after --out was made.
+    low = phantom.MIN_DIM - 1
+    out = tmp_path / "x"
+    assert main(["phantom", "--out", str(out), "--count", "2", "--dims", f"{low},32,32"]) == 2
+    assert f"argument --dims: expected an integer >= {phantom.MIN_DIM}, got {low}" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(InputError, match=f"^dims: expected an integer >= {phantom.MIN_DIM}, got {low}$"):
+        phantom.random_spec(0, dims=(low, 32, 32))
+
+
 def test_phantom_takes_no_spec_file(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(phantom.random_spec(3, dims=(10, 16, 16)).to_json_dict()))
@@ -566,11 +580,11 @@ def test_preprocess_equals_manual_composition(tmp_path):
 
     v = read_volume(case_dir / "volume")
     m = read_mask(case_dir / "lobes")
-    v_res = resample(v, RESAMPLE_SPACING_MM)
-    m_res = resample_mask(m, RESAMPLE_SPACING_MM)
+    v_res = resample(v)
+    m_res = resample_mask(m)
     center = lung_center(m_res)
     cropped = crop_box(v_res, center, (8, 16, 16), pad_value=AIR_HU)
-    expected = clip_normalize(cropped).data.astype(np.float32)
+    expected = clip_normalize(cropped).data
 
     got = read_volume(out_base)
     assert got.data.dtype == np.float32
@@ -585,7 +599,7 @@ def test_preprocess_peak_memory_stays_within_the_inputs_two_resampled_grids_and_
     grid in z, so the windowed-air pad is written too."""
     case_dir, _ = write_phantom_case(tmp_path, "c0", seed=3, dims=(48, 128, 128))
     box = (32, 96, 96)
-    resampled_dims = resample_mask(read_mask(case_dir / "lobes"), RESAMPLE_SPACING_MM).dims
+    resampled_dims = resample_mask(read_mask(case_dir / "lobes")).dims
     assert resampled_dims[0] < box[0]
     resampled_voxels = int(np.prod(resampled_dims))
     out_base = tmp_path / "pre"
@@ -660,6 +674,61 @@ def test_preprocess_empty_lung_exits_2(tmp_path, capsys):
     ])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def _quantify_argv(case_dir):
+    return ["quantify", "--volume", str(case_dir / "volume"), "--lobes", str(case_dir / "lobes"),
+            "--abnorm", str(case_dir / "abnorm"), "--out", str(case_dir.parent / "out.json")]
+
+
+def _refused_case(fault, tmp_path):
+    """(argv, the start of its one-line error) for a case with `fault`."""
+    case_dir, case = write_phantom_case(tmp_path, "c0", seed=3)
+    volume, lobes = case_dir / "volume", case_dir / "lobes"
+    if fault in ("quantify_empty_lung", "preprocess_empty_lung"):
+        write_volume(LabelMask(np.zeros_like(case.lobes.data), case.lobes.spacing_mm), lobes)
+        if fault == "preprocess_empty_lung":
+            argv = ["preprocess", "--volume", str(volume), "--lobes", str(lobes), "--out", str(tmp_path / "out")]
+            return argv, f"error: --lobes {lobes}: cannot compute center of an empty mask\n"
+        return _quantify_argv(case_dir), f"error: --lobes {lobes}: lung mask is empty\n"
+    if fault == "quantify_unsigned_volume":
+        write_volume(Volume(np.zeros(case.volume.dims, np.uint8), case.volume.spacing_mm), volume)
+        return _quantify_argv(case_dir), f"error: --volume {volume}: volume dtype uint8 is unsigned; "
+    if fault == "quantify_windowed_volume":
+        write_volume(clip_normalize(case.volume), volume)
+        return _quantify_argv(case_dir), f"error: --volume {volume}: volume values all lie in [0,1]; "
+    gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+    assert run_quantify(case_dir, tmp_path / "report.json") == 0
+    gt_ids, pred_ids = {"evaluate_too_few_positives": (3, 3), "evaluate_case_id_mismatch": (3, 4),
+                        "evaluate_too_few_pairs": (2, 2)}[fault]
+    for directory, n in ((gt_dir, gt_ids), (pred_dir, pred_ids)):
+        directory.mkdir(exist_ok=True)
+        for i in range(n):
+            shutil.copyfile(tmp_path / "report.json", directory / f"c{i}.json")
+    argv = ["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir), "--out", str(tmp_path / "out.json")]
+    pair = f"error: --gt {gt_dir} and --pred {pred_dir}: "
+    if fault == "evaluate_too_few_positives":
+        listing = tmp_path / "positives.txt"
+        listing.write_text("c0\nc2\n")
+        return (argv + ["--positive-list", str(listing)],
+                f"error: --positive-list {listing}: need at least 3 positive cases for correlations, got 2\n")
+    if fault == "evaluate_case_id_mismatch":
+        return argv, pair + "case id mismatch: missing ground truth for c3\n"
+    return argv, pair + "need at least 3 paired cases, got 2\n"
+
+
+@pytest.mark.parametrize("fault", [
+    "quantify_empty_lung", "quantify_unsigned_volume", "quantify_windowed_volume", "preprocess_empty_lung",
+    "evaluate_too_few_positives", "evaluate_case_id_mismatch", "evaluate_too_few_pairs",
+])
+def test_a_refused_input_is_named_by_its_flag_and_path(fault, tmp_path, capsys):
+    argv, expected = _refused_case(fault, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(expected)
+    assert len(err.splitlines()) == 1
+    assert not list(tmp_path.glob("out*"))
 
 
 # ---------------------------------------------------------------------------

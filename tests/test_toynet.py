@@ -1086,7 +1086,7 @@ def test_augment_matches_manual_composition():
         image, target, lung = volume.data + shift, abnorm.data, lobes.data
         if axis is not None:
             image, target, lung = (np.flip(a, axis) for a in (image, target, lung))
-        np.testing.assert_array_equal(x[0, 0], clip_normalize(Volume(image, (1, 1, 1))).data.astype(np.float32))
+        np.testing.assert_array_equal(x[0, 0], clip_normalize(Volume(image, (1, 1, 1))).data)
         np.testing.assert_array_equal(y[0, 0], target)
         np.testing.assert_array_equal(m[0, 0], lung)
         assert x.dtype == y.dtype == m.dtype == np.float32

@@ -13,6 +13,9 @@ from hypothesis.extra import numpy as hnp
 from lungsev.errors import EmptyMaskError, GeometryError, HeaderError, InputError
 from lungsev.volume import (
     AIR_HU,
+    LOBE_LABELS,
+    RESAMPLE_SPACING_MM,
+    GridFile,
     LabelMask,
     Volume,
     check_same_geometry,
@@ -104,8 +107,7 @@ def test_mask_rejects_labels_outside_declared_set():
         ([-3, 7, 5], np.int16, (1, 2, 3, 4, 5), "[-3, 7] outside allowed set (0, 1, 2, 3, 4, 5)"),
         ([0, 6, 1], np.uint8, (1, 2, 3, 4, 5), "[6] outside allowed set (0, 1, 2, 3, 4, 5)"),
         ([0, 2, 1], np.uint8, (1,), "[2] outside allowed set (0, 1)"),
-        ([0, 2, 3], np.int16, (1, 3), "[2] outside allowed set (0, 1, 3)"),
-        ([1, 3, 0], np.uint8, (2, 3), "[1] outside allowed set (0, 2, 3)"),
+        ([0, -1, 1], np.int16, (1,), "[-1] outside allowed set (0, 1)"),
     ],
 )
 def test_mask_rejection_names_labels_and_allowed_set(labels, dtype, allowed, message):
@@ -120,14 +122,33 @@ def test_mask_rejection_names_labels_and_allowed_set(labels, dtype, allowed, mes
     [
         ([0, 0, 0], np.int16, (1, 2, 3, 4, 5)),
         ([0, 0, 0], np.uint8, (1,)),
-        ([0, 0, 0], np.uint8, (1, 3)),
-        ([0, 1, 3], np.int16, (1, 3)),
+        ([0, 1, 1], np.int16, (1,)),
+        ([4, 2, 3], np.uint8, (1, 2, 3, 4, 5)),
         ([5, 0, 1], np.int16, (1, 2, 3, 4, 5)),
     ],
 )
 def test_mask_accepts_labels_in_allowed_set(labels, dtype, allowed):
     data = np.array(labels, dtype=dtype).reshape(1, 1, 3)
     assert LabelMask(data, (1, 1, 1), allowed).data.tolist() == [[labels]]
+
+
+@pytest.mark.parametrize("allowed", [(1, 3), (2, 3), (0, 1), (1, 2), (1, 2, 3, 4, 5, 6), (), [1]])
+def test_a_label_set_other_than_the_lobes_or_abnormal_is_refused_naming_allowed_labels(allowed, tmp_path):
+    # A mask holds the five lobe labels or the one abnormal label; the file
+    # readers refuse any other set before they read the file.
+    data = np.zeros((1, 1, 3), np.uint8)
+    write_volume(LabelMask(data, (1, 1, 1)), tmp_path / "m")
+    makers = [
+        lambda: LabelMask(data, (1, 1, 1), allowed),
+        lambda: GridFile(tmp_path / "m.json", tmp_path / "m.raw", data, (1.0, 1.0, 1.0), allowed),
+        lambda: open_mask(tmp_path / "m", allowed),
+        lambda: read_mask(tmp_path / "m", allowed),
+        lambda: open_mask(tmp_path / "missing", allowed),
+        lambda: read_mask(tmp_path / "missing", allowed),
+    ]
+    for make in makers:
+        with pytest.raises(InputError, match=r"^allowed_labels: unsupported value "):
+            make()
 
 
 def test_mask_rejects_float_dtype():
@@ -376,49 +397,69 @@ def test_opening_a_grid_checks_its_header_as_reading_does(tmp_path):
 # Resampling
 # ---------------------------------------------------------------------------
 
+# Both resamplers put every grid at RESAMPLE_SPACING_MM, so the tests below
+# reach each up- and down-sampling ratio through the input spacing.
+
 def test_resample_constant_volume_stays_constant():
-    v = make_volume(np.full((4, 5, 6), -600.0), spacing=(2.0, 1.0, 1.0))
-    out = resample(v, (1.0, 0.5, 2.0))
+    v = make_volume(np.full((4, 5, 6), -600.0), spacing=(6.0, 2.0, 0.5))
+    out = resample(v)
     assert out.dims == (8, 10, 3)
+    assert out.spacing_mm == RESAMPLE_SPACING_MM
     np.testing.assert_allclose(out.data, -600.0, rtol=0, atol=0)
 
 
 def test_resample_identity_spacing():
     rng = np.random.default_rng(3)
-    v = make_volume(rng.standard_normal((4, 5, 6)), spacing=(1.5, 1.0, 0.5))
-    tri = resample(v, v.spacing_mm)
+    v = make_volume(rng.standard_normal((4, 5, 6)), spacing=(3.0, 1.0, 1.0))
+    tri = resample(v)
     np.testing.assert_array_equal(tri.data, v.data)
     m = LabelMask(rng.integers(0, 6, size=(4, 5, 6)).astype(np.uint8), v.spacing_mm)
-    near = resample_mask(m, m.spacing_mm)
+    near = resample_mask(m)
     np.testing.assert_array_equal(near.data, m.data)
 
 
 def test_resample_trilinear_reproduces_affine_ramp():
-    # f(z,y,x) = x on a 1 mm grid; resample to 0.5 mm. Each output voxel j
+    # f(z,y,x) = x on a 2 mm x axis; resample to 1 mm. Each output voxel j
     # samples source coordinate clamp(j*0.5, 0, X-1), where the ramp value
     # is the coordinate itself.
     X = 8
     data = np.broadcast_to(np.arange(X, dtype=np.float64), (4, 4, X)).copy()
-    v = make_volume(data)
-    out = resample(v, (1.0, 1.0, 0.5))
+    v = make_volume(data, spacing=(3.0, 1.0, 2.0))
+    out = resample(v)
     assert out.dims == (4, 4, 16)
     expected_x = np.clip(np.arange(16) * 0.5, 0, X - 1)
     expected = np.broadcast_to(expected_x, (4, 4, 16))
     np.testing.assert_allclose(out.data, expected, atol=1e-6)
 
 
-def test_resample_nearest_values_subset_of_input():
+def nearest_gather(data, spacing):
+    """Reference: per axis, output voxel j takes the source voxel nearest to
+    j * target / spacing, rounded half up and clamped to the last index."""
+    out = data
+    for axis, (d, s, t) in enumerate(zip(data.shape, spacing, RESAMPLE_SPACING_MM)):
+        n = max(1, int(np.floor(d * s / t + 0.5)))
+        idx = np.minimum(np.floor(np.arange(n) * t / s + 0.5).astype(np.intp), d - 1)
+        out = np.take(out, idx, axis=axis)
+    return out
+
+
+def test_resample_mask_equals_a_nearest_index_gather():
+    # Up by 3 in z and by 1/0.6 in y (the last y voxels clamp to the edge),
+    # down by 1.4 in x; no output voxel centre sits halfway between two
+    # source voxels, where float rounding could pick either.
     rng = np.random.default_rng(5)
-    data = rng.integers(-1000, 200, size=(5, 7, 6)).astype(np.int16)
-    m = LabelMask(data, (3, 1, 1), allowed_labels=tuple(range(-1000, 200)))
-    out = resample_mask(m, (1.0, 0.7, 1.3))
-    assert out.data.dtype == np.int16
-    assert set(np.unique(out.data)) <= set(np.unique(m.data))
+    data = rng.integers(0, 6, size=(5, 7, 6)).astype(np.int16)
+    spacing = (9.0, 1.0 / 0.6, 1.0 / 1.4)
+    out = resample_mask(LabelMask(data, spacing))
+    want = nearest_gather(data, spacing)
+    assert out.dims == want.shape == (15, 12, 4)
+    assert out.data.dtype == np.int16 and out.allowed_labels == LOBE_LABELS
+    np.testing.assert_array_equal(out.data, want)
 
 
 def test_resample_mask_preserves_labels():
-    m = LabelMask(np.random.default_rng(0).integers(0, 6, size=(6, 6, 6)).astype(np.uint8), (2, 1, 1))
-    out = resample_mask(m, (1.0, 1.0, 1.0))
+    m = LabelMask(np.random.default_rng(0).integers(0, 6, size=(6, 6, 6)).astype(np.uint8), (6, 1, 1))
+    out = resample_mask(m)
     assert set(np.unique(out.data)) <= set(np.unique(m.data))
     assert out.dims == (12, 6, 6)
 
@@ -474,29 +515,30 @@ _spacings = st.sampled_from([0.3, 0.7, 1.0, 1.5, 3.0, 5.0])
     dtype=st.sampled_from(["int16", "float64"]),
 )
 def test_resample_trilinear_matches_eight_corner_reference(seed, dims, spacing, target, dtype):
-    # Covers downsampling, upsampling and size-1 axes (input or output).
+    # Covers downsampling, upsampling and size-1 axes (input or output): each
+    # axis's input spacing makes its ratio to the output spacing spacing/target.
     rng = np.random.default_rng(seed)
     if dtype == "int16":
         data = rng.integers(-32768, 32768, size=dims).astype(np.int16)
     else:
         data = rng.uniform(-3000.0, 3000.0, size=dims)
-    out = resample(Volume(data, spacing), target)
-    want, _ = eight_corner_trilinear(data, spacing, target)
+    spacing = tuple(r * s / t for r, s, t in zip(RESAMPLE_SPACING_MM, spacing, target))
+    out = resample(Volume(data, spacing))
+    want, _ = eight_corner_trilinear(data, spacing, RESAMPLE_SPACING_MM)
     assert out.data.dtype == np.float64
     assert out.dims == want.shape
     assert np.max(np.abs(out.data - want)) <= 1e-9
 
 
-@pytest.mark.parametrize("target", [(3.0, 1.0, 1.0), (0.5, 0.35, 0.35), (7.0, 0.3, 9.0)])
-def test_resample_trilinear_keeps_constant_regions_exact(target):
+@pytest.mark.parametrize("spacing", [(1.0, 0.7, 0.7), (6.0, 2.0, 2.0), (3.0 / 7.0, 0.7 / 0.3, 0.7 / 9.0)])
+def test_resample_trilinear_keeps_constant_regions_exact(spacing):
     # Piecewise-constant HU blocks: wherever all eight corners of a cell hold
     # one value, the output is that value bit for bit.
     rng = np.random.default_rng(11)
     blocks = rng.integers(-1024, 400, size=(3, 4, 4)).astype(np.int16)
     data = np.repeat(np.repeat(np.repeat(blocks, 6, axis=0), 9, axis=1), 9, axis=2)
-    spacing = (1.0, 0.7, 0.7)
-    out = resample(Volume(data, spacing), target)
-    want, constant = eight_corner_trilinear(data, spacing, target)
+    out = resample(Volume(data, spacing))
+    want, constant = eight_corner_trilinear(data, spacing, RESAMPLE_SPACING_MM)
     assert constant.any() and not constant.all()
     np.testing.assert_array_equal(out.data[constant], want[constant])
     assert np.max(np.abs(out.data - want)) <= 1e-9
@@ -530,19 +572,11 @@ def test_resample_in_slabs_equals_whole_grid_passes_bit_for_bit(dtype, out_z):
     else:
         info = np.iinfo(dtype)
         data = rng.integers(info.min, info.max, size=shape, endpoint=True).astype(dtype)
-    spacing, target = (1.0, 0.7, 0.7), (7.0 / out_z, 1.0, 1.0)
-    out = resample(Volume(data, spacing), target)
+    spacing = (3.0 * out_z / 7.0, 0.7, 0.7)
+    out = resample(Volume(data, spacing))
     assert out.dims[0] == out_z
     assert out_z == 1 or out_z % _RESAMPLE_SLAB_PLANES
-    np.testing.assert_array_equal(out.data, whole_grid_passes(data, spacing, target))
-
-
-def test_resample_rejects_bad_spacing():
-    v = make_volume(np.zeros((2, 2, 2)))
-    with pytest.raises(InputError):
-        resample(v, (0.0, 1.0, 1.0))
-    with pytest.raises(InputError):
-        resample(v, (1.0, 1.0, -1.0))
+    np.testing.assert_array_equal(out.data, whole_grid_passes(data, spacing, RESAMPLE_SPACING_MM))
 
 
 # ---------------------------------------------------------------------------
@@ -550,11 +584,14 @@ def test_resample_rejects_bad_spacing():
 # ---------------------------------------------------------------------------
 
 def test_clip_normalize_known_values():
-    v = make_volume(np.array([[[-1350.0, 150.0, -600.0, -1024.0, -5000.0, 5000.0]]]))
-    out = clip_normalize(v)
-    expected = [0.0, 1.0, 0.5, (-1024.0 + 1350.0) / 1500.0, 0.0, 1.0]
-    np.testing.assert_allclose(out.data[0, 0], expected, rtol=0, atol=1e-15)
-    assert abs(out.data[0, 0, 3] - 0.21733333333333332) < 1e-12
+    # The window is computed in float64, then cast to float32.
+    hu = np.array([[[-1350.0, 150.0, -600.0, -1024.0, -5000.0, 5000.0]]])
+    out = clip_normalize(make_volume(hu))
+    assert out.data.dtype == np.float32
+    expected = np.array([0.0, 1.0, 0.5, (-1024.0 + 1350.0) / 1500.0, 0.0, 1.0]).astype(np.float32)
+    np.testing.assert_array_equal(out.data[0, 0], expected)
+    np.testing.assert_array_equal(out.data, ((np.clip(hu, -1350.0, 150.0) + 1350.0) / 1500.0).astype(np.float32))
+    assert out.data[0, 0, 3] == np.float32(0.21733333333333332)
 
 
 def test_clip_normalize_bounds_and_monotone():
