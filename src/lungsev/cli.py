@@ -15,7 +15,7 @@ from typing import Sequence
 # phantom, evaluate and toynet are imported inside the commands that run
 # them, so that a quantify or preprocess process does not load them.
 from .errors import EmptyMaskError, HeaderError, InputError, LungSevError, at_least, entries, exactly
-from .errors import nonnegative, only_fields, read_field, read_json
+from .errors import naming, nonnegative, only_fields, read_field, read_json
 from .severity import SeverityReport, compute_report
 from .volume import (
     WINDOWED_AIR,
@@ -32,6 +32,7 @@ from .volume import (
     read_volume,
     resample,
     resample_mask,
+    resampled_dims,
     write_volume,
 )
 
@@ -248,13 +249,15 @@ def cmd_phantom(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
-    """Resample, window, then crop. The two headers and their geometry are
-    checked first; the lobe mask is read, reduced to its centre and dropped
-    before the volume is read, and each full-size grid is dropped as soon as
-    the next step has its result, so the peak stays near one input and the
-    output box."""
+    """Resample, window, then crop. The two headers, their geometry and the
+    resampled grid's size are checked first; the lobe mask is read, reduced
+    to its centre and dropped before the volume is read, and each full-size
+    grid is dropped as soon as the next step has its result, so the peak
+    stays near one input and the output box."""
     volume_file, lobes_file = open_volume(args.volume), open_mask(args.lobes)
     check_same_geometry((args.volume, volume_file), (args.lobes, lobes_file))
+    with naming(f"--volume {args.volume}"):
+        resampled_dims(volume_file)
     _distinct([("--out", path) for path in _paths_for(args.out)],
               _grid_files(("--volume", volume_file), ("--lobes", lobes_file)))
     try:

@@ -22,6 +22,7 @@ from lungsev.volume import (
     AIR_HU,
     LOBE_LABELS,
     RESAMPLE_SPACING_MM,
+    VOXEL_BUDGET,
     LabelMask,
     Volume,
     clip_normalize,
@@ -1059,6 +1060,30 @@ def test_grid_too_large_for_memory_exits_2(command, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# Each run is a child under a 1 GiB address-space limit, so an allocation
+# that nothing checked fails at once instead of filling the machine's memory.
+_UNDER_1_GIB = ("import resource, sys; from lungsev.cli import main; "
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("spacing, dims", [([1e6, 1.5, 1.0], "2666667x48x32"),
+                                           ([1e300, 1.0, 1.0], "2.67e+300x32x32"),
+                                           ([1e308, 1e-10, 1e-10], "infx1x1")])
+def test_preprocess_refuses_a_spacing_that_resamples_past_the_voxel_budget(spacing, dims, tmp_path):
+    case_dir, _ = write_phantom_case(tmp_path, "c0", seed=3, dims=(8, 32, 32))
+    for name in ("volume", "lobes"):
+        header = case_dir / f"{name}.json"
+        header.write_text(json.dumps(dict(json.loads(header.read_text()), spacing_mm=spacing)))
+    env = dict(os.environ, PYTHONPATH=str(Path(lungsev.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", _UNDER_1_GIB, "preprocess", "--volume", str(case_dir / "volume"),
+                             "--lobes", str(case_dir / "lobes"), "--out", str(tmp_path / "out" / "pre")],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == (f"error: --volume {case_dir / 'volume'}: spacing_mm: resampling to 3x1x1 mm "
+                             f"makes {dims} voxels, over the budget of {VOXEL_BUDGET}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "quantify" in capsys.readouterr().out
@@ -1084,6 +1109,16 @@ def test_importing_the_cli_loads_no_training_statistics_or_phantom_code():
     heavy = ("lungsev.toynet", "lungsev.evaluate", "lungsev.phantom", "lungsev.stats", "lungsev.special")
     assert [m for m in loaded if m.startswith(heavy)] == []
     assert "lungsev.severity" in loaded and "lungsev.volume" in loaded
+
+
+def test_a_small_preprocess_runs_in_the_calling_thread_and_loads_no_pool(tmp_path):
+    # Below SLAB_VOXELS voxels, resample and clip_normalize start no thread.
+    case_dir, _ = write_phantom_case(tmp_path, "c0", seed=3, dims=(8, 32, 32))
+    code = ("import sys; from lungsev.cli import main; "
+            "assert main(sys.argv[1:]) == 0; print('concurrent.futures' in sys.modules)")
+    out = _child(code, "preprocess", "--volume", case_dir / "volume", "--lobes", case_dir / "lobes",
+                 "--out", tmp_path / "pre", "--box", "8,32,32")
+    assert out.splitlines()[-1] == "False"
 
 
 def test_quantify_memory_does_not_grow_with_the_grid(tmp_path):

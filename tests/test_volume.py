@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from lungsev.volume import (
     AIR_HU,
     LOBE_LABELS,
     RESAMPLE_SPACING_MM,
+    VOXEL_BUDGET,
     GridFile,
     LabelMask,
     Volume,
@@ -28,9 +30,10 @@ from lungsev.volume import (
     read_volume,
     resample,
     resample_mask,
+    resampled_dims,
     write_volume,
 )
-from lungsev.volume import _RESAMPLE_SLAB_PLANES
+import lungsev.volume as volume_mod
 
 
 def make_volume(data, spacing=(1.0, 1.0, 1.0)):
@@ -562,21 +565,87 @@ def whole_grid_passes(data, spacing, target):
     return out
 
 
-@pytest.mark.parametrize("out_z", [1, _RESAMPLE_SLAB_PLANES + 1, 2 * _RESAMPLE_SLAB_PLANES + 3])
-@pytest.mark.parametrize("dtype", ["int16", "uint8", "float32"])
-def test_resample_in_slabs_equals_whole_grid_passes_bit_for_bit(dtype, out_z):
-    rng = np.random.default_rng(out_z)
-    shape = (7, 11, 10)
+def random_grid(rng, shape, dtype):
+    """Random voxels over the whole range of an integer dtype, or HU-like
+    float32 values with a tenth of them -0.0."""
     if dtype == "float32":
         data = rng.uniform(-3000.0, 3000.0, size=shape).astype(np.float32)
-    else:
-        info = np.iinfo(dtype)
-        data = rng.integers(info.min, info.max, size=shape, endpoint=True).astype(dtype)
+        data[rng.random(shape) < 0.1] = -0.0
+        return data
+    info = np.iinfo(dtype)
+    return rng.integers(info.min, info.max, size=shape, endpoint=True).astype(dtype)
+
+
+@pytest.mark.parametrize("out_z", [1, 5, 11])
+@pytest.mark.parametrize("dtype", ["int16", "uint8", "float32"])
+def test_resample_in_slabs_equals_whole_grid_passes_bit_for_bit(dtype, out_z, monkeypatch):
+    # Every grid is split over three workers, so 5 and 11 output planes split unevenly.
+    monkeypatch.setattr(volume_mod, "SLAB_VOXELS", 0)
+    monkeypatch.setattr(volume_mod, "WORKERS", 3)
+    data = random_grid(np.random.default_rng(out_z), (7, 11, 10), dtype)
     spacing = (3.0 * out_z / 7.0, 0.7, 0.7)
     out = resample(Volume(data, spacing))
     assert out.dims[0] == out_z
-    assert out_z == 1 or out_z % _RESAMPLE_SLAB_PLANES
-    np.testing.assert_array_equal(out.data, whole_grid_passes(data, spacing, RESAMPLE_SPACING_MM))
+    assert out_z == 1 or out_z % volume_mod.WORKERS
+    want = whole_grid_passes(data, spacing, RESAMPLE_SPACING_MM)
+    assert out.data.dtype == want.dtype and out.dims == want.shape
+    assert out.data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("z_mm", [1.0, 0.5, 1.25], ids=["z-ratio-3", "z-ratio-6", "z-ratio-2.4"])
+@pytest.mark.parametrize("dtype", ["int16", "uint8", "float32"])
+def test_resample_and_clip_normalize_bytes_do_not_depend_on_the_worker_count(dtype, z_mm, monkeypatch):
+    # Each grid resamples to more than SLAB_VOXELS voxels, so it is split
+    # over the workers whenever there is more than one. On 1 mm rows and
+    # columns every y and x sample is exact, so a float -0.0 on an exact
+    # z-plane keeps its sign through to the output unless the z-lerp, as in
+    # whole_grid_passes, makes it +0.0.
+    data = random_grid(np.random.default_rng(7), (36, 256, 256), dtype)
+    grid = Volume(data, (z_mm, 1.0, 1.0))
+    assert np.prod(resampled_dims(grid)) > volume_mod.SLAB_VOXELS
+    window = np.clip(data, -1350.0, 150.0, dtype=np.float64)
+    want = (whole_grid_passes(data, grid.spacing_mm, RESAMPLE_SPACING_MM).tobytes(),
+            ((window + 1350.0) / 1500.0).astype(np.float32).tobytes())
+    for workers in (1, volume_mod.WORKERS, 3):
+        monkeypatch.setattr(volume_mod, "WORKERS", workers)
+        assert (resample(grid).data.tobytes(), clip_normalize(grid).data.tobytes()) == want, workers
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_resample_and_clip_normalize_hold_a_few_planes_per_worker(workers, monkeypatch):
+    """numpy reports its buffers to tracemalloc: above the input and the
+    output, each call holds at most four float64 source planes per worker,
+    where a window through a whole float64 grid holds 40."""
+    monkeypatch.setattr(volume_mod, "WORKERS", workers)
+    rng = np.random.default_rng(5)
+    grid = Volume(rng.integers(-1024, 400, size=(40, 256, 256)).astype(np.int16), (1.0, 0.7, 0.7))
+    plane_bytes = 256 * 256 * 8
+    for op in (resample, clip_normalize):
+        tracemalloc.start()
+        try:
+            out = op(grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - out.data.nbytes <= 4 * workers * plane_bytes, op.__name__
+
+
+def test_resampled_dims_admit_a_chest_and_the_default_box_and_refuse_more_than_the_budget():
+    def shell(dims, spacing):
+        return Volume(np.broadcast_to(np.int16(0), dims), spacing)
+
+    assert resampled_dims(shell((300, 512, 512), (1.0, 0.7, 0.7))) == (100, 358, 358)
+    assert resampled_dims(shell((384, 384, 384), RESAMPLE_SPACING_MM)) == (384, 384, 384)
+    assert resampled_dims(shell((512, 512, 512), RESAMPLE_SPACING_MM)) == (512, 512, 512)
+    assert 512 ** 3 == VOXEL_BUDGET
+    for dims, spacing, shown in [((512, 512, 513), RESAMPLE_SPACING_MM, "512x512x513"),
+                                 ((8, 32, 32), (1e6, 1.5, 1.0), "2666667x48x32"),
+                                 ((8, 32, 32), (1e300, 1.0, 1.0), "2.67e+300x32x32"),
+                                 ((8, 32, 32), (1e308, 1e-10, 1e-10), "infx1x1")]:
+        with pytest.raises(InputError) as caught:
+            resample(shell(dims, spacing))
+        assert str(caught.value) == (f"spacing_mm: resampling to 3x1x1 mm makes {shown} voxels, "
+                                     f"over the budget of {VOXEL_BUDGET}")
 
 
 # ---------------------------------------------------------------------------
